@@ -43,11 +43,13 @@
 // is the ack (the server checkpoints before flushing replies), SIGKILL
 // lands on the server mid-load.
 //
-// Seeded-bug validation: the hidden env var FLIT_CRASHTEST_UNSAFE_ACK=1
-// makes the workload child acknowledge ops BEFORE applying them (a
-// deliberate ack-before-durable bug behind a deferred-apply queue).
-// --expect-violation inverts the exit status; CI asserts the harness
-// catches the planted bug.
+// Seeded-bug validation: arming the `bug.unsafe_ack` failpoint site
+// (FLIT_FAILPOINTS=bug.unsafe_ack=once) makes the workload child
+// acknowledge ops BEFORE applying them (a deliberate ack-before-durable
+// bug behind a deferred-apply queue). The site is read from the
+// failpoint registry, which every build compiles, and evaluated once per
+// run. --expect-violation inverts the exit status; CI asserts the
+// harness catches the planted bug.
 //
 // Exhaustion sweep (--inject): the store gets a deliberately tiny
 // capacity so the workload drives it into OutOfSpace mid-run, and the
@@ -67,7 +69,7 @@
 //   ./flit_crashtest --iters=12 --layout=ordered --durability=always
 //   ./flit_crashtest --mode=net --layout=hashed --iters=6
 //   ./flit_crashtest --inject --iters=8
-//   FLIT_CRASHTEST_UNSAFE_ACK=1 ./flit_crashtest --expect-violation
+//   FLIT_FAILPOINTS=bug.unsafe_ack=once ./flit_crashtest --expect-violation
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
@@ -92,6 +94,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/failpoint.hpp"
 #include "core/modes.hpp"
 #include "kv/store.hpp"
 #include "net/client.hpp"
@@ -132,6 +135,7 @@ struct Options {
   bool verbose = false;
   bool inject = false;        // exhaustion sweep (see file comment)
   bool capacity_set = false;  // --capacity-mb given explicitly
+  bool unsafe_ack = false;    // bug.unsafe_ack fired for this run
 
   // --verify mode (internal; the harness exec's itself with these).
   bool verify = false;
@@ -321,8 +325,6 @@ template <class StoreT>
   sh.pipe.fd = write_fd;
   sh.threads = o.threads;
 
-  const bool unsafe_ack = std::getenv("FLIT_CRASHTEST_UNSAFE_ACK") != nullptr;
-
   try {
     pmem::set_backend(pmem::Backend::kSimLatency);
     pmem::set_sim_latency(10, 10);
@@ -333,7 +335,7 @@ template <class StoreT>
                                 static_cast<std::uint32_t>(o.shards),
                                 per_shard, range);
 
-    if (!unsafe_ack) {
+    if (!o.unsafe_ack) {
       // Ack plumbing: pre snapshots what is about to become durable,
       // post (after the msync) turns the snapshot into A-lines. Both run
       // under the store's checkpoint serialization.
@@ -380,7 +382,7 @@ template <class StoreT>
         auto done = [&](std::uint64_t s) {
           sh.pipe.line("D %d %llu\n", t, static_cast<unsigned long long>(s));
           sh.completed[t].store(s, std::memory_order_release);
-          if (!unsafe_ack && o.durability == kv::DurabilityMode::kAlways) {
+          if (!o.unsafe_ack && o.durability == kv::DurabilityMode::kAlways) {
             store.note_write_commit();
           }
         };
@@ -421,7 +423,7 @@ template <class StoreT>
         try {
           for (;;) {
             const std::uint32_t r = static_cast<std::uint32_t>(rng() % 100);
-            if (unsafe_ack) {
+            if (o.unsafe_ack) {
               // SEEDED BUG: acknowledge at issue time, apply ~16 ops
               // later. A kill inside the window loses acked writes.
               const Key k = pick_key();
@@ -525,7 +527,7 @@ template <class StoreT>
     }
 
     // kNever still needs explicit sync points for acks to ride on.
-    if (!unsafe_ack && o.durability == kv::DurabilityMode::kNever) {
+    if (!o.unsafe_ack && o.durability == kv::DurabilityMode::kNever) {
       for (;;) {
         std::this_thread::sleep_for(std::chrono::milliseconds(25));
         store.checkpoint();
@@ -1163,6 +1165,8 @@ int main(int argc, char** argv) {
   }
 
   if (o.server.empty()) o.server = sibling_path(argv[0], "flit_server");
+  o.unsafe_ack =
+      core::Failpoints::instance().should_fail("bug.unsafe_ack", 0) != 0;
   if (o.seed == 0) {
     o.seed = (static_cast<std::uint64_t>(std::random_device{}()) << 32) ^
              std::random_device{}();
@@ -1176,9 +1180,7 @@ int main(int argc, char** argv) {
       o.mode.c_str(), o.layout.c_str(), kv::to_string(o.durability),
       o.iters, o.threads, static_cast<unsigned long long>(o.keys),
       static_cast<unsigned long long>(o.seed),
-      std::getenv("FLIT_CRASHTEST_UNSAFE_ACK") != nullptr
-          ? " [UNSAFE_ACK seeded bug active]"
-          : "");
+      o.unsafe_ack ? " [bug.unsafe_ack seeded bug active]" : "");
   std::fflush(stdout);
 
   int violations = 0;

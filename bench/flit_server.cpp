@@ -30,7 +30,7 @@
 //                           after the store is built — unlike the
 //                           FLIT_FAILPOINTS env var, which would also
 //                           fire during store construction and kill the
-//                           boot. Requires a FLIT_FAILPOINTS=ON build.
+//                           boot. Requires a checked build.
 //   --max-conns=N           shed new connections past N open (0 = no
 //                           cap; default 4096)
 //   --idle-timeout-ms=N     close connections idle longer than N ms
@@ -49,6 +49,7 @@
 #include <optional>
 #include <string>
 
+#include "core/checked.hpp"
 #include "core/failpoint.hpp"
 #include "core/modes.hpp"
 #include "kv/store.hpp"
@@ -139,9 +140,9 @@ Options parse(int argc, char** argv) {
   }
   if (o.flush_ms <= 0) usage_error("--flush-ms must be positive");
   if (o.idle_timeout_ms < 0) usage_error("--idle-timeout-ms must be >= 0");
-  if (!o.failpoints.empty() && !core::kFailpointsEnabled) {
-    usage_error("--failpoints needs a FLIT_FAILPOINTS=ON build "
-                "(cmake --preset failpoints)");
+  if (!o.failpoints.empty() && !core::kChecked) {
+    usage_error("--failpoints needs a checked build "
+                "(cmake --preset checked)");
   }
   return o;
 }

@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
 
   Table table(
       {"words", "layout", "mix", "batch", "Mops", "pwbs/op", "pfences/op"});
-  // redundant_pwbs/op needs a FLIT_PERSIST_CHECK build to be nonzero (the
+  // redundant_pwbs/op needs a FLIT_CHECKED build to be nonzero (the
   // lint lives in the shadow line state); empty_pfences/op is always on.
   CsvWriter csv("ycsb_kv",
                 {"words", "layout", "mix", "batch", "Mops", "pwbs/op",

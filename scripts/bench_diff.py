@@ -77,7 +77,7 @@ def main():
 
     # The redundancy-lint columns (.get with 0.0: snapshots predating the
     # PersistCheck lint lack them). redundant_pwbs_per_op is only nonzero
-    # when the bench ran under FLIT_PERSIST_CHECK; empty_pfences_per_op is
+    # when the bench ran under FLIT_CHECKED; empty_pfences_per_op is
     # counted in every build.
     hdr = (f"{'words':<15} {'layout':<8} {'mix':<4} {'batch':>5} "
            f"{'conns':>5} "

@@ -9,9 +9,9 @@ derived from one master seed, which is printed up front and again on any
 failure so a red run is reproducible with --seed.
 
 The sweep ends with a seeded-bug validation round: the harness is re-run
-with FLIT_CRASHTEST_UNSAFE_ACK=1 (an intentionally planted
-ack-before-durable bug) and must REPORT a violation — proving the
-detector still detects.
+with the bug.unsafe_ack failpoint site armed (FLIT_FAILPOINTS, an
+intentionally planted ack-before-durable bug) and must REPORT a
+violation — proving the detector still detects.
 
 Usage:
   scripts/crash_sweep.py --crashtest build/bench/flit_crashtest \\
@@ -78,7 +78,7 @@ def run_seeded_bug_check(args, seed, workdir):
         f"--file={img}",
     ]
     print(f"--- seeded-bug validation, seed={seed}", flush=True)
-    env = dict(os.environ, FLIT_CRASHTEST_UNSAFE_ACK="1")
+    env = dict(os.environ, FLIT_FAILPOINTS="bug.unsafe_ack=once")
     proc = subprocess.run(cmd, env=env)
     if proc.returncode != 0:
         print(

@@ -26,11 +26,11 @@ flit_loadgen, asserting the acceptance criteria of the network subsystem:
      (shed_conns/idle_timeouts), and a --chaos loadgen round (abandoned
      bursts, half-closes, torn frames) finishes with zero verification
      failures against the same server.
-  6. (--failpoints builds only) Fault injection over the wire: with the
-     server booted under --failpoints=pool.alloc=prob:0.5, SETs fail
-     per-request with -ERR while GETs of successfully stored keys still
-     verify, STATS injected_faults grows, and the server still shuts
-     down cleanly.
+  6. (--failpoints: checked builds only) Fault injection over the wire:
+     with the server booted under --failpoints=pool.alloc=prob:0.5, SETs
+     fail per-request with -ERR while GETs of successfully stored keys
+     still verify, STATS injected_faults grows, and the server still
+     shuts down cleanly.
 
 Usage: server_smoke.py --server PATH --loadgen PATH [--seconds F]
                        [--failpoints]
@@ -157,8 +157,8 @@ def main():
     ap.add_argument("--seconds", type=float, default=0.3,
                     help="measurement time per loadgen point")
     ap.add_argument("--failpoints", action="store_true",
-                    help="server was built with FLIT_FAILPOINTS=ON: also "
-                         "run the fault-injection round")
+                    help="server is a checked build (cmake --preset "
+                         "checked): also run the fault-injection round")
     args = ap.parse_args()
 
     # --- round 1: hashed layout, scalar vs pipelined fence coalescing ----
@@ -282,7 +282,7 @@ def main():
         raise SystemExit("server_smoke: --chaos never fired")
     print(f"server_smoke: chaos_events={chaos['chaos_events']} survived")
 
-    # --- round 5: per-request fault injection (failpoint builds only) ----
+    # --- round 5: per-request fault injection (checked builds only) ------
     if args.failpoints:
         proc, host, port = start_server(
             args, ["--layout=hashed", "--workers=2", "--keys=4000",

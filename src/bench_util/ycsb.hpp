@@ -247,7 +247,7 @@ struct YcsbResult {
                          : 0;
   }
   /// Redundancy lint, per op. empty_pfences is counted in every build;
-  /// redundant_pwbs stays 0 unless FLIT_PERSIST_CHECK tracks line state.
+  /// redundant_pwbs stays 0 unless a FLIT_CHECKED build tracks line state.
   double redundant_pwbs_per_op() const noexcept {
     return total_ops > 0 ? static_cast<double>(persistence.redundant_pwbs) /
                                static_cast<double>(total_ops)

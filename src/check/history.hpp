@@ -10,7 +10,7 @@
 // by the runtime recorder (lincheck.hpp), the offline checker, and the
 // hand-built histories in tests, so it lives in its own dependency-free
 // header and is compiled unconditionally (only the *recording hooks* are
-// gated behind FLIT_LINCHECK).
+// gated behind FLIT_CHECKED).
 //
 // Values are identified by a 64-bit FNV-1a hash of their bytes rather
 // than the bytes themselves: the checker only ever needs equality ("did

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -309,9 +308,7 @@ void Lifetime::clear() {
 
 namespace {
 
-// persist-lint: allow(seeded-bug switchboard — test-only volatile state)
 struct UnsafeState {
-  std::atomic<int> mode{-1};  // -1 = env not read yet
   std::mutex mu;
   std::vector<std::function<void()>> pending;
 };
@@ -321,45 +318,7 @@ UnsafeState& us() {
   return *s;
 }
 
-int parse_unsafe_env() noexcept {
-  const char* e = std::getenv("FLIT_LINCHECK_UNSAFE");
-  if (e == nullptr) return static_cast<int>(UnsafeMode::kNone);
-  if (std::strcmp(e, "stale_read") == 0) {
-    return static_cast<int>(UnsafeMode::kStaleRead);
-  }
-  if (std::strcmp(e, "lost_update") == 0) {
-    return static_cast<int>(UnsafeMode::kLostUpdate);
-  }
-  if (std::strcmp(e, "early_retire") == 0) {
-    return static_cast<int>(UnsafeMode::kEarlyRetire);
-  }
-  std::fprintf(stderr,
-               "LinCheck: unknown FLIT_LINCHECK_UNSAFE value '%s' "
-               "(want stale_read|lost_update|early_retire)\n",
-               e);
-  return static_cast<int>(UnsafeMode::kNone);
-}
-
 }  // namespace
-
-UnsafeMode unsafe_mode() noexcept {
-  UnsafeState& s = us();
-  int m = s.mode.load(std::memory_order_acquire);
-  if (m < 0) {
-    int parsed = parse_unsafe_env();
-    int expected = -1;
-    if (!s.mode.compare_exchange_strong(expected, parsed,
-                                        std::memory_order_acq_rel)) {
-      parsed = expected;
-    }
-    m = parsed;
-  }
-  return static_cast<UnsafeMode>(m);
-}
-
-void set_unsafe_mode(UnsafeMode m) noexcept {
-  us().mode.store(static_cast<int>(m), std::memory_order_release);
-}
 
 void unsafe_defer(std::function<void()> fn) {
   UnsafeState& s = us();

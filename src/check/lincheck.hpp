@@ -1,10 +1,10 @@
 // lincheck.hpp — the LinCheck runtime: a low-overhead history recorder,
-// the EBR lifetime analyzer, and the seeded-bug switchboard, plus the
-// `lc_*` hook helpers the kv/ds/pmem layers call.
+// the EBR lifetime analyzer, and the stale_read seeded bug's deferral
+// queue, plus the `lc_*` hook helpers the kv/ds/pmem layers call.
 //
 // Wiring mirrors PersistCheck (pmem/persist_check.hpp): the hook helpers
-// are inline and compile to nothing unless the FLIT_LINCHECK CMake option
-// defines FLIT_LINCHECK, so default builds carry zero overhead — no tick
+// are inline and compile to nothing unless the FLIT_CHECKED CMake option
+// defines FLIT_CHECKED, so default builds carry zero overhead — no tick
 // traffic, no registry, not even the value hashing (it happens inside the
 // disabled helper). The classes themselves are compiled unconditionally
 // so tests can drive the checker on hand-built histories in any build.
@@ -40,20 +40,15 @@
 #include <vector>
 
 #include "check/history.hpp"
+#include "core/checked.hpp"
 #include "recl/ebr.hpp"
 
 namespace flit::check {
 
-#if defined(FLIT_LINCHECK)
-inline constexpr bool kLinCheckEnabled = true;
-#else
-inline constexpr bool kLinCheckEnabled = false;
-#endif
-
 /// Sentinel returned by lc_begin() when recording is off.
 inline constexpr std::uint64_t kNoTick = ~std::uint64_t{0};
 
-/// Global history recorder. Disarmed by default even in lincheck builds:
+/// Global history recorder. Disarmed by default even in checked builds:
 /// tests arm() around the workload they want checked and snapshot() after
 /// joining their workers.
 class Recorder {
@@ -137,40 +132,21 @@ class Lifetime {
 };
 
 // --- seeded bugs -----------------------------------------------------------
-// Self-validation switchboard, mirroring FLIT_PERSIST_CHECK_UNSAFE and
-// FLIT_CRASHTEST_UNSAFE_ACK: each mode plants one precise bug in the kv
-// layer that the checker must catch with the right class and site.
-//   stale_read   — put defers its upsert until the next write, so a get
-//                  between them returns the superseded value (kStaleRead).
-//   lost_update  — put computes its return but never applies the write;
-//                  a later get misses it (kLostUpdate).
-//   early_retire — a superseded record is freed immediately instead of
-//                  through EBR limbo (Lifetime kEarlyReclaim).
+// The kv layer plants its seeded bugs at `bug.*` failpoint sites (see
+// core/failpoint.hpp); LinCheck must catch each with the right class and
+// site. Only bug.stale_read needs state of its own:
 
-enum class UnsafeMode : int {
-  kNone = 0,
-  kStaleRead,
-  kLostUpdate,
-  kEarlyRetire,
-};
-
-/// The active seeded bug: first call reads FLIT_LINCHECK_UNSAFE
-/// ("stale_read" | "lost_update" | "early_retire"), then cached;
-/// set_unsafe_mode() overrides (tests use the API, CI uses the env).
-UnsafeMode unsafe_mode() noexcept;
-void set_unsafe_mode(UnsafeMode m) noexcept;
-
-/// stale_read support: park a write's real application until the next
-/// write to the same shard applies pending work (or a test flushes it).
+/// Park a write's real application until the next write applies pending
+/// work (or a test flushes it).
 void unsafe_defer(std::function<void()> fn);
 void unsafe_apply_pending();
 
 // --- hook helpers ----------------------------------------------------------
 // These are what the instrumented layers call. Each is a no-op (and the
-// disabled branch folds away entirely) unless FLIT_LINCHECK is defined.
+// disabled branch folds away entirely) unless FLIT_CHECKED is defined.
 
 inline std::uint64_t lc_begin() noexcept {
-  if constexpr (kLinCheckEnabled) return Recorder::instance().begin();
+  if constexpr (core::kChecked) return Recorder::instance().begin();
   return kNoTick;
 }
 
@@ -178,7 +154,7 @@ inline std::uint64_t lc_begin() noexcept {
 /// value id for puts; pass empty for remove.
 inline void lc_end_write(std::uint64_t inv, Op op, std::int64_t key,
                          std::string_view payload, bool flag) {
-  if constexpr (kLinCheckEnabled) {
+  if constexpr (core::kChecked) {
     if (inv == kNoTick) return;
     const std::uint64_t v = payload.empty() ? 0 : value_id(payload);
     Recorder::instance().end(inv, op, key, v, flag);
@@ -190,7 +166,7 @@ inline void lc_end_write(std::uint64_t inv, Op op, std::int64_t key,
 /// Completed get: `found` + the returned bytes (ignored when !found).
 inline void lc_end_read(std::uint64_t inv, std::int64_t key, bool found,
                         std::string_view payload) {
-  if constexpr (kLinCheckEnabled) {
+  if constexpr (core::kChecked) {
     if (inv == kNoTick) return;
     const std::uint64_t v = found ? value_id(payload) : 0;
     Recorder::instance().end(inv, Op::kGet, key, v, found);
@@ -201,7 +177,7 @@ inline void lc_end_read(std::uint64_t inv, std::int64_t key, bool found,
 
 /// Completed contains.
 inline void lc_end_contains(std::uint64_t inv, std::int64_t key, bool hit) {
-  if constexpr (kLinCheckEnabled) {
+  if constexpr (core::kChecked) {
     if (inv == kNoTick) return;
     Recorder::instance().end(inv, Op::kContains, key, 0, hit);
   } else {
@@ -213,7 +189,7 @@ inline void lc_end_contains(std::uint64_t inv, std::int64_t key, bool hit) {
 template <class Pairs>
 inline void lc_end_scan(std::uint64_t inv, std::int64_t start,
                         std::size_t limit, const Pairs& pairs) {
-  if constexpr (kLinCheckEnabled) {
+  if constexpr (core::kChecked) {
     if (inv == kNoTick) return;
     std::vector<std::pair<std::int64_t, std::uint64_t>> out;
     out.reserve(pairs.size());
@@ -228,7 +204,7 @@ inline void lc_end_scan(std::uint64_t inv, std::int64_t start,
 }
 
 inline void lc_alloc(const void* p, std::size_t len) {
-  if constexpr (kLinCheckEnabled) {
+  if constexpr (core::kChecked) {
     Lifetime::instance().on_alloc(p, len);
   } else {
     (void)p; (void)len;
@@ -236,7 +212,7 @@ inline void lc_alloc(const void* p, std::size_t len) {
 }
 
 inline void lc_retire(const void* p, std::uint64_t epoch, const char* site) {
-  if constexpr (kLinCheckEnabled) {
+  if constexpr (core::kChecked) {
     Lifetime::instance().on_retire(p, epoch, site);
   } else {
     (void)p; (void)epoch; (void)site;
@@ -244,7 +220,7 @@ inline void lc_retire(const void* p, std::uint64_t epoch, const char* site) {
 }
 
 inline void lc_free(const void* p, std::uint64_t now, bool quiescent) {
-  if constexpr (kLinCheckEnabled) {
+  if constexpr (core::kChecked) {
     Lifetime::instance().on_free(p, now, quiescent);
   } else {
     (void)p; (void)now; (void)quiescent;
@@ -252,7 +228,7 @@ inline void lc_free(const void* p, std::uint64_t now, bool quiescent) {
 }
 
 inline void lc_deref(const void* p, const char* site) {
-  if constexpr (kLinCheckEnabled) {
+  if constexpr (core::kChecked) {
     if (p == nullptr) return;
     Lifetime::instance().on_deref(
         p, recl::Ebr::instance().current_announce(), site);
@@ -262,7 +238,7 @@ inline void lc_deref(const void* p, const char* site) {
 }
 
 inline void lc_pool_reset() {
-  if constexpr (kLinCheckEnabled) Lifetime::instance().clear();
+  if constexpr (core::kChecked) Lifetime::instance().clear();
 }
 
 }  // namespace flit::check

@@ -9,12 +9,17 @@
 // real, so the degraded paths (OutOfSpace replies, the read-only latch,
 // accept backoff) become deterministic, regression-testable behavior.
 //
+// The same registry plants the seeded bugs that validate the checkers:
+// each `bug.*` site below breaks the protocol in one precise place, and
+// the checker it targets must catch it with the right class and site.
+//
 // Zero cost when disabled: the fp_inject() hook below compiles to a
-// constant 0 unless FLIT_FAILPOINTS is defined (the `failpoints` CMake
-// preset, mirroring FLIT_PERSIST_CHECK / FLIT_LINCHECK), so default
-// builds carry byte-identical hot paths. The registry class itself is
-// always compiled — spec parsing and trigger arithmetic stay unit-tested
-// in every build; only the hot-path consultation is gated.
+// constant 0 unless FLIT_CHECKED is defined (the `checked` CMake preset;
+// see core/checked.hpp), so default builds carry byte-identical hot
+// paths. The registry class itself is always compiled — spec parsing and
+// trigger arithmetic stay unit-tested in every build, and flit_crashtest
+// consults its `bug.unsafe_ack` site directly; only the library's
+// hot-path consultation is gated.
 //
 // Arming:
 //
@@ -44,6 +49,19 @@
 //   net.read         read_some              read fails (default ECONNRESET)
 //   net.write        write_some             send fails (default ECONNRESET)
 //   net.write.short  write_some             send truncated to one byte
+//
+// Seeded bugs (fire while armed; each names the checker that catches it):
+//
+//   bug.stale_read    Shard::put       write applied one write late
+//                                      (LinCheck kStaleRead)
+//   bug.lost_update   Shard::put       write acknowledged, never applied
+//                                      (LinCheck kLostUpdate)
+//   bug.early_retire  Record::retire   record freed with no EBR grace
+//                                      (LinCheck kEarlyReclaim)
+//   bug.skip_pwb      pmem::pwb        the flush is dropped
+//                                      (PersistCheck kPublishUnpersisted)
+//   bug.unsafe_ack    flit_crashtest   ops acknowledged before applied
+//                                      (the crash harness's ack check)
 #pragma once
 
 #include <cstddef>
@@ -52,14 +70,6 @@
 #include <vector>
 
 namespace flit::core {
-
-/// True when the fp_inject() site hooks are compiled in (FLIT_FAILPOINTS
-/// builds). The registry below exists in every build.
-#if defined(FLIT_FAILPOINTS)
-inline constexpr bool kFailpointsEnabled = true;
-#else
-inline constexpr bool kFailpointsEnabled = false;
-#endif
 
 /// How an armed site decides to fire.
 enum class FailTrigger { kOff, kOnce, kEveryNth, kProbability };
@@ -126,11 +136,11 @@ class Failpoints {
 
 /// The site hook: 0 = proceed, nonzero = simulate a failure with this
 /// errno. Compiles to a constant 0 (dead site name and all) in
-/// non-FLIT_FAILPOINTS builds — the zero-cost contract the disabled-build
+/// non-FLIT_CHECKED builds — the zero-cost contract the disabled-build
 /// acceptance bar depends on.
 inline int fp_inject([[maybe_unused]] const char* site,
                      [[maybe_unused]] int default_error = 0) {
-#if defined(FLIT_FAILPOINTS)
+#if defined(FLIT_CHECKED)
   return Failpoints::instance().should_fail(site, default_error);
 #else
   return 0;
@@ -139,7 +149,7 @@ inline int fp_inject([[maybe_unused]] const char* site,
 
 /// Process-wide injected-fault count for telemetry: 0 in disabled builds.
 inline std::uint64_t fp_total_injected() {
-#if defined(FLIT_FAILPOINTS)
+#if defined(FLIT_CHECKED)
   return Failpoints::instance().total_hits();
 #else
   return 0;

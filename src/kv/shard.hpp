@@ -42,6 +42,8 @@
 #include <vector>
 
 #include "check/lincheck.hpp"
+#include "core/checked.hpp"
+#include "core/failpoint.hpp"
 #include "ds/batch.hpp"
 #include "ds/tagged_ptr.hpp"
 #include "kv/errors.hpp"
@@ -98,11 +100,10 @@ struct Record {
   /// PersistCheck a fully-Clean range at retirement.
   template <bool persistent = true>
   static void retire(Record* r) {
-    if (check::kLinCheckEnabled &&
-        check::unsafe_mode() == check::UnsafeMode::kEarlyRetire) {
-      // Seeded bug (FLIT_LINCHECK_UNSAFE=early_retire): free the record
-      // immediately instead of through EBR limbo — no grace period, so
-      // the lifetime analyzer must flag an early reclamation here.
+    if (core::fp_inject("bug.early_retire") != 0) {
+      // Seeded bug: free the record immediately instead of through EBR
+      // limbo — no grace period, so the lifetime analyzer must flag an
+      // early reclamation here.
       const std::uint64_t e = recl::Ebr::instance().epoch();
       check::lc_retire(r, e, "kv::Record::retire[early_retire]");
       check::lc_free(r, e, /*quiescent=*/false);
@@ -172,19 +173,21 @@ class Shard {
     if (reserved_key(k)) {
       throw std::invalid_argument("kv: INT64_MIN/INT64_MAX are reserved");
     }
-    if constexpr (check::kLinCheckEnabled) {
-      const check::UnsafeMode m = check::unsafe_mode();
-      if (m == check::UnsafeMode::kLostUpdate) {
-        // Seeded bug (FLIT_LINCHECK_UNSAFE=lost_update): compute the
-        // fresh-insert flag but never apply the write — a later get
-        // misses this update and the checker must report kLostUpdate.
+    // Discarded outside checked builds: fp_inject() folds to 0 there, but
+    // an instantiated stale_read body (its lambda and std::function)
+    // would still shift the compiler's inlining choices elsewhere.
+    if constexpr (core::kChecked) {
+      if (core::fp_inject("bug.lost_update") != 0) {
+        // Seeded bug: compute the fresh-insert flag but never apply the
+        // write — a later get misses this update and the checker must
+        // report kLostUpdate.
         return !backend_.contains(k);
       }
-      if (m == check::UnsafeMode::kStaleRead) {
-        // Seeded bug (FLIT_LINCHECK_UNSAFE=stale_read): park the real
-        // application until the next write flushes pending work. A get
-        // between this call's return and that flush observes the
-        // superseded value — the checker must report kStaleRead.
+      if (core::fp_inject("bug.stale_read") != 0) {
+        // Seeded bug: park the real application until the next write
+        // flushes pending work. A get between this call's return and
+        // that flush observes the superseded value — the checker must
+        // report kStaleRead.
         check::unsafe_apply_pending();
         Record* rec = Record::create<Backend::kPersistent>(value);
         if constexpr (Backend::kPersistent) {

@@ -85,6 +85,7 @@
 #include <vector>
 
 #include "check/lincheck.hpp"
+#include "core/checked.hpp"
 #include "kv/backend.hpp"
 #include "kv/errors.hpp"
 #include "kv/shard.hpp"
@@ -541,7 +542,7 @@ class Store {
       }
     }
     Words::operation_completion();  // one fence for the whole batch
-    if constexpr (check::kLinCheckEnabled) {
+    if constexpr (core::kChecked) {
       // Every element shares the batch's inv tick (its lookup could have
       // linearized any time after the call began); resp ticks are per
       // element, taken now, after all lookups completed.
@@ -660,7 +661,7 @@ class Store {
     // Phase 3: one fence covers every publish pwb, then untag/clear and
     // retire the superseded records.
     commit_publishes(batch, superseded);
-    if constexpr (check::kLinCheckEnabled) {
+    if constexpr (core::kChecked) {
       // Recorded only on full success: an exception path leaves a prefix
       // applied but unrecorded, which the checker cannot distinguish from
       // crashes — acceptable, since the recorder is test-scoped and the
@@ -697,7 +698,7 @@ class Store {
       const std::uint32_t i = order[pos];
       out[i] = shards_[sidx[i]].remove(keys[i]);
     }
-    if constexpr (check::kLinCheckEnabled) {
+    if constexpr (core::kChecked) {
       for (std::size_t i = 0; i < n; ++i) {
         check::lc_end_write(lc_inv, check::Op::kRemove, keys[i], {},
                             out[i]);

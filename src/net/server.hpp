@@ -46,7 +46,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -123,28 +122,11 @@ struct ServerStats {
   std::atomic<std::uint64_t> accept_backoffs{0};    ///< fd-pressure episodes
 };
 
-/// The epoll front-end, generic over the store exactly like the bench
-/// layer: KV needs get/put/remove + multi_get/multi_put/multi_remove +
-/// size(); scan(start, n, out) and the durability hook are detected and
-/// used when present (kv::Store / kv::OrderedStore provide all of it).
+/// The epoll front-end over a kv::Store or kv::OrderedStore; SCAN is
+/// served only by the ordered layout (KV::kOrdered).
 template <class KV>
 class Server {
  public:
-  static constexpr bool kHasScan = requires(
-      const KV& c, std::int64_t k, std::size_t n,
-      std::vector<std::pair<std::int64_t, std::string>>& out) {
-    { c.scan(k, n, out) };
-  };
-  static constexpr bool kHasDurabilityHook = requires(KV& s) {
-    { s.note_write_commit() };
-  };
-  static constexpr bool kHasCheckpoints = requires(const KV& s) {
-    { s.checkpoints() } -> std::convertible_to<std::uint64_t>;
-  };
-  static constexpr bool kHasHealth = requires(const KV& s) {
-    { s.health() } -> std::convertible_to<kv::Health>;
-  };
-
   Server(KV& store, ServerConfig cfg)
       : store_(store), cfg_(std::move(cfg)) {
     if (cfg_.workers < 1) cfg_.workers = 1;
@@ -646,7 +628,7 @@ class Server {
     }
     if (wrote) {
       try {
-        note_write_commit();
+        store_.note_write_commit();
       } catch (const std::exception&) {
         // The event's writes cannot be acknowledged as durable (kAlways
         // msync failed; the store has latched read-only). The reply
@@ -661,10 +643,6 @@ class Server {
         c.closing = true;
       }
     }
-  }
-
-  void note_write_commit() {
-    if constexpr (kHasDurabilityHook) store_.note_write_commit();
   }
 
   /// A run of GETs: one multi_get (scalar get for a singleton). Requests
@@ -919,7 +897,7 @@ class Server {
         return;
       }
       case Cmd::kScan: {
-        if constexpr (kHasScan) {
+        if constexpr (KV::kOrdered) {
           if (r.argv.size() != 3) {
             append_error(c.out, "ERR SCAN expects: SCAN start count");
             return;
@@ -952,19 +930,9 @@ class Server {
       }
       case Cmd::kStats: {
         const pmem::StatsSnapshot ps = pmem::stats_snapshot();
-        // Stores without the durability surface (plain maps in tests)
-        // report 0 checkpoints rather than dropping the field — smoke
-        // scripts parse STATS by key and rely on the key being present.
-        unsigned long long ckpts = 0;
-        if constexpr (kHasCheckpoints) {
-          ckpts = static_cast<unsigned long long>(store_.checkpoints());
-        }
-        // Stores without health() (plain maps) are always "ok" — the
-        // key stays present for the same parse-by-key reason.
-        const char* health = "ok";
-        if constexpr (kHasHealth) {
-          health = kv::to_string(store_.health());
-        }
+        const auto ckpts =
+            static_cast<unsigned long long>(store_.checkpoints());
+        const char* health = kv::to_string(store_.health());
         char buf[512];
         std::snprintf(
             buf, sizeof(buf),

@@ -29,9 +29,9 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/failpoint.hpp"
 #include "pmem/cacheline.hpp"
 #include "pmem/cpu_features.hpp"
-#include "pmem/persist_check.hpp"
 #include "pmem/sim_memory.hpp"
 #include "pmem/stats.hpp"
 
@@ -86,11 +86,9 @@ void set_sim_latency(std::uint32_t pwb_ns, std::uint32_t pfence_ns) noexcept;
 /// pwb: persistent write-back of the cache line containing `addr`.
 /// Non-blocking; a subsequent pfence() completes it.
 inline void pwb(const void* addr) noexcept {
-#if defined(FLIT_PERSIST_CHECK)
-  // Seeded-bug hook: a suppressed pwb never happened — not modelled by the
+  // Seeded bug: a skipped pwb never happened — not modelled by the
   // simulator, not seen by the checker, not counted.
-  if (PersistCheck::instance().consume_suppressed_pwb()) return;
-#endif
+  if (core::fp_inject("bug.skip_pwb") != 0) return;
   count_pwb();
   switch (backend()) {
     case Backend::kNoOp:

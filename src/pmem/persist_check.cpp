@@ -94,7 +94,6 @@ struct PersistCheck::Impl {
   std::atomic<std::uint64_t> epoch{0};
 
   std::atomic<std::uint64_t> counts[kPersistViolationKinds] = {};
-  std::atomic<std::int64_t> suppressed_pwbs{0};
   std::once_flag atexit_once;
 
   // First few diagnostics, kept for the exit report and for tests that
@@ -428,24 +427,6 @@ void PersistCheck::reset_violations() noexcept {
   std::lock_guard<std::mutex> lk(im.diag_mu);
   im.diags.clear();
   im.first_site = "";
-}
-
-void PersistCheck::suppress_pwbs(std::uint64_t n) noexcept {
-  impl().suppressed_pwbs.fetch_add(static_cast<std::int64_t>(n),
-                                   std::memory_order_acq_rel);
-}
-
-bool PersistCheck::consume_suppressed_pwb() noexcept {
-  Impl& im = impl();
-  std::int64_t cur = im.suppressed_pwbs.load(std::memory_order_relaxed);
-  while (cur > 0) {
-    if (im.suppressed_pwbs.compare_exchange_weak(
-            cur, cur - 1, std::memory_order_acq_rel,
-            std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 const char* PersistCheck::first_violation_site() const noexcept {

@@ -51,8 +51,8 @@
 // Wiring: the hooks live in SimMemory::on_store/on_pwb/on_pfence (and
 // the region/crash lifecycle) and in the persist<>/lap_word mutation,
 // publication and retirement sites, through the pc_* helpers below. The
-// helpers compile to nothing unless FLIT_PERSIST_CHECK is defined (the
-// `persistcheck` CMake preset), and even then do nothing until a region
+// helpers compile to nothing unless FLIT_CHECKED is defined (the
+// `checked` CMake preset), and even then do nothing until a region
 // is registered (i.e. outside kSimCrash crash tests). Violations are
 // counted, attributed to their reporting site, and — unless a test
 // consumes them via reset_violations() — fail the process at exit.
@@ -72,13 +72,6 @@ enum class PersistViolation : int {
 inline constexpr int kPersistViolationKinds = 4;
 
 const char* to_string(PersistViolation v) noexcept;
-
-/// True when the checker is compiled in (FLIT_PERSIST_CHECK builds).
-#if defined(FLIT_PERSIST_CHECK)
-inline constexpr bool kPersistCheckEnabled = true;
-#else
-inline constexpr bool kPersistCheckEnabled = false;
-#endif
 
 class PersistCheck {
  public:
@@ -152,14 +145,6 @@ class PersistCheck {
   /// this after asserting; anything left at process exit fails the run.
   void reset_violations() noexcept;
 
-  /// Seeded-bug hook: make the next `n` pwbs issued through pmem::pwb()
-  /// disappear (not modelled, not counted), simulating a protocol that
-  /// forgot a flush.
-  void suppress_pwbs(std::uint64_t n) noexcept;
-
-  /// Consumed by pmem::pwb(); true if this pwb should be dropped.
-  bool consume_suppressed_pwb() noexcept;
-
   /// Description of the first recorded violation ("" if none) — lets
   /// tests assert the diagnostic's class and site, not just a count.
   const char* first_violation_site() const noexcept;
@@ -174,10 +159,10 @@ class PersistCheck {
 
 // --- annotation helpers ------------------------------------------------
 // These are the only names the annotated sites use. They compile to
-// nothing unless FLIT_PERSIST_CHECK is defined, so the default build's
-// hot paths are untouched.
+// nothing unless FLIT_CHECKED is defined, so the default build's hot
+// paths are untouched.
 
-#if defined(FLIT_PERSIST_CHECK)
+#if defined(FLIT_CHECKED)
 inline void pc_store(const void* p, std::size_t len) noexcept {
   PersistCheck::instance().on_store(p, len);
 }

@@ -43,7 +43,7 @@ void SimMemory::register_region(void* base, std::size_t len) {
   }
   regions_[n] = std::move(r);
   region_count_.store(n + 1, std::memory_order_release);
-#if defined(FLIT_PERSIST_CHECK)
+#if defined(FLIT_CHECKED)
   PersistCheck::instance().on_register_region(base, len);
 #endif
 }
@@ -55,7 +55,7 @@ void SimMemory::clear_regions() {
   for (std::size_t i = 0; i < n; ++i) regions_[i] = Region{};
   // Invalidate every thread's pending buffer lazily.
   crash_epoch_.fetch_add(1, std::memory_order_acq_rel);
-#if defined(FLIT_PERSIST_CHECK)
+#if defined(FLIT_CHECKED)
   PersistCheck::instance().on_clear_regions();
 #endif
 }
@@ -145,7 +145,7 @@ void SimMemory::on_pwb(const void* addr) {
   snapshot_line(pl.line, pl.data.data());
   lock.clear(std::memory_order_release);
   tp.lines.push_back(pl);
-#if defined(FLIT_PERSIST_CHECK)
+#if defined(FLIT_CHECKED)
   PersistCheck::instance().on_pwb(addr);
 #endif
 }
@@ -176,7 +176,7 @@ void SimMemory::on_pfence() {
     if (const Region* r = find_region(pl.line)) publish_line(*r, pl);
   }
   tp.lines.clear();
-#if defined(FLIT_PERSIST_CHECK)
+#if defined(FLIT_CHECKED)
   PersistCheck::instance().on_pfence();
 #endif
   if (PfenceHook hook = pfence_hook_.load(std::memory_order_acquire)) {
@@ -207,7 +207,7 @@ void SimMemory::overwrite_volatile(const std::vector<std::byte>& image,
   const std::size_t n = image.size() < r.len ? image.size() : r.len;
   std::memcpy(reinterpret_cast<void*>(r.base), image.data(), n);
   crash_epoch_.fetch_add(1, std::memory_order_acq_rel);  // drop pendings
-#if defined(FLIT_PERSIST_CHECK)
+#if defined(FLIT_CHECKED)
   PersistCheck::instance().on_mark_all_clean();
 #endif
 }
@@ -225,7 +225,7 @@ void SimMemory::crash() {
     std::memcpy(reinterpret_cast<void*>(r.base), r.shadow.get(), r.len);
   }
   crash_epoch_.fetch_add(1, std::memory_order_acq_rel);
-#if defined(FLIT_PERSIST_CHECK)
+#if defined(FLIT_CHECKED)
   // Post-crash the volatile view *is* the persisted image: all Clean.
   PersistCheck::instance().on_mark_all_clean();
 #endif
@@ -239,7 +239,7 @@ void SimMemory::persist_all() {
     std::memcpy(r.shadow.get(), reinterpret_cast<const void*>(r.base), r.len);
   }
   crash_epoch_.fetch_add(1, std::memory_order_acq_rel);
-#if defined(FLIT_PERSIST_CHECK)
+#if defined(FLIT_CHECKED)
   PersistCheck::instance().on_mark_all_clean();
 #endif
 }

@@ -58,7 +58,7 @@ class SimMemory {
   bool contains(const void* p) const noexcept;
 
   /// Feed a store of [p, p+len) to PersistCheck (no-op unless built with
-  /// FLIT_PERSIST_CHECK and `p` lies in a tracked region). The simulator
+  /// FLIT_CHECKED and `p` lies in a tracked region). The simulator
   /// itself needs no store hook — stores hit the volatile region directly —
   /// but the checker tracks them, and this is its entry point for callers
   /// that only know the simulator.

@@ -17,7 +17,7 @@ namespace flit::pmem {
 struct StatsSnapshot {
   std::uint64_t pwbs = 0;     ///< pwb (cache-line write-back) instructions.
   std::uint64_t pfences = 0;  ///< pfence (persist fence) instructions.
-  /// pwbs issued on lines with no unpersisted store (PersistCheck builds
+  /// pwbs issued on lines with no unpersisted store (checked builds
   /// only; stays 0 otherwise).
   std::uint64_t redundant_pwbs = 0;
   /// pfences with no pwb by the same thread since its previous pfence —

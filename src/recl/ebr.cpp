@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "check/lincheck.hpp"
+#include "core/checked.hpp"
 #include "pmem/pool.hpp"
 
 namespace flit::recl {
@@ -121,7 +122,7 @@ void Ebr::scan(ThreadState& ts) {
 void Ebr::free_bucket(Bucket& b, bool quiescent) {
   if (b.nodes.empty()) return;
   limbo_count_.fetch_sub(b.nodes.size(), std::memory_order_relaxed);
-  if constexpr (check::kLinCheckEnabled) {
+  if constexpr (core::kChecked) {
     const std::uint64_t now = global_epoch_.load(std::memory_order_acquire);
     for (const Retired& r : b.nodes) check::lc_free(r.p, now, quiescent);
   }

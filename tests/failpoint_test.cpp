@@ -13,8 +13,8 @@
 //      read-only after the retry budget (the fsyncgate lesson), a
 //      swallowed close()-path msync failure latches the process-wide
 //      durability health, accept failures surface as transient errnos.
-//      These only bite in FLIT_FAILPOINTS builds (the `failpoints`
-//      preset) and GTEST_SKIP elsewhere.
+//      These only bite in FLIT_CHECKED builds (the `checked` preset)
+//      and GTEST_SKIP elsewhere.
 #include "core/failpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/checked.hpp"
 #include "kv/store.hpp"
 #include "net/socket.hpp"
 #include "pmem/file_region.hpp"
@@ -206,8 +207,8 @@ class FailpointInjectionTest : public flit::test::PmemTest {
 };
 
 TEST_F(FailpointInjectionTest, PoolAllocInjectionBecomesOutOfSpace) {
-  if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+  if (!core::kChecked) {
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   KvStore kv(2, 64);
   kv.put(1, "before");
@@ -232,8 +233,8 @@ TEST_F(FailpointInjectionTest, PoolAllocInjectionBecomesOutOfSpace) {
 // >= k untouched — never torn, never interleaved. One shard keeps the
 // apply order equal to batch order so the prefix is checkable directly.
 TEST_F(FailpointInjectionTest, MultiPutEveryNthAllocLeavesCleanPrefix) {
-  if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+  if (!core::kChecked) {
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   constexpr std::size_t kBatch = 32;
   KvStore kv(1, 256);
@@ -285,8 +286,8 @@ TEST_F(FailpointInjectionTest, MultiPutEveryNthAllocLeavesCleanPrefix) {
 // The fsyncgate regression: a checkpoint whose msync keeps failing must
 // retry with backoff, then latch degraded read-only — not ack, not loop.
 TEST_F(FailpointInjectionTest, MsyncFailureLatchesDegradedReadOnly) {
-  if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+  if (!core::kChecked) {
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   const std::string path = temp_path();
   pmem::FileRegion::destroy(path);
@@ -327,8 +328,8 @@ TEST_F(FailpointInjectionTest, MsyncFailureLatchesDegradedReadOnly) {
 // result. It still must not throw (destructors land there), so a failure
 // now latches the process-wide durability health instead of vanishing.
 TEST_F(FailpointInjectionTest, CloseMsyncFailureLatchesProcessHealth) {
-  if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+  if (!core::kChecked) {
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   const std::string path = temp_path();
   pmem::FileRegion::destroy(path);
@@ -348,8 +349,8 @@ TEST_F(FailpointInjectionTest, CloseMsyncFailureLatchesProcessHealth) {
 // a close-path failure on some other region still means this process's
 // durability story is broken.
 TEST_F(FailpointInjectionTest, StoreHealthFoldsProcessLatchWhenFileBacked) {
-  if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+  if (!core::kChecked) {
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   const std::string path = temp_path();
   pmem::FileRegion::destroy(path);
@@ -368,8 +369,8 @@ TEST_F(FailpointInjectionTest, StoreHealthFoldsProcessLatchWhenFileBacked) {
 }
 
 TEST_F(FailpointInjectionTest, AcceptInjectionReportsTransientErrno) {
-  if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+  if (!core::kChecked) {
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   net::SocketFd listener = net::listen_tcp("127.0.0.1", 0);
   arm("net.accept=once");  // site default: EMFILE
@@ -384,8 +385,8 @@ TEST_F(FailpointInjectionTest, AcceptInjectionReportsTransientErrno) {
 }
 
 TEST_F(FailpointInjectionTest, ReadAndWriteInjectionSimulateDeadPeer) {
-  if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+  if (!core::kChecked) {
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);

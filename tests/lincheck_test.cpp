@@ -11,11 +11,11 @@
 //   3. Recorded stress runs: concurrent workloads over the otherwise
 //      dead-code ds::NatarajanBst and ds::LockedBPlusTree (recorded
 //      directly via the Recorder, so these run in every build) and over
-//      kv::Store scalar/batched/ordered paths (via the FLIT_LINCHECK
+//      kv::Store scalar/batched/ordered paths (via the FLIT_CHECKED
 //      hooks, so those skip elsewhere) must produce zero findings.
-//   4. Seeded-bug validation (FLIT_LINCHECK builds): each
-//      FLIT_LINCHECK_UNSAFE mode plants one precise bug in the kv layer
-//      and the checker must catch it with the right class and site; plus
+//   4. Seeded-bug validation (FLIT_CHECKED builds): each `bug.*`
+//      failpoint site in the kv layer plants one precise bug and the
+//      checker must catch it with the right class and site; plus
 //      the durable-linearizability sweep replaying pfence-boundary crash
 //      images across all nine store configurations.
 #include "check/lincheck.hpp"
@@ -35,6 +35,8 @@
 #include <vector>
 
 #include "check/linearizer.hpp"
+#include "core/checked.hpp"
+#include "core/failpoint.hpp"
 #include "ds/locked_bptree.hpp"
 #include "ds/natarajan_bst.hpp"
 #include "kv/store.hpp"
@@ -498,7 +500,7 @@ TEST(LinCheckRecorder, RecordsArmedWindowOnly) {
 
 // --- 3b. recorded stress: the ds-layer structures --------------------------
 //
-// These drive the Recorder directly (not the FLIT_LINCHECK hooks), so
+// These drive the Recorder directly (not the FLIT_CHECKED hooks), so
 // they verify real concurrent executions of NatarajanBst and
 // LockedBPlusTree in every build. Values are unique per write so any
 // stale or phantom read is distinguishable by value id.
@@ -586,7 +588,7 @@ class LinCheckDsStress : public PmemTest {};
 TEST_F(LinCheckDsStress, NatarajanBstHistoryLinearizable) {
   // Keys stay far below the BST's kInf1/kInf2 sentinel space.
   run_ds_stress<BstAdapter>(4, 1000, 40);
-  if constexpr (check::kLinCheckEnabled) {
+  if constexpr (core::kChecked) {
     // The lc_deref hooks in NatarajanBst::seek ran against live EBR
     // state for the whole run; any grace-period violation counted.
     EXPECT_EQ(check::Lifetime::instance().total_violations(), 0u)
@@ -600,13 +602,13 @@ TEST_F(LinCheckDsStress, LockedBPlusTreeHistoryLinearizable) {
 
 // --- 3c. recorded stress: the kv store hooks -------------------------------
 //
-// These use the FLIT_LINCHECK recording hooks inside kv::Store, so they
-// only observe events in lincheck builds and skip elsewhere.
+// These use the FLIT_CHECKED recording hooks inside kv::Store, so they
+// only observe events in checked builds and skip elsewhere.
 
 class LinCheckStoreStress : public PmemTest {};
 
 TEST_F(LinCheckStoreStress, ScalarOpsHistoryLinearizable) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!core::kChecked) GTEST_SKIP() << "needs -DFLIT_CHECKED=ON";
   constexpr K kRange = 64;
   constexpr int kThreads = 4, kOps = 1200;
   kv::Store<HashedWords, Automatic> kv(4, 64);
@@ -651,7 +653,7 @@ TEST_F(LinCheckStoreStress, ScalarOpsHistoryLinearizable) {
 }
 
 TEST_F(LinCheckStoreStress, BatchedOpsHistoryLinearizable) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!core::kChecked) GTEST_SKIP() << "needs -DFLIT_CHECKED=ON";
   constexpr K kRange = 48;
   constexpr int kThreads = 4, kBatches = 250, kBatch = 4;
   kv::Store<HashedWords, Automatic> kv(4, 64);
@@ -706,7 +708,7 @@ TEST_F(LinCheckStoreStress, BatchedOpsHistoryLinearizable) {
 }
 
 TEST_F(LinCheckStoreStress, OrderedOpsAndScansHistoryLinearizable) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!core::kChecked) GTEST_SKIP() << "needs -DFLIT_CHECKED=ON";
   constexpr K kRange = 48;
   constexpr int kThreads = 4, kOps = 700;
   kv::OrderedStore<LapWords, Automatic> kv(2, 64);
@@ -753,35 +755,50 @@ TEST_F(LinCheckStoreStress, OrderedOpsAndScansHistoryLinearizable) {
       << check::Lifetime::instance().first_violation_site();
 }
 
-// --- 4a. seeded-bug validation (API-driven) --------------------------------
+// --- 4a. seeded-bug validation ---------------------------------------------
 //
-// Each FLIT_LINCHECK_UNSAFE mode plants one precise bug; the checker must
-// catch it with the right class, key, and (for the lifetime bug) site.
-// The seeded workloads run single-threaded so the resulting history is
-// deterministic and the diagnosis exact.
+// Each `bug.*` site plants one precise bug while armed; the checker must
+// catch it with the right class, key, and (for the lifetime bug) site,
+// and the site must have fired — a bug that never manifests would pass
+// as a checker that found nothing. The seeded workloads run
+// single-threaded so the resulting history is deterministic and the
+// diagnosis exact.
 
 class LinCheckSeeded : public PmemTest {
  protected:
   void TearDown() override {
-    check::set_unsafe_mode(check::UnsafeMode::kNone);
+    core::Failpoints::instance().disarm_all();
     check::Recorder::instance().reset();
     PmemTest::TearDown();
+  }
+
+  /// Arm `site` to fire on every evaluation until disarm().
+  static void arm(const char* site) {
+    ASSERT_TRUE(core::Failpoints::instance().arm_from_spec(
+        std::string(site) + "=every:1"));
+  }
+
+  /// Assert the armed site fired, then disarm it.
+  static void expect_fired_and_disarm(const char* site) {
+    EXPECT_GE(core::Failpoints::instance().hits(site), 1u)
+        << site << " never fired";
+    core::Failpoints::instance().disarm(site);
   }
 };
 
 TEST_F(LinCheckSeeded, StaleReadCaughtWithClassAndKey) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!core::kChecked) GTEST_SKIP() << "needs -DFLIT_CHECKED=ON";
   kv::Store<HashedWords, Automatic> kv(2, 32);
   auto& rec = check::Recorder::instance();
   rec.reset();
 
-  check::set_unsafe_mode(check::UnsafeMode::kStaleRead);
+  arm("bug.stale_read");
   rec.arm();
   EXPECT_TRUE(kv.put(1, "v1"));   // application deferred by the bug
   EXPECT_FALSE(kv.put(1, "v2"));  // applies v1, defers v2
   const auto got = kv.get(1);     // observes the superseded v1
   rec.disarm();
-  check::set_unsafe_mode(check::UnsafeMode::kNone);
+  expect_fired_and_disarm("bug.stale_read");
   check::unsafe_apply_pending();  // flush v2 while the store is alive
 
   ASSERT_TRUE(got.has_value());
@@ -797,17 +814,17 @@ TEST_F(LinCheckSeeded, StaleReadCaughtWithClassAndKey) {
 }
 
 TEST_F(LinCheckSeeded, LostUpdateCaughtWithClassAndKey) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!core::kChecked) GTEST_SKIP() << "needs -DFLIT_CHECKED=ON";
   kv::Store<HashedWords, Automatic> kv(2, 32);
   auto& rec = check::Recorder::instance();
   rec.reset();
 
-  check::set_unsafe_mode(check::UnsafeMode::kLostUpdate);
+  arm("bug.lost_update");
   rec.arm();
   EXPECT_TRUE(kv.put(2, "x"));  // reports success, never applies
   const auto got = kv.get(2);
   rec.disarm();
-  check::set_unsafe_mode(check::UnsafeMode::kNone);
+  expect_fired_and_disarm("bug.lost_update");
 
   EXPECT_EQ(got, std::nullopt) << "the seeded bug must actually manifest";
   const auto fs = check::check_history(rec.snapshot());
@@ -821,15 +838,15 @@ TEST_F(LinCheckSeeded, LostUpdateCaughtWithClassAndKey) {
 }
 
 TEST_F(LinCheckSeeded, EarlyRetireCaughtWithSiteAttribution) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!core::kChecked) GTEST_SKIP() << "needs -DFLIT_CHECKED=ON";
   kv::Store<HashedWords, Automatic> kv(2, 32);
   auto& lt = check::Lifetime::instance();
   ASSERT_EQ(lt.total_violations(), 0u);
 
   kv.put(3, "a");
-  check::set_unsafe_mode(check::UnsafeMode::kEarlyRetire);
+  arm("bug.early_retire");
   kv.put(3, "b");  // the superseded record is freed without grace
-  check::set_unsafe_mode(check::UnsafeMode::kNone);
+  expect_fired_and_disarm("bug.early_retire");
 
   EXPECT_EQ(kv.get(3), "b");
   EXPECT_GE(lt.violations(check::LifetimeViolation::kEarlyReclaim), 1u);
@@ -840,70 +857,7 @@ TEST_F(LinCheckSeeded, EarlyRetireCaughtWithSiteAttribution) {
   lt.reset_violations();
 }
 
-// --- 4b. seeded-bug validation (env-driven, for the CI matrix) -------------
-//
-// CI runs this binary three times with FLIT_LINCHECK_UNSAFE set to each
-// mode and --gtest_filter=LinCheckEnvSeeded.*: the test reads the mode
-// from the environment and asserts the matching detection. Unset (the
-// normal ctest run) it skips.
-
-class LinCheckEnvSeeded : public PmemTest {};
-
-TEST_F(LinCheckEnvSeeded, DetectsConfiguredBug) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
-  const check::UnsafeMode mode = check::unsafe_mode();
-  if (mode == check::UnsafeMode::kNone) {
-    GTEST_SKIP() << "FLIT_LINCHECK_UNSAFE not set";
-  }
-
-  kv::Store<HashedWords, Automatic> kv(2, 32);
-  auto& rec = check::Recorder::instance();
-  auto& lt = check::Lifetime::instance();
-  rec.reset();
-
-  switch (mode) {
-    case check::UnsafeMode::kStaleRead: {
-      rec.arm();
-      kv.put(1, "v1");
-      kv.put(1, "v2");
-      const auto got = kv.get(1);
-      rec.disarm();
-      check::set_unsafe_mode(check::UnsafeMode::kNone);
-      check::unsafe_apply_pending();
-      ASSERT_EQ(got, "v1");
-      const auto fs = check::check_history(rec.snapshot());
-      EXPECT_TRUE(has_class(fs, ViolationClass::kStaleRead)) << render(fs);
-      break;
-    }
-    case check::UnsafeMode::kLostUpdate: {
-      rec.arm();
-      kv.put(2, "x");
-      const auto got = kv.get(2);
-      rec.disarm();
-      check::set_unsafe_mode(check::UnsafeMode::kNone);
-      ASSERT_EQ(got, std::nullopt);
-      const auto fs = check::check_history(rec.snapshot());
-      EXPECT_TRUE(has_class(fs, ViolationClass::kLostUpdate)) << render(fs);
-      break;
-    }
-    case check::UnsafeMode::kEarlyRetire: {
-      kv.put(3, "a");
-      kv.put(3, "b");
-      check::set_unsafe_mode(check::UnsafeMode::kNone);
-      EXPECT_GE(lt.violations(check::LifetimeViolation::kEarlyReclaim), 1u);
-      EXPECT_NE(
-          std::string_view(lt.first_violation_site()).find("early_retire"),
-          std::string_view::npos);
-      lt.reset_violations();
-      break;
-    }
-    default:
-      FAIL() << "unknown FLIT_LINCHECK_UNSAFE mode";
-  }
-  rec.reset();
-}
-
-// --- 4c. durable linearizability across crash images -----------------------
+// --- 4b. durable linearizability across crash images -----------------------
 //
 // Record a workload while capturing pfence-boundary persistent images
 // (each tagged with the recorder tick at capture time), then reboot into
@@ -945,7 +899,7 @@ using CrashConfigs = ::testing::Types<
 TYPED_TEST_SUITE(LinCheckDurableSweep, CrashConfigs);
 
 TYPED_TEST(LinCheckDurableSweep, CrashImagesAreDurablyLinearizable) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!core::kChecked) GTEST_SKIP() << "needs -DFLIT_CHECKED=ON";
   constexpr K kRange = 24;
 
   auto& rec = check::Recorder::instance();

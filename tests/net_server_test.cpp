@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checked.hpp"
 #include "core/failpoint.hpp"
 #include "core/modes.hpp"
 #include "kv/store.hpp"
@@ -431,12 +432,12 @@ TEST_F(NetServerTest, StatsCarriesOverloadAndHealthFields) {
   }
 }
 
-// Failpoint-armed regression (failpoints preset only): a kAlways commit
+// Failpoint-armed regression (checked preset only): a kAlways commit
 // whose msync fails must withdraw the event's acknowledgements — never
 // ack a write the store could not make durable — and latch READONLY.
 TEST_F(NetServerTest, CommitFailureWithdrawsAcksAndLatchesReadOnly) {
-  if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+  if (!core::kChecked) {
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   const std::string path =
       "/tmp/flit_net_server_ro_" + std::to_string(::getpid()) + ".pmem";

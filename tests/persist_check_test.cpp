@@ -3,10 +3,11 @@
 // one diagnostic of the right class, attributed to the right site.
 //
 // The seeded-bug tests are the checker's teeth: they break the persistence
-// protocol in one precise place (a suppressed pwb, a retirement hoisted
-// above its covering fence, a deferred tag completed without a fence) and
-// assert the checker names that exact failure — a checker that stays
-// silent here would also stay silent on a real regression.
+// protocol in one precise place (a pwb dropped by the bug.skip_pwb
+// failpoint site, a retirement hoisted above its covering fence, a
+// deferred tag completed without a fence) and assert the checker names
+// that exact failure — a checker that stays silent here would also stay
+// silent on a real regression.
 #include "pmem/persist_check.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/checked.hpp"
+#include "core/failpoint.hpp"
 #include "ds/batch.hpp"
 #include "kv/store.hpp"
 #include "pmem/backend.hpp"
@@ -48,7 +51,7 @@ class PersistCheckTest : public PmemTest {
   }
 
   /// Arm the checker: simulate crashes on the pool (registration hooks
-  /// PersistCheck in FLIT_PERSIST_CHECK builds).
+  /// PersistCheck in FLIT_CHECKED builds).
   static void arm() { Pool::instance().register_with_sim(); }
 };
 
@@ -59,7 +62,7 @@ std::uint64_t count(PersistViolation v) {
 }
 
 TEST_F(PersistCheckTest, DisarmedWithoutRegions) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!core::kChecked) GTEST_SKIP() << "FLIT_CHECKED is off";
   BackendScope scope(Backend::kSimCrash);
   EXPECT_FALSE(PersistCheck::instance().armed());
   // Unregistered memory: every hook is a no-op, even on "dirty" data.
@@ -69,7 +72,7 @@ TEST_F(PersistCheckTest, DisarmedWithoutRegions) {
 }
 
 TEST_F(PersistCheckTest, CleanScalarWorkloadHasZeroViolations) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!core::kChecked) GTEST_SKIP() << "FLIT_CHECKED is off";
   BackendScope scope(Backend::kSimCrash);
   arm();
   ASSERT_TRUE(PersistCheck::instance().armed());
@@ -88,7 +91,7 @@ TEST_F(PersistCheckTest, CleanScalarWorkloadHasZeroViolations) {
 }
 
 TEST_F(PersistCheckTest, CleanBatchedWorkloadHasZeroViolations) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!core::kChecked) GTEST_SKIP() << "FLIT_CHECKED is off";
   BackendScope scope(Backend::kSimCrash);
   arm();
   {
@@ -107,8 +110,8 @@ TEST_F(PersistCheckTest, CleanBatchedWorkloadHasZeroViolations) {
   EXPECT_EQ(PersistCheck::instance().total_violations(), 0u);
 }
 
-TEST_F(PersistCheckTest, SuppressedPwbFiresPublishUnpersisted) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+TEST_F(PersistCheckTest, SkipPwbBugFiresPublishUnpersisted) {
+  if (!core::kChecked) GTEST_SKIP() << "FLIT_CHECKED is off";
   BackendScope scope(Backend::kSimCrash);
   arm();
   HashedShard shard(64);
@@ -116,8 +119,11 @@ TEST_F(PersistCheckTest, SuppressedPwbFiresPublishUnpersisted) {
 
   // Seeded bug: the next pwb — the flush of the new record's line inside
   // Record::create — never happens. The record is published while Dirty.
-  PersistCheck::instance().suppress_pwbs(1);
+  auto& fp = core::Failpoints::instance();
+  ASSERT_TRUE(fp.arm_from_spec("bug.skip_pwb=once"));
   shard.put(1, "hello");
+  EXPECT_GE(fp.hits("bug.skip_pwb"), 1u) << "the seeded bug must fire";
+  fp.disarm("bug.skip_pwb");
 
   EXPECT_EQ(count(PersistViolation::kPublishUnpersisted), 1u);
   EXPECT_EQ(PersistCheck::instance().total_violations(), 1u);
@@ -130,7 +136,7 @@ TEST_F(PersistCheckTest, SuppressedPwbFiresPublishUnpersisted) {
 }
 
 TEST_F(PersistCheckTest, UnpersistedRetireFiresMissingFlushLeak) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!core::kChecked) GTEST_SKIP() << "FLIT_CHECKED is off";
   BackendScope scope(Backend::kSimCrash);
   arm();
 
@@ -148,7 +154,7 @@ TEST_F(PersistCheckTest, UnpersistedRetireFiresMissingFlushLeak) {
 }
 
 TEST_F(PersistCheckTest, RetireBeforeBatchFenceFiresPrematureRetire) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!core::kChecked) GTEST_SKIP() << "FLIT_CHECKED is off";
   BackendScope scope(Backend::kSimCrash);
   arm();
   HashedShard shard(64);
@@ -183,7 +189,7 @@ TEST_F(PersistCheckTest, RetireBeforeBatchFenceFiresPrematureRetire) {
 }
 
 TEST_F(PersistCheckTest, CompleteWithoutFenceFiresDeferredDangling) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!core::kChecked) GTEST_SKIP() << "FLIT_CHECKED is off";
   BackendScope scope(Backend::kSimCrash);
   arm();
   HashedShard shard(64);
@@ -217,7 +223,7 @@ TEST_F(PersistCheckTest, CompleteWithoutFenceFiresDeferredDangling) {
 }
 
 TEST_F(PersistCheckTest, RedundantPwbLintCountsCleanLineFlushes) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!core::kChecked) GTEST_SKIP() << "FLIT_CHECKED is off";
   BackendScope scope(Backend::kSimCrash);
   arm();
   void* p = Pool::instance().alloc(64);
