@@ -14,7 +14,7 @@
 //   --host=A --port=N       listen address (default 127.0.0.1:0; the
 //                           chosen port is printed — parse the line
 //                           "flit-server: listening on HOST:PORT ...")
-//   --workers=N             epoll worker threads (default 2)
+//   --workers=N             epoll worker threads (default 2, at most 254)
 //   --shards=N              store shards (default 8)
 //   --layout=hashed|ordered store backend (default hashed)
 //   --keys=N                expected keyspace (sizes buckets; sets the
@@ -56,6 +56,7 @@
 #include "net/server.hpp"
 #include "pmem/backend.hpp"
 #include "pmem/pool.hpp"
+#include "recl/ebr.hpp"
 
 namespace {
 
@@ -134,6 +135,12 @@ Options parse(int argc, char** argv) {
   if (o.port < 0 || o.port > 65535) usage_error("--port out of range");
   if (o.workers < 1 || o.shards < 1 || o.keys == 0 || o.capacity_mb == 0) {
     usage_error("--workers/--shards/--keys/--capacity-mb must be positive");
+  }
+  // Each worker claims an EBR thread slot, as may the listener (main)
+  // thread and the kEverySec flusher.
+  constexpr int kMaxWorkers = static_cast<int>(recl::Ebr::kMaxThreads) - 2;
+  if (o.workers > kMaxWorkers) {
+    usage_error("--workers must be at most " + std::to_string(kMaxWorkers));
   }
   if (o.durability != kv::DurabilityMode::kNever && o.file.empty()) {
     usage_error("--durability needs a file-backed store (--file=PATH)");

@@ -12,10 +12,11 @@ invariant
 where the scalar baseline is the batch=1 row of the same
 (words, layout, mix). The bound is what the coalesced write path
 guarantees by construction — one record fence plus one publish fence per
-multi_put and one completion fence per multi_get, instead of the scalar
-path's per-op record/publish/completion fences — so a regression to
-per-op fencing (~2.5-3 pfences/op) fails loudly while run-to-run noise
-(CAS retries, flush-if-tagged helping) stays inside EPSILON.
+multi_put, instead of the scalar path's per-put record and publish
+fences (pmem::pfence skips the leading and completion fences, which
+have no pwb to order) — so a regression to per-op fencing (~1 pfence/op
+on scalar A) fails loudly while run-to-run noise (CAS retries,
+flush-if-tagged helping) stays inside EPSILON.
 
 Exit 1 on any violation or if no batched write rows are found (an empty
 gate would pass vacuously).

@@ -17,6 +17,12 @@
 //     v = X.load();
 //     if (flit-counter(X) > 0) pwb(X);   // Flush if Tagged
 //
+// Every pfence above is written as Algorithm 4 has it, but pmem::pfence
+// skips any fence with no pwb of the calling thread since its last one
+// (nothing to order). So the leading Condition-4 fence is issued only
+// when this thread has flushed a dependency (e.g. a p-load of a tagged
+// location), and operation_completion() only when a pwb is unfenced.
+//
 // Private variants (paper §5, "private accesses") skip the counter and the
 // leading fence; they are exposed as load_private/store_private for code
 // that initializes nodes before publishing them.
@@ -290,7 +296,8 @@ class persist {
   }
 
   /// Called at the end of every data-structure operation (Figure 1 /
-  /// Algorithm 4 completeOp): a single pfence persisting all dependencies.
+  /// Algorithm 4 completeOp): a single pfence persisting all dependencies
+  /// (skipped by pmem::pfence when none is unfenced).
   static void operation_completion() noexcept {
     if constexpr (kind != CounterKind::kVolatile) pmem::pfence();
   }

@@ -56,6 +56,12 @@ extern std::atomic<std::uint32_t> g_pfence_delay_ns;
 void hw_flush_line(const void* p) noexcept;  // clwb/clflushopt/clflush
 void hw_sfence() noexcept;
 
+/// True while the calling thread has a pwb that no pfence of its own has
+/// ordered yet: pwb() sets it, an issued pfence() clears it. Deliberately
+/// separate from the resettable counters in stats.hpp, so stats_reset()
+/// between a pwb and its fence cannot make that fence look empty.
+inline thread_local bool t_unfenced = false;
+
 /// Busy-wait approximately `ns` nanoseconds (0 returns immediately).
 inline void spin_ns(std::uint32_t ns) noexcept {
   if (ns == 0) return;
@@ -89,6 +95,7 @@ inline void pwb(const void* addr) noexcept {
   // Seeded bug: a skipped pwb never happened — not modelled by the
   // simulator, not seen by the checker, not counted.
   if (core::fp_inject("bug.skip_pwb") != 0) return;
+  detail::t_unfenced = true;
   count_pwb();
   switch (backend()) {
     case Backend::kNoOp:
@@ -108,7 +115,19 @@ inline void pwb(const void* addr) noexcept {
 
 /// pfence: all pwbs previously executed by this thread reach persistent
 /// memory before any of the thread's subsequent stores/pwbs.
+///
+/// Fence elision: a pfence orders only the calling thread's earlier pwbs,
+/// and the thread's previous pfence already ordered every one of those.
+/// So when the thread has issued no pwb since its last fence, this call
+/// returns before the backend switch — on every backend, kSimCrash
+/// included (no SimMemory publish, no PersistCheck hook, no pfence hook)
+/// — and counts itself in `empty_pfences` instead of `pfences`.
 inline void pfence() noexcept {
+  if (!detail::t_unfenced) {
+    count_empty_pfence();
+    return;
+  }
+  detail::t_unfenced = false;
   count_pfence();
   switch (backend()) {
     case Backend::kNoOp:

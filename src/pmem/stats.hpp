@@ -16,12 +16,13 @@ namespace flit::pmem {
 /// Snapshot of persistence-instruction counts (one thread or an aggregate).
 struct StatsSnapshot {
   std::uint64_t pwbs = 0;     ///< pwb (cache-line write-back) instructions.
-  std::uint64_t pfences = 0;  ///< pfence (persist fence) instructions.
+  std::uint64_t pfences = 0;  ///< issued pfence (persist fence) instructions.
   /// pwbs issued on lines with no unpersisted store (checked builds
   /// only; stays 0 otherwise).
   std::uint64_t redundant_pwbs = 0;
-  /// pfences with no pwb by the same thread since its previous pfence —
-  /// pure ordering cost with nothing to publish. Counted in every build.
+  /// pfence calls skipped because the thread had issued no pwb since its
+  /// previous fence (nothing to order; see pmem::pfence). Not included in
+  /// `pfences`. Counted in every build.
   std::uint64_t empty_pfences = 0;
 
   StatsSnapshot& operator+=(const StatsSnapshot& o) noexcept {
@@ -53,9 +54,6 @@ struct alignas(64) ThreadStats {
   std::uint64_t pfences = 0;
   std::uint64_t redundant_pwbs = 0;
   std::uint64_t empty_pfences = 0;
-  /// Value of `pwbs` when this thread last fenced; equal at the next
-  /// pfence means that fence had nothing of ours to publish.
-  std::uint64_t pwbs_at_last_fence = 0;
 };
 
 /// Registry of every thread's counter block. Thread-local blocks are
@@ -100,7 +98,6 @@ class StatsRegistry {
       ts->pfences = 0;
       ts->redundant_pwbs = 0;
       ts->empty_pfences = 0;
-      ts->pwbs_at_last_fence = 0;
     }
   }
 
@@ -117,13 +114,12 @@ inline ThreadStats& tls_stats() {
 
 }  // namespace detail
 
-/// Record one pwb / one pfence (called by the backend on every instruction).
+/// Record one pwb / one issued pfence / one skipped (empty) pfence call
+/// (called by the backend on every instruction).
 inline void count_pwb() noexcept { ++detail::tls_stats().pwbs; }
-inline void count_pfence() noexcept {
-  auto& ts = detail::tls_stats();
-  if (ts.pwbs == ts.pwbs_at_last_fence) ++ts.empty_pfences;
-  ++ts.pfences;
-  ts.pwbs_at_last_fence = ts.pwbs;
+inline void count_pfence() noexcept { ++detail::tls_stats().pfences; }
+inline void count_empty_pfence() noexcept {
+  ++detail::tls_stats().empty_pfences;
 }
 
 /// Record a pwb that hit an all-clean line (called by PersistCheck).

@@ -1,6 +1,8 @@
 #include "recl/ebr.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "check/lincheck.hpp"
 #include "core/checked.hpp"
@@ -36,8 +38,8 @@ Ebr::ThreadState::~ThreadState() {
 Ebr::ThreadState& Ebr::tls() {
   static thread_local ThreadState ts;
   if (ts.owner == nullptr) {
+    ts.slot = acquire_slot();  // throws first: a slotless thread stays unowned
     ts.owner = this;
-    ts.slot = acquire_slot();
   }
   return ts;
 }
@@ -51,8 +53,9 @@ int Ebr::acquire_slot() {
       return static_cast<int>(i);
     }
   }
-  assert(false && "EBR: more than kMaxThreads concurrent threads");
-  return -1;
+  throw std::runtime_error(
+      "recl::Ebr: every one of the " + std::to_string(kMaxThreads) +
+      " thread slots is taken");
 }
 
 void Ebr::enter() {

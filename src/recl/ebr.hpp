@@ -47,7 +47,9 @@ class Ebr {
   Ebr& operator=(const Ebr&) = delete;
 
   /// RAII epoch pin. Every data-structure operation must hold one for its
-  /// whole duration. Re-entrant (nested guards are counted).
+  /// whole duration. Re-entrant (nested guards are counted). A thread's
+  /// first guard (or retire) claims one of kMaxThreads slots, held until
+  /// the thread exits; with every slot taken it throws std::runtime_error.
   class Guard {
    public:
     Guard() { Ebr::instance().enter(); }

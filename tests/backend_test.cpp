@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <thread>
+
 #include "pmem/cpu_features.hpp"
 #include "support/test_common.hpp"
 
@@ -42,10 +45,57 @@ TEST_F(BackendTest, EveryBackendCountsInstructions) {
     pwb(&x);
     pwb(&x);
     pfence();
+    // Fence elision: no pwb of this thread since its last fence, so this
+    // call returns before the backend switch and counts as empty.
+    pfence();
     const StatsSnapshot delta = stats_snapshot() - before;
     EXPECT_EQ(delta.pwbs, 2u) << to_string(b);
     EXPECT_EQ(delta.pfences, 1u) << to_string(b);
+    EXPECT_EQ(delta.empty_pfences, 1u) << to_string(b);
   }
+}
+
+TEST_F(BackendTest, EmptyPfenceNeverReachesTheSimCrashHook) {
+  alignas(64) static std::uint64_t region[8] = {};
+  SimMemory::instance().register_region(region, sizeof(region));
+  BackendScope scope(Backend::kSimCrash);
+  int hooks = 0;
+  SimMemory::instance().set_pfence_hook(
+      [](void* ctx) { ++*static_cast<int*>(ctx); }, &hooks);
+  pfence();  // nothing pending
+  EXPECT_EQ(hooks, 0);
+  pwb(&region[0]);
+  pfence();
+  EXPECT_EQ(hooks, 1) << "an issued pfence still reaches SimMemory";
+  SimMemory::instance().set_pfence_hook(nullptr, nullptr);
+}
+
+// A pfence orders only the calling thread's pwbs: thread B's pending pwb
+// neither makes thread A's pfence issue nor gets persisted by it.
+TEST_F(BackendTest, AnotherThreadsPwbDoesNotMakeThisPfenceIssue) {
+  alignas(64) static std::uint64_t region[8] = {};
+  region[0] = 0;
+  SimMemory::instance().register_region(region, sizeof(region));
+  BackendScope scope(Backend::kSimCrash);
+  std::promise<void> flushed, fence;
+  std::thread b([&flushed, go = fence.get_future()]() mutable {
+    region[0] = 42;
+    pwb(&region[0]);
+    flushed.set_value();
+    go.wait();
+    pfence();
+  });
+  flushed.get_future().wait();
+  const StatsSnapshot before = stats_snapshot();
+  pfence();
+  const StatsSnapshot delta = stats_snapshot() - before;
+  EXPECT_EQ(delta.pfences, 0u);
+  EXPECT_EQ(delta.empty_pfences, 1u);
+  EXPECT_EQ(flit::test::persisted_word(&region[0]), 0u)
+      << "B's line waits for B's own pfence";
+  fence.set_value();
+  b.join();
+  EXPECT_EQ(flit::test::persisted_word(&region[0]), 42u);
 }
 
 TEST_F(BackendTest, HardwareBackendExecutesWithoutFaulting) {

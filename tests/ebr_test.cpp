@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -162,6 +164,45 @@ TEST_F(EbrTest, RetirePmemReturnsMemoryToPool) {
   Obj* o2 = pmem::pnew<Obj>(Obj{8});
   EXPECT_EQ(o, o2);
   pmem::pdelete(o2);
+}
+
+// Slot exhaustion must fail loudly in every build, NDEBUG included, and
+// leave the slots already held intact.
+TEST_F(EbrTest, GuardBeyondTheSlotLimitThrows) {
+  Ebr::Guard mine;  // this thread's slot: 1 of kMaxThreads
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> held{0};
+  std::vector<std::thread> holders;
+  for (std::size_t i = 1; i < Ebr::kMaxThreads; ++i) {
+    holders.emplace_back([&held, released] {
+      Ebr::Guard g;
+      held.fetch_add(1);
+      released.wait();
+    });
+  }
+  while (held.load() != static_cast<int>(Ebr::kMaxThreads) - 1) {
+    std::this_thread::yield();
+  }
+
+  bool threw = false;
+  std::thread([&threw] {
+    try {
+      Ebr::Guard g;
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+  }).join();
+  EXPECT_TRUE(threw) << "guard number kMaxThreads + 1 must fail";
+
+  release.set_value();
+  for (auto& t : holders) t.join();
+  bool entered = false;
+  std::thread([&entered] {
+    Ebr::Guard g;
+    entered = true;
+  }).join();
+  EXPECT_TRUE(entered) << "exited holders return their slots";
 }
 
 }  // namespace

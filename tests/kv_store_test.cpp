@@ -479,5 +479,51 @@ TEST_F(KvStoreTest, ConcurrentMixedOpsKeepValuesConsistent) {
   EXPECT_EQ(kv.size(), present);
 }
 
+// --- per-op fence budget -----------------------------------------------------
+
+/// Issued pfences of one call. The thread starts it with nothing pending
+/// (every op below ends on an issued or skipped fence).
+template <class F>
+std::uint64_t pfences_of(F&& op) {
+  const pmem::StatsSnapshot before = pmem::stats_snapshot();
+  op();
+  return (pmem::stats_snapshot() - before).pfences;
+}
+
+/// Exact pfences per op on the hashed layout (skiplist tower heights are
+/// random). pmem::pfence skips every fence with no pwb of its thread to
+/// order: a read issues none, and a put pays its record fence and its
+/// publish fence but not Algorithm 4's leading and completion fences.
+template <class Words, class Method>
+void expect_fence_budget(const char* config) {
+  SCOPED_TRACE(config);
+  Store<Words, Method> kv(4, 64);
+  std::vector<std::pair<std::int64_t, std::string_view>> overwrites;
+  std::vector<std::int64_t> keys;
+  for (std::int64_t k = 0; k < 16; ++k) {
+    kv.put(k, "v");
+    overwrites.emplace_back(k, "w");
+    keys.push_back(k);
+  }
+  pmem::pfence();
+
+  EXPECT_EQ(pfences_of([&] { (void)kv.get(1); }), 0u) << "get hit";
+  EXPECT_EQ(pfences_of([&] { (void)kv.get(100); }), 0u) << "get miss";
+  EXPECT_EQ(pfences_of([&] { (void)kv.contains(1); }), 0u) << "contains";
+  EXPECT_EQ(pfences_of([&] { (void)kv.multi_get(keys); }), 0u) << "multi_get";
+  EXPECT_EQ(pfences_of([&] { kv.put(1, "x"); }), 2u) << "overwrite put";
+  EXPECT_EQ(pfences_of([&] { kv.put(100, "x"); }), 3u) << "fresh put";
+  EXPECT_EQ(pfences_of([&] { kv.remove(100); }), 3u) << "remove hit";
+  EXPECT_EQ(pfences_of([&] { kv.multi_put(overwrites); }), 2u) << "multi_put";
+}
+
+TEST_F(KvStoreTest, PerOpFenceBudgetIsExact) {
+  pmem::BackendScope scope(pmem::Backend::kNoOp);
+  expect_fence_budget<HashedWords, Automatic>("HashedWords/Automatic");
+  expect_fence_budget<HashedWords, NVTraverse>("HashedWords/NVTraverse");
+  expect_fence_budget<LapWords, Automatic>("LapWords/Automatic");
+  expect_fence_budget<LapWords, NVTraverse>("LapWords/NVTraverse");
+}
+
 }  // namespace
 }  // namespace flit::kv

@@ -164,24 +164,45 @@ TEST_F(PersistCountsTest, PLoadOnTaggedLocationFlushes) {
   HashedPolicy::untag(x.raw_address());
 }
 
-TEST_F(PersistCountsTest, PStoreIssuesOnePwbAndTwoPfences) {
+// Algorithm 4's leading (Condition 4) fence is issued iff the thread has
+// an unfenced pwb for it to order (pmem::pfence skips it otherwise); the
+// fence before untag always orders the store's own pwb.
+TEST_F(PersistCountsTest, PStoreLeadingFenceIssuedIffAPwbIsPending) {
   pmem::BackendScope scope(pmem::Backend::kNoOp);
-  persist<int, HashedPolicy> x(0);
-  const auto before = pmem::stats_snapshot();
+  persist<int, HashedPolicy> x(0), dep(0);
+  auto before = pmem::stats_snapshot();
   x.store(1, kPersist);
-  const auto d = pmem::stats_snapshot() - before;
+  auto d = pmem::stats_snapshot() - before;
+  EXPECT_EQ(d.pwbs, 1u);
+  EXPECT_EQ(d.pfences, 1u) << "nothing pending: only the fence before untag";
+  EXPECT_EQ(d.empty_pfences, 1u) << "the skipped leading fence";
+
+  pmem::pwb(dep.raw_address());  // a dependency this thread flushed
+  before = pmem::stats_snapshot();
+  x.store(2, kPersist);
+  d = pmem::stats_snapshot() - before;
   EXPECT_EQ(d.pwbs, 1u);
   EXPECT_EQ(d.pfences, 2u) << "Algorithm 4: fence before store + before untag";
+  EXPECT_EQ(d.empty_pfences, 0u);
 }
 
-TEST_F(PersistCountsTest, VStoreIssuesOnlyTheLeadingFence) {
+TEST_F(PersistCountsTest, VStoreLeadingFenceIssuedIffAPwbIsPending) {
   pmem::BackendScope scope(pmem::Backend::kNoOp);
-  persist<int, HashedPolicy> x(0);
-  const auto before = pmem::stats_snapshot();
+  persist<int, HashedPolicy> x(0), dep(0);
+  auto before = pmem::stats_snapshot();
   x.store(1, kVolatile);
-  const auto d = pmem::stats_snapshot() - before;
+  auto d = pmem::stats_snapshot() - before;
   EXPECT_EQ(d.pwbs, 0u);
-  EXPECT_EQ(d.pfences, 1u) << "Condition 4 still fences before shared stores";
+  EXPECT_EQ(d.pfences, 0u) << "nothing pending: Condition 4 has no work";
+  EXPECT_EQ(d.empty_pfences, 1u);
+
+  pmem::pwb(dep.raw_address());
+  before = pmem::stats_snapshot();
+  x.store(2, kVolatile);
+  d = pmem::stats_snapshot() - before;
+  EXPECT_EQ(d.pwbs, 0u);
+  EXPECT_EQ(d.pfences, 1u) << "Condition 4 fences a pending dependency";
+  EXPECT_EQ(d.empty_pfences, 0u);
 }
 
 TEST_F(PersistCountsTest, VolatilePolicyIssuesNothing) {

@@ -83,5 +83,21 @@ TEST_F(StatsTest, ResetZeroesEverything) {
   EXPECT_EQ(s.pfences, 0u);
 }
 
+// pfence's "anything to order?" flag is not derived from these counters:
+// resetting them between a pwb and its pfence must not make the fence
+// look empty.
+TEST_F(StatsTest, ResetBetweenPwbAndPfenceStillFences) {
+  alignas(64) static std::uint64_t region[8] = {};
+  region[0] = 0;
+  SimMemory::instance().register_region(region, sizeof(region));
+  BackendScope scope(Backend::kSimCrash);
+  region[0] = 7;
+  pwb(&region[0]);
+  stats_reset();
+  pfence();
+  EXPECT_EQ(flit::test::persisted_word(&region[0]), 7u);
+  EXPECT_EQ(stats_snapshot().pfences, 1u);
+}
+
 }  // namespace
 }  // namespace flit::pmem

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <set>
 #include <vector>
@@ -26,6 +27,10 @@ class PmemTest : public ::testing::Test {
     pmem::SimMemory::instance().clear_regions();
     pmem::Pool::instance().reinit(kPoolBytes);
     pmem::set_backend(pmem::Backend::kNoOp);
+    // Fence any pwb an earlier test left unfenced: pfence() skips when
+    // nothing is pending, so without this a test's pfence counts would
+    // depend on the test run before it.
+    pmem::pfence();
     pmem::set_sim_latency(0, 0);
     recl::Ebr::instance().set_reclaim(true);
   }
@@ -36,6 +41,21 @@ class PmemTest : public ::testing::Test {
     pmem::set_backend(pmem::Backend::kNoOp);
   }
 };
+
+/// The persisted (crash-surviving) value of the word at `p`, which must lie
+/// in a registered SimMemory region.
+inline std::uint64_t persisted_word(const std::uint64_t* p) {
+  const std::vector<std::byte> line =
+      pmem::SimMemory::instance().persisted_line(p);
+  std::uint64_t w = 0;
+  if (line.size() != pmem::kCacheLineSize) {
+    ADD_FAILURE() << "word is not in a SimMemory region";
+    return w;
+  }
+  const auto a = reinterpret_cast<std::uintptr_t>(p);
+  std::memcpy(&w, line.data() + (a - pmem::line_base(a)), sizeof(w));
+  return w;
+}
 
 /// Deterministic uniform int helper.
 inline std::int64_t rand_key(std::mt19937_64& rng, std::int64_t range) {
