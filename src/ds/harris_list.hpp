@@ -18,6 +18,14 @@
 // slab builds on. A marked value can only ever be observed on a node
 // whose removal already linearized, so readers treat it as absence.
 //
+// Every operation runs from a *link word* (a `W<Node*>`): the search
+// returns the predecessor's link word rather than a predecessor node, so
+// a node's `next` and a bare head word behave alike. The list below owns
+// a head and a tail sentinel and runs each operation from the head
+// sentinel's `next`; ds::HashTable runs the same static functions from
+// its per-bucket head words, whose chains all end at one shared tail
+// sentinel (see hash_table.hpp).
+//
 // Template parameters:
 //   K, V    — integral key (numeric_limits min/max are reserved for the
 //             sentinels) and trivially copyable value;
@@ -58,6 +66,9 @@ class HarrisList {
     W<Node*> next;  // bit 0 = deletion mark
     Node(K k, V v, Node* n) noexcept : key(k), value(v), next(n) {}
   };
+  /// A link word: a node's `next`, or a head word standing where a head
+  /// sentinel's `next` would. Never marked itself when it is a head.
+  using Link = W<Node*>;
 
   static constexpr K kMinKey = std::numeric_limits<K>::min();
   static constexpr K kMaxKey = std::numeric_limits<K>::max();
@@ -71,12 +82,9 @@ class HarrisList {
 
   ~HarrisList() {
     if (!owns_) return;
-    Node* n = head_;
-    while (n != nullptr) {
-      Node* nxt = without_mark(n->next.load_private());
-      pmem::pdelete(n);
-      n = nxt;
-    }
+    free_chain(head_->next, tail_);
+    pmem::pdelete(head_);
+    pmem::pdelete(tail_);
   }
 
   HarrisList(const HarrisList&) = delete;
@@ -89,20 +97,7 @@ class HarrisList {
   }
 
   /// Insert (k, v). Returns false if k is already present.
-  bool insert(K k, V v) {
-    recl::Ebr::Guard g;
-    for (;;) {
-      auto [pred, curr] = search(k);
-      if (curr->key.load(Method::critical_load) == k) {
-        Words::operation_completion();
-        return false;
-      }
-      if (try_link(k, v, pred, curr)) {
-        Words::operation_completion();
-        return true;
-      }
-    }
-  }
+  bool insert(K k, V v) { return insert(head_->next, k, v); }
 
   /// Insert-or-replace. Returns the superseded value when k was present
   /// (the caller owns cleanup of whatever it referenced — see the file
@@ -113,31 +108,7 @@ class HarrisList {
   std::optional<V> upsert(K k, V v)
     requires std::is_pointer_v<V>
   {
-    recl::Ebr::Guard g;
-    for (;;) {
-      auto [pred, curr] = search(k);
-      if (curr->key.load(Method::critical_load) == k) {
-        // In-place replace. A marked value means the removal that won
-        // this node's mark CAS already claimed it: the key is logically
-        // absent, so fall through to a fresh search (which helps unlink)
-        // and the insert path. Succeeding on a node whose *next* was
-        // marked after our search is benign: the value was still
-        // unclaimed, so the remover has not returned and the two
-        // overlapping operations linearize as replace-then-remove (the
-        // remover's claim captures — and owns — our value).
-        if (std::optional<V> old = replace_value(
-                curr->value, v, Method::critical_load,
-                Method::critical_store)) {
-          Words::operation_completion();
-          return old;
-        }
-        continue;
-      }
-      if (try_link(k, v, pred, curr)) {
-        Words::operation_completion();
-        return std::nullopt;
-      }
-    }
+    return upsert(head_->next, k, v);
   }
 
   /// Batched upsert: identical set semantics to upsert(), but the publish
@@ -150,19 +121,7 @@ class HarrisList {
   std::optional<V> upsert_batched(K k, V v, PublishBatch& batch)
     requires std::is_pointer_v<V>
   {
-    recl::Ebr::Guard g;
-    for (;;) {
-      auto [pred, curr] = search(k);
-      if (curr->key.load(Method::critical_load) == k) {
-        if (std::optional<V> old = replace_value_deferred(
-                curr->value, v, Method::critical_load,
-                Method::critical_store, batch)) {
-          return old;
-        }
-        continue;
-      }
-      if (try_link(k, v, pred, curr, &batch)) return std::nullopt;
-    }
+    return upsert_batched(head_->next, k, v, batch);
   }
 
   /// Remove k. Returns false if k is absent.
@@ -175,99 +134,31 @@ class HarrisList {
   /// values the winner *claims* it by marking the value word — the CAS
   /// that ends the word's upsert chain; for other value types values are
   /// immutable after publication and a plain read suffices.
-  std::optional<V> remove_get(K k) {
-    recl::Ebr::Guard g;
-    for (;;) {
-      auto [pred, curr] = search(k);
-      if (curr->key.load(Method::critical_load) != k) {
-        Words::operation_completion();
-        return std::nullopt;
-      }
-      Node* succ = curr->next.load(Method::critical_load);
-      if (is_marked(succ)) continue;  // raced with another remover; re-find
-      // Logical deletion: mark curr's next pointer (linearization point).
-      Node* expected = succ;
-      if (!curr->next.cas(expected, with_mark(succ),
-                          Method::critical_store)) {
-        continue;  // next changed (insert after curr, or competing mark)
-      }
-      const V removed = claim_value(curr->value, Method::critical_load,
-                                    Method::cleanup_store);
-      // Physical deletion: unlink; on failure, search() will help.
-      Node* e = curr;
-      if (pred->next.cas(e, succ, Method::cleanup_store)) {
-        recl::Ebr::instance().retire_pmem(curr);
-      } else {
-        search(k);  // ensures curr is unlinked (and retired by the helper)
-      }
-      Words::operation_completion();
-      return removed;
-    }
-  }
+  std::optional<V> remove_get(K k) { return remove_get(head_->next, k); }
 
   /// Membership test.
-  bool contains(K k) const {
-    recl::Ebr::Guard g;
-    auto [pred, curr] = const_cast<HarrisList*>(this)->search(k);
-    (void)pred;
-    const bool found = curr->key.load(Method::transition_load) == k;
-    Words::operation_completion();
-    return found;
-  }
+  bool contains(K k) const { return contains(head_->next, k); }
 
   /// Lookup returning the value. A claimed (marked) pointer value means
   /// the node's removal linearized before our read: absent.
-  std::optional<V> find(K k) const {
-    std::optional<V> out = find_batched(k);
-    Words::operation_completion();
-    return out;
-  }
+  std::optional<V> find(K k) const { return find(head_->next, k); }
 
   /// find() minus the per-op completion fence: a batch of lookups shares
   /// one completion fence, issued by the caller after the last lookup
   /// (flush-if-tagged pwbs from the searches stay pending until then, so
   /// nothing the batch observed escapes to the outside unpersisted).
   std::optional<V> find_batched(K k) const {
-    recl::Ebr::Guard g;
-    auto [pred, curr] = const_cast<HarrisList*>(this)->search(k);
-    (void)pred;
-    std::optional<V> out;
-    if (curr->key.load(Method::transition_load) == k) {
-      const V v = curr->value.load(Method::transition_load);
-      if (!value_is_claimed(v)) out = v;
-    }
-    return out;
+    return find_batched(head_->next, k);
   }
 
-  /// Prefetch the first probe targets of a later operation on this list:
-  /// the head sentinel's line and the first linked node. Purely a memory
-  /// hint — it dereferences nothing beyond one relaxed pointer load, so it
-  /// is safe with or without an EBR guard (a stale prefetch address is
-  /// harmless). Batched operations call this for key i+1 while key i's
-  /// cache misses are outstanding.
-  void prepare(K /*k*/) const noexcept {
-    __builtin_prefetch(head_);
-    __builtin_prefetch(without_mark(head_->next.load_private()));
-  }
+  /// Prefetch the first probe targets of a later operation on this list
+  /// (see the link form below).
+  void prepare(K /*k*/) const noexcept { prepare(head_->next); }
 
   /// Number of reachable (unmarked) keys; single-threaded use only.
   /// Throws std::length_error on a chain that dead-ends before the tail
-  /// sentinel — a healthy list always reaches it, so a premature null is
-  /// a truncated/torn image (e.g. a node zeroed by file truncation), and
-  /// walking past it would either miscount silently or dereference null.
-  std::size_t size() const {
-    std::size_t n = 0;
-    const Node* c = without_mark(head_->next.load_private());
-    while (c != tail_) {
-      if (c == nullptr) {
-        throw std::length_error(
-            "ds::HarrisList: chain breaks before the tail sentinel");
-      }
-      if (!is_marked(c->next.load_private())) ++n;
-      c = without_mark(c->next.load_private());
-    }
-    return n;
-  }
+  /// sentinel (see the link form below).
+  std::size_t size() const { return size(head_->next, tail_); }
 
   // --- crash recovery ------------------------------------------------------
 
@@ -288,26 +179,194 @@ class HarrisList {
   void release() noexcept { owns_ = false; }
 
   /// Visit every linked node — sentinels and marked nodes included — as
-  /// f(node, is_marked). Single-threaded use only (recovery sweeps that
-  /// rebuild allocator metadata must see every byte a traversal could
-  /// reach; note a *marked* node's value may reference already-reclaimed
-  /// storage, which is why the flag is passed along). Every healthy chain
-  /// terminates at the tail sentinel (the only node whose next is null);
-  /// a walk ending anywhere else is a truncated/torn image and throws
-  /// std::length_error rather than letting recovery half-succeed.
+  /// f(node, is_marked). Single-threaded use only (see the link form
+  /// below).
   template <class F>
   void for_each_linked(F&& f) const {
-    const Node* c = head_;
-    const Node* last = nullptr;
-    while (c != nullptr) {
+    f(*head_, false);
+    for_each_linked(head_->next, tail_, f);
+    f(*tail_, false);
+  }
+
+  // --- the algorithm, run from a head link ---------------------------------
+  //
+  // `head` is the link word a chain starts from; every chain ends at a
+  // tail sentinel (key kMaxKey, next null). The operations above pass the
+  // head sentinel's `next`; ds::HashTable passes a bucket's head word.
+
+  static bool insert(Link& head, K k, V v) {
+    recl::Ebr::Guard g;
+    for (;;) {
+      auto [prev, curr] = search(head, k);
+      if (curr->key.load(Method::critical_load) == k) {
+        Words::operation_completion();
+        return false;
+      }
+      if (try_link(k, v, *prev, curr)) {
+        Words::operation_completion();
+        return true;
+      }
+    }
+  }
+
+  static std::optional<V> upsert(Link& head, K k, V v)
+    requires std::is_pointer_v<V>
+  {
+    recl::Ebr::Guard g;
+    for (;;) {
+      auto [prev, curr] = search(head, k);
+      if (curr->key.load(Method::critical_load) == k) {
+        // In-place replace. A marked value means the removal that won
+        // this node's mark CAS already claimed it: the key is logically
+        // absent, so fall through to a fresh search (which helps unlink)
+        // and the insert path. Succeeding on a node whose *next* was
+        // marked after our search is benign: the value was still
+        // unclaimed, so the remover has not returned and the two
+        // overlapping operations linearize as replace-then-remove (the
+        // remover's claim captures — and owns — our value).
+        if (std::optional<V> old = replace_value(
+                curr->value, v, Method::critical_load,
+                Method::critical_store)) {
+          Words::operation_completion();
+          return old;
+        }
+        continue;
+      }
+      if (try_link(k, v, *prev, curr)) {
+        Words::operation_completion();
+        return std::nullopt;
+      }
+    }
+  }
+
+  static std::optional<V> upsert_batched(Link& head, K k, V v,
+                                         PublishBatch& batch)
+    requires std::is_pointer_v<V>
+  {
+    recl::Ebr::Guard g;
+    for (;;) {
+      auto [prev, curr] = search(head, k);
+      if (curr->key.load(Method::critical_load) == k) {
+        if (std::optional<V> old = replace_value_deferred(
+                curr->value, v, Method::critical_load,
+                Method::critical_store, batch)) {
+          return old;
+        }
+        continue;
+      }
+      if (try_link(k, v, *prev, curr, &batch)) return std::nullopt;
+    }
+  }
+
+  static std::optional<V> remove_get(Link& head, K k) {
+    recl::Ebr::Guard g;
+    for (;;) {
+      auto [prev, curr] = search(head, k);
+      if (curr->key.load(Method::critical_load) != k) {
+        Words::operation_completion();
+        return std::nullopt;
+      }
+      Node* succ = curr->next.load(Method::critical_load);
+      if (is_marked(succ)) continue;  // raced with another remover; re-find
+      // Logical deletion: mark curr's next pointer (linearization point).
+      Node* expected = succ;
+      if (!curr->next.cas(expected, with_mark(succ),
+                          Method::critical_store)) {
+        continue;  // next changed (insert after curr, or competing mark)
+      }
+      const V removed = claim_value(curr->value, Method::critical_load,
+                                    Method::cleanup_store);
+      // Physical deletion: unlink; on failure, search() will help.
+      Node* e = curr;
+      if (prev->cas(e, succ, Method::cleanup_store)) {
+        recl::Ebr::instance().retire_pmem(curr);
+      } else {
+        search(head, k);  // unlinks curr (the helper retires it)
+      }
+      Words::operation_completion();
+      return removed;
+    }
+  }
+
+  static bool contains(Link& head, K k) {
+    recl::Ebr::Guard g;
+    Node* curr = search(head, k).second;
+    const bool found = curr->key.load(Method::transition_load) == k;
+    Words::operation_completion();
+    return found;
+  }
+
+  static std::optional<V> find(Link& head, K k) {
+    std::optional<V> out = find_batched(head, k);
+    Words::operation_completion();
+    return out;
+  }
+
+  static std::optional<V> find_batched(Link& head, K k) {
+    recl::Ebr::Guard g;
+    Node* curr = search(head, k).second;
+    std::optional<V> out;
+    if (curr->key.load(Method::transition_load) == k) {
+      const V v = curr->value.load(Method::transition_load);
+      if (!value_is_claimed(v)) out = v;
+    }
+    return out;
+  }
+
+  /// Prefetch the head word's line and the first linked node. Purely a
+  /// memory hint — it dereferences nothing beyond one relaxed pointer
+  /// load, so it is safe with or without an EBR guard (a stale prefetch
+  /// address is harmless). Batched operations call this for key i+1
+  /// while key i's cache misses are outstanding.
+  static void prepare(const Link& head) noexcept {
+    __builtin_prefetch(&head);
+    __builtin_prefetch(without_mark(head.load_private()));
+  }
+
+  /// Reachable (unmarked) keys between `head` and `tail`; single-threaded
+  /// use only. Throws std::length_error on a chain that dead-ends before
+  /// the tail sentinel — a healthy chain always reaches it, so a premature
+  /// null is a truncated/torn image (e.g. a node zeroed by file
+  /// truncation), and walking past it would either miscount silently or
+  /// dereference null.
+  static std::size_t size(const Link& head, const Node* tail) {
+    std::size_t n = 0;
+    for_each_linked(head, tail, [&n](const Node&, bool marked) {
+      if (!marked) ++n;
+    });
+    return n;
+  }
+
+  /// Visit every node linked between `head` and `tail` (exclusive; marked
+  /// nodes included) as f(node, is_marked). Single-threaded use only
+  /// (recovery sweeps that rebuild allocator metadata must see every byte
+  /// a traversal could reach; note a *marked* node's value may reference
+  /// already-reclaimed storage, which is why the flag is passed along).
+  /// Every healthy chain ends at the tail sentinel; a null link before it
+  /// is a truncated/torn image and throws std::length_error rather than
+  /// letting recovery half-succeed.
+  template <class F>
+  static void for_each_linked(const Link& head, const Node* tail, F&& f) {
+    const Node* c = without_mark(head.load_private());
+    while (c != tail) {
+      if (c == nullptr) {
+        throw std::length_error(
+            "ds::HarrisList: chain breaks before the tail sentinel");
+      }
       const Node* succ = c->next.load_private();
       f(*c, is_marked(succ));
-      last = c;
       c = without_mark(succ);
     }
-    if (last != tail_) {
-      throw std::length_error(
-          "ds::HarrisList: chain breaks before the tail sentinel");
+  }
+
+  /// Free every node linked between `head` and `tail` (exclusive), marked
+  /// ones included; single-threaded teardown of an owning handle.
+  static void free_chain(const Link& head, const Node* tail) noexcept {
+    Node* n = without_mark(head.load_private());
+    while (n != tail && n != nullptr) {
+      Node* nxt = without_mark(n->next.load_private());
+      pmem::pdelete(n);
+      n = nxt;
     }
   }
 
@@ -315,17 +374,18 @@ class HarrisList {
   HarrisList(Node* head, Node* tail) noexcept
       : head_(head), tail_(tail), owns_(false) {}
 
-  /// One insertion attempt at the (pred, curr) position search() just
+  /// One insertion attempt at the (prev, curr) position search() just
   /// computed: build the node, persist it, publish it with the critical
-  /// CAS. False — node freed, nothing published — if the CAS lost; the
-  /// caller re-searches and retries. Shared by insert and upsert so the
-  /// publish/durability sequence exists exactly once. With a non-null
-  /// `batch` the publish CAS defers its trailing fence to the batch (the
-  /// node-init persist keeps its own fence either way: the node's bytes
-  /// must be durable before the link can be observed, and they were
-  /// flushed after the batch's record fence).
-  bool try_link(K k, V v, Node* pred, Node* curr,
-                PublishBatch* batch = nullptr) {
+  /// CAS on the predecessor's link word. False — node freed, nothing
+  /// published — if the CAS lost; the caller re-searches and retries.
+  /// Shared by insert and upsert so the publish/durability sequence
+  /// exists exactly once. With a non-null `batch` the publish CAS defers
+  /// its trailing fence to the batch (the node-init persist keeps its own
+  /// fence either way: the node's bytes must be durable before the link
+  /// can be observed, and they were flushed after the batch's record
+  /// fence).
+  static bool try_link(K k, V v, Link& prev, Node* curr,
+                       PublishBatch* batch = nullptr) {
     Node* node = pmem::pnew<Node>(k, v, curr);
     if (Method::persist_node_init) Words::persist_obj(node);
     if constexpr (Words::persistent) {
@@ -333,33 +393,34 @@ class HarrisList {
     }
     Node* expected = curr;
     if (batch != nullptr) {
-      if (pred->next.cas_deferred(expected, node, Method::critical_store)) {
-        if (Method::critical_store) batch->enlist(pred->next, node);
+      if (prev.cas_deferred(expected, node, Method::critical_store)) {
+        if (Method::critical_store) batch->enlist(prev, node);
         return true;
       }
-    } else if (pred->next.cas(expected, node, Method::critical_store)) {
+    } else if (prev.cas(expected, node, Method::critical_store)) {
       return true;
     }
     pmem::pdelete(node);  // never published; immediate free is safe
     return false;
   }
 
-  /// Harris search: returns (pred, curr) where curr is the first unmarked
-  /// node with key >= k and pred is its unmarked predecessor. Helps unlink
-  /// marked nodes along the way.
-  std::pair<Node*, Node*> search(K k) {
+  /// Harris search from `head`: returns (prev, curr) where curr is the
+  /// first unmarked node with key >= k and prev is the link word pointing
+  /// at it (`head` itself, or its unmarked predecessor's `next`). Helps
+  /// unlink marked nodes along the way.
+  static std::pair<Link*, Node*> search(Link& head, K k) {
   retry:
     for (;;) {
-      Node* pred = head_;
-      Node* curr = without_mark(pred->next.load(Method::traversal_load));
+      Link* prev = &head;
+      Node* curr = without_mark(prev->load(Method::traversal_load));
       for (;;) {
         check::lc_deref(curr, "ds::HarrisList::search");
         Node* succ = curr->next.load(Method::traversal_load);
         while (is_marked(succ)) {
           // curr is logically deleted: unlink it before moving on.
           Node* expected = curr;
-          if (!pred->next.cas(expected, without_mark(succ),
-                              Method::cleanup_store)) {
+          if (!prev->cas(expected, without_mark(succ),
+                         Method::cleanup_store)) {
             goto retry;
           }
           recl::Ebr::instance().retire_pmem(curr);
@@ -368,15 +429,15 @@ class HarrisList {
           succ = curr->next.load(Method::traversal_load);
         }
         if (curr->key.load(Method::traversal_load) >= k) {
-          // NVtraverse/manual transition: flush-if-tagged the nodes the
+          // NVtraverse/manual transition: flush-if-tagged the words the
           // critical phase depends on.
           if (Method::traversal_load != Method::transition_load) {
-            pred->next.load(Method::transition_load);
+            prev->load(Method::transition_load);
             curr->next.load(Method::transition_load);
           }
-          return {pred, curr};
+          return {prev, curr};
         }
-        pred = curr;
+        prev = &curr->next;
         curr = without_mark(succ);
       }
     }

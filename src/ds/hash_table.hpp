@@ -1,17 +1,31 @@
-// hash_table.hpp — lock-free hash table with one Harris list per bucket,
-// as evaluated in the paper (§6: "a hash table which uses Harris's linked
+// hash_table.hpp — lock-free hash table whose buckets are Harris lists, as
+// evaluated in the paper (§6: "a hash table which uses Harris's linked
 // list to implement each bucket").
 //
+// Bucket layout (Michael's lock-free hash table, SPAA 2002): a bucket is
+// one persistent head word. The table's single persistent root block is
+//
+//   Roots { nbuckets, tail, heads[nbuckets] }
+//
+// where every head word starts at the one shared tail sentinel (key
+// kMaxKey) and every chain ends there. An operation hashes its key to a
+// head word and runs HarrisList's algorithm from that link, so a head
+// word plays the part of a list's head-sentinel `next`: an op issues the
+// same p-instructions on the same logical words. A bucket costs one word of
+// pmem (8 B; 16 B under AdjacentWords) and nothing in DRAM, and the root
+// block alone recovers the whole table in O(1).
+//
 // The bucket count is fixed at construction (the paper sizes it to the key
-// range, keeping chains short). Bucket roots — the head/tail sentinel
-// pointers of each chain — are stored in the persistent pool so a crash
-// test can recover the whole table from the root array alone.
+// range, keeping chains short).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <new>
 #include <optional>
+#include <stdexcept>
 #include <type_traits>
-#include <vector>
+#include <utility>
 
 #include "ds/batch.hpp"
 #include "ds/harris_list.hpp"
@@ -21,79 +35,97 @@ namespace flit::ds {
 template <class K, class V, class Words = HashedWords,
           class Method = Automatic>
 class HashTable {
- public:
-  using Bucket = HarrisList<K, V, Words, Method>;
-  using Node = typename Bucket::Node;
+  using List = HarrisList<K, V, Words, Method>;
 
-  /// Persistent root record: everything recovery needs.
+ public:
+  using Node = typename List::Node;
+  using Link = typename List::Link;
+
+  /// Persistent root block: everything recovery needs.
   struct Roots {
     std::size_t nbuckets;
-    // Followed in memory by nbuckets {head, tail} pairs.
-    struct Entry {
-      Node* head;
-      Node* tail;
-    };
-    Entry entries[1];  // flexible-array idiom; allocated oversized
+    Node* tail;     // the shared tail sentinel every chain ends at
+    Link heads[1];  // flexible-array idiom; allocated oversized
+
+    static std::size_t bytes(std::size_t nbuckets) noexcept {
+      return sizeof(Roots) + (nbuckets - 1) * sizeof(Link);
+    }
   };
 
+  /// Fresh table of `nbuckets` empty buckets; std::invalid_argument on 0.
   explicit HashTable(std::size_t nbuckets) {
-    buckets_.reserve(nbuckets);
-    for (std::size_t i = 0; i < nbuckets; ++i) buckets_.emplace_back();
-
-    const std::size_t bytes =
-        sizeof(Roots) + (nbuckets - 1) * sizeof(typename Roots::Entry);
+    if (nbuckets == 0) {
+      throw std::invalid_argument("ds::HashTable: 0 buckets");
+    }
+    const std::size_t bytes = Roots::bytes(nbuckets);
     roots_ = static_cast<Roots*>(pmem::Pool::instance().alloc(bytes));
-    roots_bytes_ = bytes;
+    Node* tail = pmem::pnew<Node>(List::kMaxKey, V{}, nullptr);
+    Words::persist_obj(tail);
     roots_->nbuckets = nbuckets;
+    roots_->tail = tail;
     for (std::size_t i = 0; i < nbuckets; ++i) {
-      roots_->entries[i] = {buckets_[i].head(), buckets_[i].tail()};
+      ::new (&roots_->heads[i]) Link(tail);
     }
     if constexpr (Words::persistent) pmem::persist_range(roots_, bytes);
   }
 
+  ~HashTable() {
+    if (!owns_) return;
+    for (std::size_t i = 0; i < roots_->nbuckets; ++i) {
+      List::free_chain(roots_->heads[i], roots_->tail);
+    }
+    pmem::pdelete(roots_->tail);
+    pmem::Pool::instance().dealloc(roots_, Roots::bytes(roots_->nbuckets));
+  }
+
   HashTable(const HashTable&) = delete;
   HashTable& operator=(const HashTable&) = delete;
-  HashTable(HashTable&&) noexcept = default;
+  HashTable(HashTable&& o) noexcept
+      : roots_(std::exchange(o.roots_, nullptr)),
+        owns_(std::exchange(o.owns_, false)) {}
 
-  bool insert(K k, V v) { return bucket(k).insert(k, v); }
+  bool insert(K k, V v) { return List::insert(head(k), k, v); }
   /// Insert-or-replace with an atomic in-place value CAS (pointer values
   /// only; see HarrisList::upsert). Returns the superseded value when k
   /// was present, nullopt on a fresh insert.
   std::optional<V> upsert(K k, V v)
     requires std::is_pointer_v<V>
   {
-    return bucket(k).upsert(k, v);
+    return List::upsert(head(k), k, v);
   }
-  bool remove(K k) { return bucket(k).remove(k); }
+  bool remove(K k) { return remove_get(k).has_value(); }
   /// Remove k, returning the removed value (see HarrisList::remove_get).
-  std::optional<V> remove_get(K k) { return bucket(k).remove_get(k); }
-  bool contains(K k) const { return bucket(k).contains(k); }
-  std::optional<V> find(K k) const { return bucket(k).find(k); }
+  std::optional<V> remove_get(K k) { return List::remove_get(head(k), k); }
+  bool contains(K k) const { return List::contains(head(k), k); }
+  std::optional<V> find(K k) const { return List::find(head(k), k); }
 
   // --- batched multi-op hooks (see HarrisList) -----------------------------
 
-  /// Prefetch k's bucket chain entry (the hash pick plus the sentinel and
-  /// first node lines) ahead of a later operation on k.
-  void prepare(K k) const noexcept { bucket(k).prepare(k); }
+  /// Prefetch k's head word and first node ahead of a later operation on
+  /// k.
+  void prepare(K k) const noexcept { List::prepare(head(k)); }
   /// Lookup without the per-op completion fence; the caller fences once
   /// per batch.
   std::optional<V> find_batched(K k) const {
-    return bucket(k).find_batched(k);
+    return List::find_batched(head(k), k);
   }
   /// Upsert whose publish defers its fence to `batch` (see
   /// HarrisList::upsert_batched).
   std::optional<V> upsert_batched(K k, V v, PublishBatch& batch)
     requires std::is_pointer_v<V>
   {
-    return bucket(k).upsert_batched(k, v, batch);
+    return List::upsert_batched(head(k), k, v, batch);
   }
 
-  std::size_t bucket_count() const noexcept { return buckets_.size(); }
+  std::size_t bucket_count() const noexcept { return roots_->nbuckets; }
 
-  /// Total reachable keys; single-threaded use only.
+  /// Total reachable keys; single-threaded use only. Throws
+  /// std::length_error on a chain that breaks before the shared tail.
   std::size_t size() const {
     std::size_t n = 0;
-    for (const Bucket& b : buckets_) n += b.size();
+    for (std::size_t i = 0; i < roots_->nbuckets; ++i) {
+      n += List::size(roots_->heads[i], roots_->tail);
+    }
     return n;
   }
 
@@ -101,51 +133,43 @@ class HashTable {
 
   Roots* roots() const noexcept { return roots_; }
 
-  /// Rebuild non-owning bucket handles from a persisted root array.
-  static HashTable recover(Roots* roots) {
-    HashTable t(RecoverTag{});
-    t.roots_ = roots;
-    t.buckets_.reserve(roots->nbuckets);
-    for (std::size_t i = 0; i < roots->nbuckets; ++i) {
-      t.buckets_.push_back(
-          Bucket::recover(roots->entries[i].head, roots->entries[i].tail));
-    }
-    return t;
+  /// A non-owning handle onto a persisted root block: O(1), read-only.
+  static HashTable recover(Roots* roots) noexcept {
+    return HashTable(RecoverTag{}, roots);
   }
 
-  /// Disown every bucket's nodes (see HarrisList::release): the persisted
-  /// bytes outlive this volatile handle.
-  void release() noexcept {
-    for (Bucket& b : buckets_) b.release();
-  }
+  /// Disown the nodes: the persisted bytes outlive this volatile handle.
+  void release() noexcept { owns_ = false; }
 
-  /// Visit every linked node in every bucket as f(node, is_marked);
-  /// single-threaded use only (see HarrisList::for_each_linked).
+  /// Visit every linked node in every bucket, then the shared tail once,
+  /// as f(node, is_marked); single-threaded use only (see
+  /// HarrisList::for_each_linked).
   template <class F>
   void for_each_linked(F&& f) const {
-    for (const Bucket& b : buckets_) b.for_each_linked(f);
+    for (std::size_t i = 0; i < roots_->nbuckets; ++i) {
+      List::for_each_linked(roots_->heads[i], roots_->tail, f);
+    }
+    f(*roots_->tail, false);
   }
 
-  /// One past the last byte of the persisted root array.
+  /// One past the last byte of the persisted root block.
   std::uintptr_t roots_extent() const noexcept {
-    return reinterpret_cast<std::uintptr_t>(roots_) + sizeof(Roots) +
-           (roots_->nbuckets - 1) * sizeof(typename Roots::Entry);
+    return reinterpret_cast<std::uintptr_t>(roots_) +
+           Roots::bytes(roots_->nbuckets);
   }
 
  private:
   struct RecoverTag {};
-  explicit HashTable(RecoverTag) noexcept {}
+  HashTable(RecoverTag, Roots* roots) noexcept
+      : roots_(roots), owns_(false) {}
 
-  std::size_t index(K k) const noexcept {
+  Link& head(K k) const noexcept {
     const auto h = static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h % buckets_.size());
+    return roots_->heads[h % roots_->nbuckets];
   }
-  Bucket& bucket(K k) noexcept { return buckets_[index(k)]; }
-  const Bucket& bucket(K k) const noexcept { return buckets_[index(k)]; }
 
-  std::vector<Bucket> buckets_;
   Roots* roots_ = nullptr;
-  std::size_t roots_bytes_ = 0;
+  bool owns_ = true;
 };
 
 }  // namespace flit::ds

@@ -36,11 +36,12 @@
 //   static validate_roots(const Roots*, spans);  // bounds-check headers
 //   for_each_range(Key lo, f);                // ordered backends only
 //
-// Two backends are provided: HashBackend (one Harris list per bucket —
-// the original store layout) and OrderedBackend (a lock-free skiplist,
-// which additionally supports ordered range scans and range-partitioned
-// sharding; see store.hpp). Both store values as Record* (shard.hpp) and
-// lean on the same two invariants:
+// Two backends are provided: HashBackend (a hash table whose buckets are
+// Harris lists, one persistent head word each — the original store
+// layout) and OrderedBackend (a lock-free skiplist, which additionally
+// supports ordered range scans and range-partitioned sharding; see
+// store.hpp). Both store values as Record* (shard.hpp) and lean on the
+// same two invariants:
 //
 //   * persist-before-publish — a Record is fully persisted before the
 //     structure ever points at it, so a record reachable from a persisted
@@ -65,8 +66,9 @@
 
 namespace flit::kv {
 
-/// Hash-partitioned shard backend: a FliT hash table (one Harris list per
-/// bucket). `capacity_hint` is the bucket count. Unordered — no scans.
+/// Hash-partitioned shard backend: a FliT hash table (a Harris list per
+/// bucket, run from one persistent head word; see ds/hash_table.hpp).
+/// `capacity_hint` is the bucket count. Unordered — no scans.
 template <class Words, class Method>
 class HashBackend {
  public:
@@ -119,28 +121,31 @@ class HashBackend {
   }
 
   /// Bounds-check everything recovery dereferences on the way to the
-  /// nodes: the root array (including its nbuckets-sized entries) and
-  /// every bucket's head/tail sentinels. `spans(p, len)` must return true
-  /// iff [p, p+len) lies inside the region. Throws IncompatibleStore on a
-  /// torn or bit-rotted header. Interior node corruption (next pointers)
-  /// has no integrity metadata to check against and is out of scope, like
-  /// the rest of the library's recovery model.
+  /// nodes: the root block (including its nbuckets head words), the
+  /// shared tail sentinel, and the unmarked target of every head word.
+  /// `spans(p, len)` must return true iff [p, p+len) lies inside the
+  /// region. Throws IncompatibleStore on a torn or bit-rotted header.
+  /// Interior node corruption (next pointers) has no integrity metadata
+  /// to check against and is out of scope, like the rest of the library's
+  /// recovery model.
   template <class Spans>
   static void validate_roots(const Roots* roots, std::size_t region_capacity,
                              Spans&& spans) {
-    using Entry = typename Roots::Entry;
     if (!spans(roots, sizeof(Roots))) {
       throw IncompatibleStore("kv::Store: corrupt shard root");
     }
     const std::size_t nb = roots->nbuckets;
-    if (nb == 0 || nb > region_capacity / sizeof(Entry) ||
-        !spans(roots, sizeof(Roots) + (nb - 1) * sizeof(Entry))) {
+    if (nb == 0 || nb > region_capacity / sizeof(typename Table::Link) ||
+        !spans(roots, Roots::bytes(nb))) {
       throw IncompatibleStore("kv::Store: corrupt shard root array");
     }
+    if (!spans(roots->tail, sizeof(Node))) {
+      throw IncompatibleStore("kv::Store: corrupt bucket tail sentinel");
+    }
     for (std::size_t b = 0; b < nb; ++b) {
-      if (!spans(roots->entries[b].head, sizeof(Node)) ||
-          !spans(roots->entries[b].tail, sizeof(Node))) {
-        throw IncompatibleStore("kv::Store: corrupt bucket sentinel");
+      if (!spans(ds::without_mark(roots->heads[b].load_private()),
+                 sizeof(Node))) {
+        throw IncompatibleStore("kv::Store: corrupt bucket head word");
       }
     }
   }

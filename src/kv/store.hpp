@@ -155,9 +155,12 @@ class Store {
   static constexpr bool kOrdered = Backend_::kOrdered;
 
   static constexpr std::uint64_t kMagic = 0xF117'4B56'0000'0001ull;
-  /// Bumped when the superblock layout changes; v2 added the backend
-  /// layout tag and the ordered partition bounds.
-  static constexpr std::uint32_t kVersion = 2;
+  /// Bumped when the persisted layout changes; v2 added the backend
+  /// layout tag and the ordered partition bounds, v3 replaced the hashed
+  /// shard's per-bucket sentinel pairs with one head word per bucket and
+  /// a shared tail (ds::HashTable::Roots), so a v2 image is rejected as
+  /// IncompatibleStore instead of being misread.
+  static constexpr std::uint32_t kVersion = 3;
   /// FileRegion root slot holding the superblock.
   static constexpr std::size_t kSuperblockSlot = 0;
   /// Root slot doubling as a clean-shutdown flag: non-null only between a
@@ -1041,11 +1044,12 @@ class Store {
 
   /// Bounds-check everything recovery dereferences on the way to the
   /// nodes: the superblock extent, then each shard's roots via the
-  /// backend's own validator (root arrays + bucket sentinels for hashed
-  /// shards, sentinel towers for ordered ones). This catches torn or
-  /// bit-rotted headers; interior node corruption (next pointers) has no
-  /// integrity metadata to check against and is out of scope, like the
-  /// rest of the library's recovery model.
+  /// backend's own validator (root blocks, the shared tail and every
+  /// head word's target for hashed shards, sentinel towers for ordered
+  /// ones). This catches torn or bit-rotted headers; interior node
+  /// corruption (next pointers) has no integrity metadata to check
+  /// against and is out of scope, like the rest of the library's recovery
+  /// model.
   static void validate_region_layout(const pmem::FileRegion& region,
                                      const Superblock* sb) {
     if (!region_spans(region, sb, Superblock::bytes(sb->nshards))) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,12 @@ TEST_F(HashTableTest, EmptyContainsNothing) {
   EXPECT_FALSE(t.contains(0));
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.bucket_count(), 64u);
+}
+
+TEST_F(HashTableTest, ZeroBucketsIsRejected) {
+  // A table needs a head word to hash into: 0 buckets would divide by
+  // zero on the first operation.
+  EXPECT_THROW((void)Table(0), std::invalid_argument);
 }
 
 TEST_F(HashTableTest, InsertContainsRemove) {

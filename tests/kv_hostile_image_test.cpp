@@ -1,11 +1,12 @@
 // Hostile-image recovery tests: Store::open() against files that were
 // truncated at the worst possible byte — mid-header, mid-superblock and
 // mid-slab (both with and without the clean-shutdown flag, and on both
-// layouts). Every case must end in a clean rejection the caller can
-// catch (kv::IncompatibleStore / std::runtime_error), never a SIGSEGV
-// from walking zeroed node memory and never a silently half-recovered
-// store. The rejecting open must also leave the global Pool untouched —
-// validation precedes adoption.
+// layouts), or with one word rewritten (a bucket head word, the
+// superblock version). Every case must end in a clean rejection the
+// caller can catch (kv::IncompatibleStore / std::runtime_error), never a
+// SIGSEGV from walking zeroed node memory and never a silently
+// half-recovered store. The rejecting open must also leave the global
+// Pool untouched — validation precedes adoption.
 //
 // Truncation is the canonical hostile shape because ftruncate-to-larger
 // (which FileRegion::open performs to restore the recorded capacity)
@@ -20,7 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "core/modes.hpp"
@@ -50,6 +54,7 @@ class KvHostileImageTest : public PmemTest {
   struct HeaderBits {
     std::uint64_t bump = 0;
     std::uint64_t superblock_off = 0;  // region-relative roots[0]
+    std::uint64_t base = 0;            // mapping address of the region
   };
 
   static HeaderBits read_header(const std::string& path) {
@@ -59,7 +64,34 @@ class KvHostileImageTest : public PmemTest {
     EXPECT_EQ(::pread(fd, &h, sizeof(h), 0),
               static_cast<ssize_t>(sizeof(h)));
     ::close(fd);
-    return {h.bump_offset, h.roots[0]};
+    return {h.bump_offset, h.roots[0], h.base};
+  }
+
+  /// Read or overwrite one word at a region-relative offset (= file
+  /// offset: the region header sits at the start of the file).
+  static std::uint64_t read_word(const std::string& path, std::uint64_t off) {
+    std::uint64_t w = 0;
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    EXPECT_GE(fd, 0);
+    EXPECT_EQ(::pread(fd, &w, sizeof(w), static_cast<off_t>(off)),
+              static_cast<ssize_t>(sizeof(w)));
+    ::close(fd);
+    return w;
+  }
+  template <class T>
+  static void write_at(const std::string& path, std::uint64_t off, T v) {
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::pwrite(fd, &v, sizeof(v), static_cast<off_t>(off)),
+              static_cast<ssize_t>(sizeof(v)));
+    ::close(fd);
+  }
+
+  /// The whole file, to prove a rejecting open wrote nothing.
+  static std::string file_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
   }
 
   static void truncate_file(const std::string& path, std::uint64_t bytes) {
@@ -200,6 +232,46 @@ TEST_F(KvHostileImageTest, OrderedLayoutTruncatedMidSlabIsRejected) {
   truncate_file(path, kHdr + h2.superblock_off + 8192);
   clear_clean_flag(path);
   expect_stable_rejection<OrderedKv, IncompatibleStore>(path);
+  pmem::FileRegion::destroy(path);
+}
+
+TEST_F(KvHostileImageTest, HeadWordPastTheRegionIsRejected) {
+  const std::string path = temp_path();
+  pmem::FileRegion::destroy(path);
+  populate<HashedKv>(path);
+
+  // Point one bucket head word of shard 0 past the region. Recovery's
+  // size re-count walks every chain from its head word, so the open must
+  // reject this in validate_roots, before the walk dereferences it.
+  using Roots = HashedKv::Backend_::Roots;
+  const HeaderBits h = read_header(path);
+  const std::uint64_t roots =
+      read_word(path, h.superblock_off +
+                          offsetof(HashedKv::Superblock, shard_roots)) -
+      h.base;
+  // heads[7] starts where a 7-bucket root block would end.
+  write_at<std::uint64_t>(path, roots + Roots::bytes(7),
+                          h.base + kCapacity + 4096);
+  const std::string image = file_bytes(path);
+  expect_stable_rejection<HashedKv, IncompatibleStore>(path);
+  EXPECT_EQ(file_bytes(path), image) << "a rejecting open wrote the file";
+  pmem::FileRegion::destroy(path);
+}
+
+TEST_F(KvHostileImageTest, SentinelLayoutVersionIsRejected) {
+  const std::string path = temp_path();
+  pmem::FileRegion::destroy(path);
+  populate<HashedKv>(path);
+
+  // Version 2 is the per-bucket sentinel layout: its root array holds
+  // {head, tail} node pairs where this build reads head words, so it
+  // must be refused on the version alone, never misread.
+  const HeaderBits h = read_header(path);
+  write_at<std::uint32_t>(
+      path, h.superblock_off + offsetof(HashedKv::Superblock, version), 2);
+  const std::string image = file_bytes(path);
+  expect_stable_rejection<HashedKv, IncompatibleStore>(path);
+  EXPECT_EQ(file_bytes(path), image) << "a rejecting open wrote the file";
   pmem::FileRegion::destroy(path);
 }
 

@@ -552,7 +552,7 @@ TEST_F(KvOrderedFileTest, ReopenRecoversScansAndPartitionBounds) {
 TEST_F(KvOrderedFileTest, CrossLayoutOpenIsRejectedBothWays) {
   // The superblock layout tag must reject a hashed open of an ordered
   // file (and the reverse) with IncompatibleStore — not misread skiplist
-  // towers as bucket sentinel arrays or vice versa.
+  // towers as bucket head arrays or vice versa.
   using Hashed = Store<HashedWords, Automatic>;
   const std::string path = temp_path();
   pmem::FileRegion::destroy(path);

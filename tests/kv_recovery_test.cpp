@@ -547,14 +547,15 @@ TEST_F(KvFileRecoveryTest, CorruptRootOffsetThrowsInsteadOfCrashing) {
 }
 
 TEST_F(KvFileRecoveryTest, FailedFreshOpenLeavesTheAllocatorUsable) {
-  // Building 16 shards x 4096 buckets cannot fit in a 1 MiB region; the
-  // resulting bad_alloc unwinds open() after the Pool adopted the region.
-  // open() must restore a usable (anonymous) pool before rethrowing —
-  // otherwise every later allocation faults on the unmapped region.
+  // Building 16 shards x 65536 buckets (8 MiB of bucket head words)
+  // cannot fit in a 1 MiB region; the resulting bad_alloc unwinds open()
+  // after the Pool adopted the region. open() must restore a usable
+  // (anonymous) pool before rethrowing — otherwise every later
+  // allocation faults on the unmapped region.
   using KvStore = Store<HashedWords, Automatic>;
   const std::string path = temp_path();
   pmem::FileRegion::destroy(path);
-  EXPECT_THROW((void)KvStore::open(path, 1 << 20, 16, 4'096),
+  EXPECT_THROW((void)KvStore::open(path, 1 << 20, 16, 65'536),
                std::bad_alloc);
   void* p = pmem::Pool::instance().alloc(64);
   ASSERT_NE(p, nullptr);

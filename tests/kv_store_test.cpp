@@ -122,7 +122,7 @@ TEST_F(KvStoreTest, ShardRoutingIsStable) {
 
 TEST_F(KvStoreTest, ReservedSentinelKeysAreRejected) {
   // INT64_MIN/MAX are the Harris lists' sentinel keys: put must refuse
-  // them (a put would otherwise corrupt a bucket's tail sentinel), and
+  // them (a put would otherwise corrupt the shared tail sentinel), and
   // reads must treat them as absent rather than matching a sentinel.
   KvStore kv(2, 64);
   constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
@@ -523,6 +523,57 @@ TEST_F(KvStoreTest, PerOpFenceBudgetIsExact) {
   expect_fence_budget<HashedWords, NVTraverse>("HashedWords/NVTraverse");
   expect_fence_budget<LapWords, Automatic>("LapWords/Automatic");
   expect_fence_budget<LapWords, NVTraverse>("LapWords/NVTraverse");
+}
+
+// --- pmem footprint ----------------------------------------------------------
+
+/// Pool bytes one allocation of `n` bytes takes.
+constexpr std::size_t block_bytes(std::size_t n) {
+  return (n + pmem::Pool::kGranularity - 1) / pmem::Pool::kGranularity *
+         pmem::Pool::kGranularity;
+}
+
+/// Pool growth of a hashed store, empty and then with one 100 B value per
+/// bucket. A bucket is one head word; the 2 B per bucket (or key) cover
+/// chunk rounding: each root block rounds up to a cache line, and the
+/// first small allocation on a fresh pool carves a whole 64 KiB chunk.
+template <class Words>
+void expect_footprint(const char* config, std::size_t pool_bytes) {
+  SCOPED_TRACE(config);
+  using KV = Store<Words, Automatic>;
+  using Link = typename KV::Backend_::Table::Link;
+  constexpr std::uint32_t kShards = 4;
+  constexpr std::size_t kBuckets = 16'384;
+  constexpr std::size_t kKeys = kShards * kBuckets;
+  constexpr std::size_t kSlack = 2;
+  const std::string value(100, 'v');
+
+  pmem::Pool::instance().reinit(pool_bytes);
+  const std::size_t bump0 = pmem::Pool::instance().bump_used();
+  KV kv(kShards, kBuckets);
+  const std::size_t empty = pmem::Pool::instance().bump_used() - bump0;
+  EXPECT_LE(empty, kKeys * (sizeof(Link) + kSlack))
+      << "empty table: " << static_cast<double>(empty) / kKeys
+      << " B per bucket";
+
+  for (std::int64_t k = 0; k < static_cast<std::int64_t>(kKeys); ++k) {
+    kv.put(k, value);
+  }
+  const std::size_t loaded = pmem::Pool::instance().bump_used() - bump0;
+  const std::size_t per_key =
+      block_bytes(sizeof(typename KV::Shard_::Node)) +
+      block_bytes(Record::bytes(value.size())) + sizeof(Link) + kSlack;
+  EXPECT_LE(loaded, kKeys * per_key)
+      << "loaded: " << static_cast<double>(loaded) / kKeys << " B per key";
+  EXPECT_EQ(kv.size(), kKeys);
+}
+
+TEST_F(KvStoreTest, HashedFootprintIsOneHeadWordPerBucket) {
+  pmem::BackendScope scope(pmem::Backend::kNoOp);
+  expect_footprint<HashedWords>("HashedWords", kPoolBytes);
+  expect_footprint<LapWords>("LapWords", kPoolBytes);
+  // The adjacent counter doubles every word, the head words included.
+  expect_footprint<AdjacentWords>("AdjacentWords", kPoolBytes);
 }
 
 }  // namespace
