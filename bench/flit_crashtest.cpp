@@ -4,39 +4,33 @@
 // volatile state inside one process. This harness kills a REAL process
 // (SIGKILL, no cleanup, no destructors) at a randomized point in a mixed
 // workload against a file-backed store, reopens the image in a fresh
-// process, and checks the durability contract end to end:
+// process, and checks it against LinCheck's durable rule
+// (check::check_durable): every completed write survives, every
+// in-flight write lands whole or not at all, and nothing is torn.
 //
-//   * every ACKNOWLEDGED write is present with its exact payload,
-//   * every in-flight write is old-complete, new-complete or absent —
-//     never torn, and never with collateral damage to other keys,
-//   * on the ordered layout, scan() agrees with point lookups and is
-//     strictly ascending.
-//
-// Ack protocol (child -> parent over a pipe; every line < PIPE_BUF so
-// writes are atomic even from multiple worker threads):
-//
-//   I <tid> <seq> P <key> <vseq>   op issued: put of make_value(key,vseq)
-//   I <tid> <seq> R <key>          op issued: remove
-//   D <tid> <seq>                  ops <= seq applied (pre-durability)
-//   A <tid> <seq>                  ops <= seq DURABLE (the ack line)
-//
-// A-lines are emitted from the store's checkpoint post-hook using a
-// pre-hook snapshot of each thread's completed sequence number, so an
-// ack never races ahead of the msync that covers the op:
+// The workload child streams one line per issued op and per progress
+// step to the parent (the ack protocol is in crash_log.hpp). A-lines are
+// emitted from the store's checkpoint post-hook using a pre-hook
+// snapshot of each thread's completed sequence number, so an ack never
+// races ahead of the msync that covers the op:
 //   - always:   every write calls note_write_commit() -> checkpoint,
 //   - everysec: the store's flusher thread checkpoints on its interval,
 //   - never:    the harness runs its own checkpoint() ticker (explicit
 //               sync points), acks ride on those.
+// SIGKILL keeps the page cache, so the harness checks ack accounting and
+// crash atomicity, not media loss (that needs a power-fail rig; see
+// EXPERIMENTS.md).
 //
-// Verification floor per thread = max(last D, last A): SIGKILL does not
-// clear the page cache, so applied-but-not-yet-synced ops also survive —
-// the harness verifies the ACK ACCOUNTING and crash atomicity, not media
-// loss (that needs a power-fail rig; see docs/EXPERIMENTS.md).
-//
-// The verifier runs via fork+exec of /proc/self/exe (--verify): a fresh
-// address space gets fresh ASLR, so the region's recorded base is almost
-// always free; exit code 4 reports the rare remap collision and the
-// parent re-execs.
+// After the kill, the parent turns the stream into a check::History
+// (crash_log.hpp) and fork+execs itself with --verify: a fresh address
+// space gets fresh ASLR, so the region's recorded base is almost always
+// free (exit code 4 reports the rare remap collision and the parent
+// re-execs). The verifier reopens the image, writes one `key value_id`
+// line per present key to <file>.recovered, and runs the store's
+// self-checks, which compare two read paths with each other: size()
+// against the probed count and, on the ordered layout, scan() against
+// point lookups. The parent then judges the recovered map with
+// check_durable and prints each finding under LinCheck's class name.
 //
 // Network mode (--mode=net) drives the same check through flit_server
 // --durability=always: pipelined SET/DEL over real sockets, each reply
@@ -53,18 +47,14 @@
 //
 // Exhaustion sweep (--inject): the store gets a deliberately tiny
 // capacity so the workload drives it into OutOfSpace mid-run, and the
-// SIGKILL lands on a store operating at the brim. Failed mutations emit
-// an F-line (`F <tid> <lo> <hi>`) excluding those seqs from the ack
-// floor — a refused op promised nothing — while the workload keeps
-// going: removes recycle space and later puts land in it, so the kill
-// samples the full degrade/recycle cycle, and recovery of the
-// nearly-full image is verified like any other iteration. The kill is
-// refusal-triggered: the parent SIGKILLs a randomized --kill-min/max-ms
-// after the *first observed refusal* (not after a fixed wall-clock
-// point), so the brim is reached on loaded CI machines and fast
-// workstations alike; a 10 s fallback caps a workload that never
-// exhausts, and the run fails if no iteration ever hit OutOfSpace
-// (capacity too generous to test anything).
+// SIGKILL lands on a store operating at the brim. A refused mutation
+// emits an F-line and stays in flight — a refused op promised nothing —
+// while the workload keeps going: removes recycle space and later puts
+// land in it, so the kill samples the full degrade/recycle cycle. The
+// parent SIGKILLs a randomized --kill-min/max-ms after the *first
+// observed refusal*, so the brim is reached on loaded CI machines and
+// fast workstations alike; a 10 s fallback caps a workload that never
+// exhausts, and the run fails if no iteration ever hit OutOfSpace.
 //
 //   ./flit_crashtest --iters=12 --layout=ordered --durability=always
 //   ./flit_crashtest --mode=net --layout=hashed --iters=6
@@ -89,13 +79,14 @@
 #include <map>
 #include <optional>
 #include <random>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "check/linearizer.hpp"
 #include "core/failpoint.hpp"
 #include "core/modes.hpp"
+#include "crash_log.hpp"
 #include "kv/store.hpp"
 #include "net/client.hpp"
 #include "net/socket.hpp"
@@ -106,7 +97,10 @@
 namespace {
 
 using namespace flit;
-using Key = std::int64_t;
+using crashtest::AckLog;
+using crashtest::IssuedOp;
+using crashtest::Key;
+using crashtest::make_value;
 
 using HashedStore = kv::Store<HashedWords, NVTraverse>;
 using OrderedStore = kv::OrderedStore<HashedWords, NVTraverse>;
@@ -136,10 +130,7 @@ struct Options {
   bool inject = false;        // exhaustion sweep (see file comment)
   bool capacity_set = false;  // --capacity-mb given explicitly
   bool unsafe_ack = false;    // bug.unsafe_ack fired for this run
-
-  // --verify mode (internal; the harness exec's itself with these).
-  bool verify = false;
-  std::string expect_file;
+  bool verify = false;  // internal: the harness exec's itself with this
 };
 
 const char* arg_value(const char* arg, const char* name) {
@@ -198,8 +189,6 @@ Options parse(int argc, char** argv) {
       o.verbose = true;
     } else if (std::strcmp(a, "--verify") == 0) {
       o.verify = true;
-    } else if (const char* v = arg_value(a, "--expect")) {
-      o.expect_file = v;
     } else {
       usage_error(std::string("unknown flag ") + a);
     }
@@ -214,6 +203,10 @@ Options parse(int argc, char** argv) {
       o.pipeline < 1 || o.keys == 0 || o.shards < 1 || o.capacity_mb == 0) {
     usage_error("--iters/--threads/--pipeline/--keys/--shards/--capacity-mb "
                 "must be positive (threads <= 8)");
+  }
+  if (o.keys < static_cast<std::uint64_t>(o.threads)) {
+    // Each thread (net mode: connection) owns a stripe of the keys.
+    usage_error("--keys must be at least --threads");
   }
   if (o.kill_min_ms < 1 || o.kill_max_ms < o.kill_min_ms) {
     usage_error("need 1 <= --kill-min-ms <= --kill-max-ms");
@@ -253,21 +246,14 @@ std::string sibling_path(const char* argv0, const char* name) {
                                     : s.substr(0, slash + 1) + name;
 }
 
-// ------------------------------------------------------------- test data
-
-/// Deterministic, variable-length payload for (key, vseq). The header
-/// names both coordinates and the filler depends on them, so any torn
-/// mix of two versions fails the exact-match check.
-std::string make_value(Key key, std::uint64_t vseq) {
-  std::string v = "k" + std::to_string(key) + ".v" + std::to_string(vseq) +
-                  ".";
-  const std::size_t len =
-      1 + static_cast<std::size_t>(
-              (static_cast<std::uint64_t>(key) * 131 + vseq * 257) % 1200);
-  const char fill = static_cast<char>(
-      'a' + (static_cast<std::uint64_t>(key) + vseq * 31) % 26);
-  if (v.size() < len) v.append(len - v.size(), fill);
-  return v;
+/// The workload child and the verifier open the image with one geometry.
+template <class StoreT>
+StoreT open_store(const Options& o) {
+  const auto per_shard = std::max<std::size_t>(
+      o.keys / static_cast<std::size_t>(o.shards), 64);
+  const kv::KeyRange range{0, static_cast<Key>(o.keys + o.keys / 8)};
+  return StoreT::open(o.file, o.capacity_mb << 20,
+                      static_cast<std::uint32_t>(o.shards), per_shard, range);
 }
 
 // ------------------------------------------------- child-side ack stream
@@ -309,14 +295,6 @@ struct ChildShared {
   int threads = 0;
 };
 
-/// One issued-but-deferred op, used only by the seeded-bug mode.
-struct DeferredOp {
-  bool is_put = false;
-  Key key = 0;
-  std::uint64_t vseq = 0;
-  std::uint64_t seq = 0;
-};
-
 template <class StoreT>
 [[noreturn]] void run_workload_child(const Options& o, std::uint64_t seed,
                                      int write_fd) {
@@ -328,12 +306,7 @@ template <class StoreT>
   try {
     pmem::set_backend(pmem::Backend::kSimLatency);
     pmem::set_sim_latency(10, 10);
-    const auto per_shard = std::max<std::size_t>(
-        o.keys / static_cast<std::size_t>(o.shards), 64);
-    const kv::KeyRange range{0, static_cast<Key>(o.keys + o.keys / 8)};
-    StoreT store = StoreT::open(o.file, o.capacity_mb << 20,
-                                static_cast<std::uint32_t>(o.shards),
-                                per_shard, range);
+    StoreT store = open_store<StoreT>(o);
 
     if (!o.unsafe_ack) {
       // Ack plumbing: pre snapshots what is about to become durable,
@@ -374,10 +347,43 @@ template <class StoreT>
         };
         std::map<Key, std::uint64_t> vseq;  // per-key version counter
         std::uint64_t seq = 0;
-        std::deque<DeferredOp> lagged;  // seeded-bug queue
+        std::deque<std::pair<std::uint64_t, IssuedOp>> lagged;  // seeded bug
 
-        auto apply_put = [&](Key k, std::uint64_t vs) {
-          store.put(k, make_value(k, vs));
+        auto next_op = [&](bool is_put) -> IssuedOp {
+          const Key k = pick_key();
+          return {is_put, k, is_put ? ++vseq[k] : 0};
+        };
+        // One pipe write carries the whole batch's I-lines.
+        auto issue = [&](const std::vector<IssuedOp>& batch) {
+          char buf[6 * 72];
+          int n = 0;
+          for (const IssuedOp& op : batch) {
+            n += crashtest::issue_line(buf + n, sizeof(buf) - n, t, ++seq,
+                                       op);
+          }
+          sh.pipe.send(buf, static_cast<std::size_t>(n));
+        };
+        // Single ops use put/remove, batches multi_put/multi_remove.
+        auto apply = [&](const std::vector<IssuedOp>& batch) {
+          if (batch.size() == 1 && batch[0].is_put) {
+            store.put(batch[0].key, make_value(batch[0].key, batch[0].vseq));
+          } else if (batch.size() == 1) {
+            store.remove(batch[0].key);
+          } else if (batch[0].is_put) {
+            std::vector<std::string> vals;
+            for (const IssuedOp& op : batch) {
+              vals.push_back(make_value(op.key, op.vseq));
+            }
+            std::vector<std::pair<Key, std::string_view>> kvs;
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+              kvs.emplace_back(batch[i].key, vals[i]);
+            }
+            store.multi_put(kvs);
+          } else {
+            std::vector<Key> ks;
+            for (const IssuedOp& op : batch) ks.push_back(op.key);
+            store.multi_remove(ks);
+          }
         };
         auto done = [&](std::uint64_t s) {
           sh.pipe.line("D %d %llu\n", t, static_cast<unsigned long long>(s));
@@ -386,36 +392,21 @@ template <class StoreT>
             store.note_write_commit();
           }
         };
-        auto drain_one_lagged = [&] {
-          const DeferredOp d = lagged.front();
-          lagged.pop_front();
-          if (d.is_put) {
-            apply_put(d.key, d.vseq);
-          } else {
-            store.remove(d.key);
-          }
-          sh.pipe.line("D %d %llu\n", t,
-                       static_cast<unsigned long long>(d.seq));
-        };
         // --inject: a mutation refused by the full pool emits an F-line
-        // (those seqs never join the ack floor — a refused op promised
-        // nothing; a multi-op may have landed a prefix, so its elements
-        // stay "in-flight": any per-key post-state is acceptable) and
-        // the workload keeps running at the brim. Without --inject a
-        // bad_alloc escapes to the park-for-the-kill handler below.
-        auto attempt = [&](std::uint64_t lo, std::uint64_t hi,
-                           auto&& fn) -> bool {
-          if (!o.inject) {
-            fn();
-            return true;
-          }
+        // (those ops stay in flight — a refused op promised nothing, and
+        // a multi-op may have landed a prefix) and the workload keeps
+        // running at the brim. Without --inject a bad_alloc escapes to
+        // the park-for-the-kill handler below.
+        auto attempt = [&](const std::vector<IssuedOp>& batch) -> bool {
           try {
-            fn();
+            apply(batch);
             return true;
           } catch (const std::bad_alloc&) {
+            if (!o.inject) throw;
             sh.pipe.line("F %d %llu %llu\n", t,
-                         static_cast<unsigned long long>(lo),
-                         static_cast<unsigned long long>(hi));
+                         static_cast<unsigned long long>(seq + 1 -
+                                                         batch.size()),
+                         static_cast<unsigned long long>(seq));
             return false;
           }
         };
@@ -426,95 +417,34 @@ template <class StoreT>
             if (o.unsafe_ack) {
               // SEEDED BUG: acknowledge at issue time, apply ~16 ops
               // later. A kill inside the window loses acked writes.
-              const Key k = pick_key();
-              const bool is_put = r < 75;
-              const std::uint64_t vs = is_put ? ++vseq[k] : 0;
-              ++seq;
-              if (is_put) {
-                sh.pipe.line("I %d %llu P %lld %llu\n", t,
-                             static_cast<unsigned long long>(seq),
-                             static_cast<long long>(k),
-                             static_cast<unsigned long long>(vs));
-              } else {
-                sh.pipe.line("I %d %llu R %lld\n", t,
-                             static_cast<unsigned long long>(seq),
-                             static_cast<long long>(k));
-              }
+              const IssuedOp op = next_op(r < 75);
+              issue({op});
               sh.pipe.line("A %d %llu\n", t,
                            static_cast<unsigned long long>(seq));
-              lagged.push_back({is_put, k, vs, seq});
-              if (lagged.size() > 16) drain_one_lagged();
+              lagged.emplace_back(seq, op);
+              if (lagged.size() > 16) {
+                apply({lagged.front().second});
+                done(lagged.front().first);
+                lagged.pop_front();
+              }
               continue;
             }
-            if (r < 45) {  // single put
-              const Key k = pick_key();
-              const std::uint64_t vs = ++vseq[k];
-              ++seq;
-              sh.pipe.line("I %d %llu P %lld %llu\n", t,
-                           static_cast<unsigned long long>(seq),
-                           static_cast<long long>(k),
-                           static_cast<unsigned long long>(vs));
-              if (!attempt(seq, seq, [&] { apply_put(k, vs); })) continue;
-              done(seq);
-            } else if (r < 62) {  // multi_put, batch of 6
-              char buf[6 * 48];
-              int n = 0;
-              std::vector<std::pair<Key, std::string>> owned;
-              owned.reserve(6);
-              for (int i = 0; i < 6; ++i) {
-                const Key k = pick_key();
-                const std::uint64_t vs = ++vseq[k];
-                ++seq;
-                n += std::snprintf(buf + n, sizeof(buf) - n,
-                                   "I %d %llu P %lld %llu\n", t,
-                                   static_cast<unsigned long long>(seq),
-                                   static_cast<long long>(k),
-                                   static_cast<unsigned long long>(vs));
-                owned.emplace_back(k, make_value(k, vs));
+            if (r >= 84) {  // reads keep traversal paths hot
+              if (r < 94) {
+                (void)store.get(pick_key());
+              } else {
+                std::vector<Key> ks;
+                for (int i = 0; i < 6; ++i) ks.push_back(pick_key());
+                (void)store.multi_get(ks);
               }
-              sh.pipe.send(buf, static_cast<std::size_t>(n));
-              std::vector<std::pair<Key, std::string_view>> kvs;
-              kvs.reserve(owned.size());
-              for (const auto& [k, v] : owned) kvs.emplace_back(k, v);
-              if (!attempt(seq - 5, seq,
-                           [&] { store.multi_put(kvs); })) {
-                continue;
-              }
-              done(seq);
-            } else if (r < 76) {  // single remove
-              const Key k = pick_key();
-              ++seq;
-              sh.pipe.line("I %d %llu R %lld\n", t,
-                           static_cast<unsigned long long>(seq),
-                           static_cast<long long>(k));
-              if (!attempt(seq, seq, [&] { store.remove(k); })) continue;
-              done(seq);
-            } else if (r < 84) {  // multi_remove, batch of 4
-              char buf[4 * 40];
-              int n = 0;
-              std::vector<Key> ks;
-              for (int i = 0; i < 4; ++i) {
-                const Key k = pick_key();
-                ++seq;
-                n += std::snprintf(buf + n, sizeof(buf) - n,
-                                   "I %d %llu R %lld\n", t,
-                                   static_cast<unsigned long long>(seq),
-                                   static_cast<long long>(k));
-                ks.push_back(k);
-              }
-              sh.pipe.send(buf, static_cast<std::size_t>(n));
-              if (!attempt(seq - 3, seq,
-                           [&] { store.multi_remove(ks); })) {
-                continue;
-              }
-              done(seq);
-            } else if (r < 94) {  // reads keep traversal paths hot
-              (void)store.get(pick_key());
-            } else {
-              std::vector<Key> ks;
-              for (int i = 0; i < 6; ++i) ks.push_back(pick_key());
-              (void)store.multi_get(ks);
+              continue;
             }
+            // put, multi_put of 6, remove, multi_remove of 4
+            const int width = r < 45 ? 1 : r < 62 ? 6 : r < 76 ? 1 : 4;
+            std::vector<IssuedOp> batch;
+            for (int i = 0; i < width; ++i) batch.push_back(next_op(r < 62));
+            issue(batch);
+            if (attempt(batch)) done(seq);
           }
         } catch (const std::bad_alloc&) {
           pool_full.store(true, std::memory_order_release);
@@ -546,146 +476,42 @@ template <class StoreT>
 
 // ------------------------------------------------------------- verifier
 
-struct ExpectOp {
-  bool is_put = false;
-  std::uint64_t vseq = 0;
-  bool acked = false;
-};
-
-struct Expect {
-  std::uint64_t keys = 0;
-  std::map<Key, std::vector<ExpectOp>> per_key;  // program order per key
-  std::size_t acked_total = 0;
-};
-
-std::optional<Expect> load_expect(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return std::nullopt;
-  Expect e;
-  char line[128];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (line[0] == 'U') {
-      std::sscanf(line, "U %llu", reinterpret_cast<unsigned long long*>(
-                                      &e.keys));
-    } else if (line[0] == 'O') {
-      char kind = 0;
-      long long key = 0;
-      unsigned long long vseq = 0;
-      int acked = 0;
-      if (std::sscanf(line, "O %lld %c %llu %d", &key, &kind, &vseq,
-                      &acked) == 4) {
-        e.per_key[static_cast<Key>(key)].push_back(
-            {kind == 'P', vseq, acked != 0});
-        if (acked != 0) ++e.acked_total;
-      }
-    }
-  }
-  std::fclose(f);
-  return e;
-}
-
-/// Post-crash image check. Exit codes: 0 contract holds, 1 violation,
-/// 4 could not remap the region (caller re-execs for fresh ASLR).
+/// Reopen the crash image, write one `key value_id` line per present key
+/// to <file>.recovered for the parent to judge, and run the store's
+/// self-checks. Exit codes: 0 self-checks pass, 1 self-check violation,
+/// 3 I/O error, 4 could not remap the region (the parent re-execs for
+/// fresh ASLR), 5 open() rejected the image.
 template <class StoreT>
 int verify_image(const Options& o) {
-  const auto expect = load_expect(o.expect_file);
-  if (!expect) {
-    std::fprintf(stderr, "verify: cannot read %s\n", o.expect_file.c_str());
-    return 1;
-  }
-
   pmem::set_backend(pmem::Backend::kSimLatency);
   pmem::set_sim_latency(0, 0);
-  const auto per_shard = std::max<std::size_t>(
-      expect->keys / static_cast<std::size_t>(o.shards), 64);
-  const kv::KeyRange range{
-      0, static_cast<Key>(expect->keys + expect->keys / 8)};
-
   std::optional<StoreT> store;
   try {
-    store.emplace(StoreT::open(o.file, o.capacity_mb << 20,
-                               static_cast<std::uint32_t>(o.shards),
-                               per_shard, range));
+    store.emplace(open_store<StoreT>(o));
   } catch (const std::exception& e) {
     if (std::strstr(e.what(), "could not re-map") != nullptr) return 4;
-    if (expect->acked_total == 0) {
-      // Killed before anything was acknowledged — e.g. mid-creation. A
-      // rejected image loses nothing the store ever promised to keep.
-      std::printf("verify: open rejected (%s); no acked ops — ok\n",
-                  e.what());
-      return 0;
-    }
-    std::fprintf(stderr,
-                 "verify: VIOLATION: open() rejected an image holding %zu "
-                 "acked ops: %s\n",
-                 expect->acked_total, e.what());
-    return 1;
+    std::printf("verify: open rejected the image: %s\n", e.what());
+    return 5;
   }
+
+  std::FILE* out = std::fopen((o.file + ".recovered").c_str(), "w");
+  if (out == nullptr) return 3;
+  std::map<Key, std::string> probed;  // present keys -> recovered value
+  for (Key k = 0; k < static_cast<Key>(o.keys); ++k) {
+    if (auto v = store->get(k)) {
+      std::fprintf(out, "%lld %llu\n", static_cast<long long>(k),
+                   static_cast<unsigned long long>(check::value_id(*v)));
+      probed.emplace(k, std::move(*v));
+    }
+  }
+  if (std::fclose(out) != 0) return 3;
 
   int violations = 0;
-  std::size_t present = 0;
-  std::map<Key, std::string> probed;  // present keys -> recovered value
-
-  for (Key k = 0; k < static_cast<Key>(expect->keys); ++k) {
-    const auto recovered = store->get(k);
-    if (recovered) {
-      ++present;
-      probed.emplace(k, *recovered);
-    }
-    const auto it = expect->per_key.find(k);
-    const std::size_t n = it == expect->per_key.end() ? 0 : it->second.size();
-
-    // Allowed states: the post-state of any op at or after the acked
-    // floor; "absent" additionally when no op on this key was acked.
-    int floor = -1;
-    if (n != 0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (it->second[i].acked) floor = static_cast<int>(i);
-      }
-    }
-    bool ok = false;
-    if (floor == -1 && !recovered) ok = true;
-    for (std::size_t i = (floor < 0 ? 0 : static_cast<std::size_t>(floor));
-         !ok && i < n; ++i) {
-      const ExpectOp& op = it->second[i];
-      if (op.is_put) {
-        ok = recovered && *recovered == make_value(k, op.vseq);
-      } else {
-        ok = !recovered;
-      }
-    }
-    if (ok) continue;
-
-    ++violations;
-    if (violations == 21) {
-      std::fprintf(stderr, "verify: ... further violations suppressed\n");
-    }
-    if (violations > 20) continue;  // keep counting keys, stop printing
-    // Classify: rolled back past the floor, lost, or torn.
-    const char* kind = "torn/corrupt value";
-    if (!recovered) {
-      kind = "acknowledged write lost";
-    } else if (n != 0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const ExpectOp& op = it->second[i];
-        if (op.is_put && *recovered == make_value(k, op.vseq)) {
-          kind = "acknowledged write rolled back";
-          break;
-        }
-      }
-    }
-    std::fprintf(stderr,
-                 "verify: VIOLATION key=%lld: %s (ops=%zu floor=%d "
-                 "recovered=%s)\n",
-                 static_cast<long long>(k), kind, n, floor,
-                 recovered ? recovered->substr(0, 40).c_str() : "<absent>");
-  }
-
-  if (store->size() != present) {
+  if (store->size() != probed.size()) {
     std::fprintf(stderr,
                  "verify: VIOLATION: size()=%zu but %zu keys probe as "
                  "present\n",
-                 store->size(), present);
+                 store->size(), probed.size());
     ++violations;
   }
 
@@ -718,113 +544,8 @@ int verify_image(const Options& o) {
       ++violations;
     }
   }
-
-  if (violations == 0) {
-    std::printf("verify: ok (%zu keys present, %zu acked ops honored)\n",
-                present, expect->acked_total);
-  }
   return violations == 0 ? 0 : 1;
 }
-
-// ----------------------------------------------------- parent: ack log
-
-struct IterLog {
-  // Per thread/connection, ops in seq order (seq = index + 1).
-  std::vector<std::vector<ExpectOp>> ops;
-  std::vector<std::vector<Key>> op_keys;
-  std::vector<std::uint64_t> done_floor;
-  std::vector<std::uint64_t> acked_floor;
-  // Seqs refused by a full pool (--inject): excluded from the floors —
-  // a later D covering their seq range must not promise them durable.
-  std::vector<std::set<std::uint64_t>> failed;
-  std::size_t failed_total = 0;
-  std::string child_error;
-
-  explicit IterLog(int threads)
-      : ops(threads), op_keys(threads), done_floor(threads, 0),
-        acked_floor(threads, 0), failed(threads) {}
-
-  void parse_line(const char* line) {
-    int t = 0;
-    unsigned long long seq = 0, vseq = 0;
-    long long key = 0;
-    if (line[0] == 'I') {
-      char kind = 0;
-      if (std::sscanf(line, "I %d %llu %c %lld %llu", &t, &seq, &kind, &key,
-                      &vseq) >= 4 &&
-          t >= 0 && t < static_cast<int>(ops.size())) {
-        // Seqs are dense per thread; I-lines arrive in order.
-        ops[t].push_back({kind == 'P', vseq, false});
-        op_keys[t].push_back(static_cast<Key>(key));
-      }
-    } else if (line[0] == 'D') {
-      if (std::sscanf(line, "D %d %llu", &t, &seq) == 2 && t >= 0 &&
-          t < static_cast<int>(ops.size())) {
-        done_floor[t] = std::max<std::uint64_t>(done_floor[t], seq);
-      }
-    } else if (line[0] == 'A') {
-      if (std::sscanf(line, "A %d %llu", &t, &seq) == 2 && t >= 0 &&
-          t < static_cast<int>(ops.size())) {
-        acked_floor[t] = std::max<std::uint64_t>(acked_floor[t], seq);
-      }
-    } else if (line[0] == 'F') {
-      unsigned long long lo = 0, hi = 0;
-      if (std::sscanf(line, "F %d %llu %llu", &t, &lo, &hi) == 3 &&
-          t >= 0 && t < static_cast<int>(ops.size()) && lo >= 1 &&
-          lo <= hi && hi - lo < 64) {
-        for (unsigned long long s2 = lo; s2 <= hi; ++s2) {
-          failed[t].insert(s2);
-        }
-        ++failed_total;
-      }
-    } else if (line[0] == 'E') {
-      child_error = line + 2;
-    }
-  }
-
-  /// Fold floors into per-op acked flags. SIGKILL keeps the page cache,
-  /// so applied (D) implies survives-reopen just like acked (A) does.
-  void seal() {
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      const std::uint64_t floor = std::max(done_floor[t], acked_floor[t]);
-      for (std::size_t i = 0; i < ops[t].size() && i < floor; ++i) {
-        if (failed[t].count(i + 1) != 0) continue;  // refused, not covered
-        ops[t][i].acked = true;
-      }
-    }
-  }
-
-  std::size_t acked_total() const {
-    std::size_t n = 0;
-    for (const auto& v : ops) {
-      for (const auto& op : v) n += op.acked ? 1 : 0;
-    }
-    return n;
-  }
-
-  std::size_t issued_total() const {
-    std::size_t n = 0;
-    for (const auto& v : ops) n += v.size();
-    return n;
-  }
-
-  bool write_expect(const std::string& path, std::uint64_t keys) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f, "U %llu\n", static_cast<unsigned long long>(keys));
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      for (std::size_t i = 0; i < ops[t].size(); ++i) {
-        const ExpectOp& op = ops[t][i];
-        std::fprintf(f, "O %lld %c %llu %d\n",
-                     static_cast<long long>(op_keys[t][i]),
-                     op.is_put ? 'P' : 'R',
-                     static_cast<unsigned long long>(op.vseq),
-                     op.acked ? 1 : 0);
-      }
-    }
-    return std::fclose(f) == 0;
-  }
-};
 
 // ----------------------------------------------------- parent: plumbing
 
@@ -843,14 +564,14 @@ int wait_child(pid_t pid) {
 /// acts as the never-exhausted fallback).
 bool drain_pipe(int fd, pid_t pid, std::chrono::steady_clock::time_point
                                         deadline,
-                IterLog& log, int refusal_kill_ms = -1) {
+                AckLog& log, int refusal_kill_ms) {
   std::string buf;
   char chunk[4096];
   bool killed = false;
   bool premature = false;
   bool refusal_seen = false;
   for (;;) {
-    if (refusal_kill_ms >= 0 && !refusal_seen && log.failed_total > 0) {
+    if (refusal_kill_ms >= 0 && !refusal_seen && log.refusals > 0) {
       refusal_seen = true;
       const auto trigger = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(refusal_kill_ms);
@@ -898,35 +619,32 @@ bool drain_pipe(int fd, pid_t pid, std::chrono::steady_clock::time_point
 }
 
 /// fork+exec ourselves in --verify mode; retries remap collisions (exit
-/// 4) with fresh address spaces. Returns 0 pass, 1 violation, -1 error.
-int run_verifier(const char* self, const Options& o,
-                 const std::string& expect_path) {
+/// 4) with fresh address spaces. Returns the verifier's verdict (0, 1 or
+/// 5; see verify_image), or -1 on a harness error.
+int run_verifier(const char* self, const Options& o) {
   for (int attempt = 0; attempt < 6; ++attempt) {
     const pid_t pid = ::fork();
     if (pid < 0) return -1;
     if (pid == 0) {
       const std::string file_arg = "--file=" + o.file;
-      const std::string expect_arg = "--expect=" + expect_path;
       const std::string layout_arg = "--layout=" + o.layout;
       const std::string shards_arg = "--shards=" + std::to_string(o.shards);
       const std::string cap_arg =
           "--capacity-mb=" + std::to_string(o.capacity_mb);
-      const char* argv[] = {self,
-                            "--verify",
-                            file_arg.c_str(),
-                            expect_arg.c_str(),
-                            layout_arg.c_str(),
-                            shards_arg.c_str(),
-                            cap_arg.c_str(),
-                            nullptr};
+      const std::string keys_arg = "--keys=" + std::to_string(o.keys);
+      const std::string threads_arg =
+          "--threads=" + std::to_string(o.threads);
+      const char* argv[] = {self, "--verify", file_arg.c_str(),
+                            layout_arg.c_str(), shards_arg.c_str(),
+                            cap_arg.c_str(), keys_arg.c_str(),
+                            threads_arg.c_str(), nullptr};
       ::execv(self, const_cast<char**>(argv));
       _exit(127);
     }
     const int status = wait_child(pid);
     if (WIFEXITED(status)) {
       const int code = WEXITSTATUS(status);
-      if (code == 0) return 0;
-      if (code == 1) return 1;
+      if (code == 0 || code == 1 || code == 5) return code;
       if (code == 4) continue;  // remap collision: reroll ASLR
       std::fprintf(stderr, "flit-crashtest: verifier exited with %d\n",
                    code);
@@ -942,12 +660,71 @@ int run_verifier(const char* self, const Options& o,
   return -1;
 }
 
+/// Judge one killed iteration: reopen the image in the verifier, then
+/// check what it recovered against the ack log with check_durable.
+/// Returns 0 ok, 1 violation, -1 harness error.
+int judge_iteration(const char* self, const Options& o, const AckLog& log,
+                    int kill_ms, std::size_t& completed_accum) {
+  const crashtest::CrashHistory ch = crashtest::build_history(log);
+  if (!ch.error.empty()) {
+    std::fprintf(stderr, "flit-crashtest: %s\n", ch.error.c_str());
+    return -1;
+  }
+  completed_accum += ch.completed;
+  if (o.verbose) {
+    std::printf("  kill@%s%dms ops=%zu completed=%zu refusals=%zu\n",
+                o.inject ? "brim+" : "", kill_ms, ch.history.events.size(),
+                ch.completed, log.refusals);
+  }
+
+  const int verdict = run_verifier(self, o);
+  if (verdict < 0) return -1;
+  if (verdict == 1) return 1;  // the verifier printed what failed
+  if (verdict == 5) {
+    // E.g. killed mid-creation: a rejected image loses nothing if the
+    // store never promised anything.
+    if (ch.completed == 0) return 0;
+    std::fprintf(stderr,
+                 "flit-crashtest: VIOLATION: open() rejected an image "
+                 "holding %zu completed ops\n",
+                 ch.completed);
+    return 1;
+  }
+
+  std::map<std::int64_t, std::uint64_t> recovered;
+  std::FILE* f = std::fopen((o.file + ".recovered").c_str(), "r");
+  if (f == nullptr) return -1;
+  long long k = 0;
+  unsigned long long id = 0;
+  while (std::fscanf(f, "%lld %llu", &k, &id) == 2) recovered[k] = id;
+  std::fclose(f);
+
+  const auto findings = check::check_durable(ch.history, ch.cut, recovered);
+  for (std::size_t i = 0; i < findings.size() && i < 20; ++i) {
+    std::fprintf(stderr, "flit-crashtest: VIOLATION %s key=%lld: %s\n",
+                 check::to_string(findings[i].cls),
+                 static_cast<long long>(findings[i].key),
+                 findings[i].detail.c_str());
+  }
+  if (findings.size() > 20) {
+    std::fprintf(stderr, "flit-crashtest: ... %zu more findings\n",
+                 findings.size() - 20);
+  }
+  return findings.empty() ? 0 : 1;
+}
+
+int draw_kill_ms(const Options& o, std::mt19937_64& rng) {
+  return o.kill_min_ms +
+         static_cast<int>(rng() % static_cast<std::uint64_t>(
+                                      o.kill_max_ms - o.kill_min_ms + 1));
+}
+
 // ------------------------------------------------------- api-mode iter
 
 /// One kill/reopen/verify round. Returns 0 ok, 1 violation, -1 error.
 int run_api_iteration(const char* self, const Options& o,
                       std::uint64_t iter_seed, std::mt19937_64& rng,
-                      std::size_t& acked_accum, std::size_t& oos_accum) {
+                      std::size_t& completed_accum, std::size_t& oos_accum) {
   pmem::FileRegion::destroy(o.file);
 
   int fds[2];
@@ -968,23 +745,17 @@ int run_api_iteration(const char* self, const Options& o,
   }
   ::close(fds[1]);
 
-  const int kill_ms = o.kill_min_ms +
-                      static_cast<int>(rng() % static_cast<std::uint64_t>(
-                                                   o.kill_max_ms -
-                                                   o.kill_min_ms + 1));
-  IterLog log(o.threads);
+  const int kill_ms = draw_kill_ms(o, rng);
+  AckLog log(o.threads);
   // Inject mode: kill_ms counts from the first refusal, with a generous
   // fallback so a workload that never exhausts still dies (and then
   // fails the oos_accum check at the end of main).
-  const bool killed_running =
-      o.inject ? drain_pipe(fds[0], pid,
-                            std::chrono::steady_clock::now() +
-                                std::chrono::seconds(10),
-                            log, kill_ms)
-               : drain_pipe(fds[0], pid,
-                            std::chrono::steady_clock::now() +
-                                std::chrono::milliseconds(kill_ms),
-                            log);
+  const auto now = std::chrono::steady_clock::now();
+  const bool killed_running = drain_pipe(
+      fds[0], pid,
+      o.inject ? now + std::chrono::seconds(10)
+               : now + std::chrono::milliseconds(kill_ms),
+      log, o.inject ? kill_ms : -1);
   ::close(fds[0]);
   const int status = wait_child(pid);
 
@@ -1001,26 +772,15 @@ int run_api_iteration(const char* self, const Options& o,
                  status);
     return -1;
   }
-
-  log.seal();
-  acked_accum += log.acked_total();
-  oos_accum += log.failed_total;
-  const std::string expect_path = o.file + ".expect";
-  if (!log.write_expect(expect_path, o.keys)) return -1;
-  if (o.verbose) {
-    std::printf(o.inject ? "  kill@brim+%dms issued=%zu acked=%zu oos=%zu\n"
-                         : "  kill@%dms issued=%zu acked=%zu oos=%zu\n",
-                kill_ms, log.issued_total(), log.acked_total(),
-                log.failed_total);
-  }
-  return run_verifier(self, o, expect_path);
+  oos_accum += log.refusals;
+  return judge_iteration(self, o, log, kill_ms, completed_accum);
 }
 
 // ------------------------------------------------------- net-mode iter
 
 int run_net_iteration(const char* self, const Options& o,
                       std::uint64_t iter_seed, std::mt19937_64& rng,
-                      std::size_t& acked_accum) {
+                      std::size_t& completed_accum) {
   pmem::FileRegion::destroy(o.file);
   net::ignore_sigpipe();
 
@@ -1075,8 +835,11 @@ int run_net_iteration(const char* self, const Options& o,
   }
 
   // Pipelined SET/DEL load; a reply received == the op is acked (the
-  // server checkpoints each batch before flushing its replies).
-  IterLog log(o.threads);
+  // server checkpoints each batch before flushing its replies). Each
+  // connection records only its own slot of the log. There is no D
+  // channel: the server's internal progress is invisible, exactly what
+  // a client sees.
+  AckLog log(o.threads);
   std::atomic<bool> conn_error{false};
   std::vector<std::thread> conns;
   for (int c = 0; c < o.threads; ++c) {
@@ -1085,13 +848,13 @@ int run_net_iteration(const char* self, const Options& o,
       const std::uint64_t stripe =
           o.keys / static_cast<std::uint64_t>(o.threads);
       std::map<Key, std::uint64_t> vseq;
+      std::vector<IssuedOp>& ops = log.ops[c];
       try {
         net::Client cl = net::Client::connect("127.0.0.1", port);
         std::vector<std::string> key_strs(
             static_cast<std::size_t>(o.pipeline));
         std::vector<std::string> vals(static_cast<std::size_t>(o.pipeline));
         for (;;) {
-          const std::size_t first = log.ops[c].size();
           for (int i = 0; i < o.pipeline; ++i) {
             const Key k = static_cast<Key>(
                 c + o.threads * static_cast<int>(crng() % stripe));
@@ -1100,18 +863,18 @@ int run_net_iteration(const char* self, const Options& o,
               const std::uint64_t vs = ++vseq[k];
               vals[i] = make_value(k, vs);
               cl.enqueue({"SET", key_strs[i], vals[i]});
-              log.ops[c].push_back({true, vs, false});
+              ops.push_back({true, k, vs});
             } else {
               cl.enqueue({"DEL", key_strs[i]});
-              log.ops[c].push_back({false, 0, false});
+              ops.push_back({false, k, 0});
             }
-            log.op_keys[c].push_back(k);
           }
           cl.flush();
+          const std::size_t first = ops.size() - o.pipeline;
           for (int i = 0; i < o.pipeline; ++i) {
             const net::Reply r = cl.read_reply();
             if (r.is_error()) throw std::runtime_error("reply: " + r.str);
-            log.ops[c][first + static_cast<std::size_t>(i)].acked = true;
+            log.floor[c] = first + static_cast<std::size_t>(i) + 1;
           }
         }
       } catch (const std::exception& e) {
@@ -1126,27 +889,13 @@ int run_net_iteration(const char* self, const Options& o,
     });
   }
 
-  const int kill_ms = o.kill_min_ms +
-                      static_cast<int>(rng() % static_cast<std::uint64_t>(
-                                                   o.kill_max_ms -
-                                                   o.kill_min_ms + 1));
+  const int kill_ms = draw_kill_ms(o, rng);
   std::this_thread::sleep_for(std::chrono::milliseconds(kill_ms));
   ::kill(pid, SIGKILL);
   for (auto& t : conns) t.join();
   wait_child(pid);
   if (conn_error.load(std::memory_order_acquire)) return -1;
-
-  // No seal(): net-mode acks come only from replies, there is no D
-  // channel (the server's internal progress is invisible — exactly what
-  // a client sees).
-  acked_accum += log.acked_total();
-  const std::string expect_path = o.file + ".expect";
-  if (!log.write_expect(expect_path, o.keys)) return -1;
-  if (o.verbose) {
-    std::printf("  kill@%dms issued=%zu acked=%zu\n", kill_ms,
-                log.issued_total(), log.acked_total());
-  }
-  return run_verifier(self, o, expect_path);
+  return judge_iteration(self, o, log, kill_ms, completed_accum);
 }
 
 }  // namespace
@@ -1185,15 +934,15 @@ int main(int argc, char** argv) {
 
   int violations = 0;
   int errors = 0;
-  std::size_t acked_accum = 0;
+  std::size_t completed_accum = 0;
   std::size_t oos_accum = 0;
   for (int i = 0; i < o.iters; ++i) {
     const std::uint64_t iter_seed = rng();
     const int r = o.mode == "net"
                       ? run_net_iteration(argv[0], o, iter_seed, rng,
-                                          acked_accum)
+                                          completed_accum)
                       : run_api_iteration(argv[0], o, iter_seed, rng,
-                                          acked_accum, oos_accum);
+                                          completed_accum, oos_accum);
     if (r == 1) {
       ++violations;
       std::fprintf(stderr,
@@ -1214,7 +963,7 @@ int main(int argc, char** argv) {
   const bool keep_image = violations != 0 && !o.expect_violation;
   if (!keep_image) {
     pmem::FileRegion::destroy(o.file);
-    (void)::unlink((o.file + ".expect").c_str());
+    (void)::unlink((o.file + ".recovered").c_str());
   }
 
   if (errors != 0) {
@@ -1240,9 +989,9 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(o.seed), o.file.c_str());
     return 1;
   }
-  if (acked_accum == 0) {
+  if (completed_accum == 0) {
     std::fprintf(stderr,
-                 "flit-crashtest: no op was ever acknowledged across %d "
+                 "flit-crashtest: no op ever completed across %d "
                  "iterations — ack plumbing is broken\n",
                  o.iters);
     return 1;
@@ -1255,15 +1004,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (o.inject) {
-    std::printf("flit-crashtest: ok — %d kills at the brim, %zu acked ops "
-                "verified, %zu refusals, 0 violations (seed=%llu)\n",
-                o.iters, acked_accum, oos_accum,
+    std::printf("flit-crashtest: ok — %d kills at the brim, %zu completed "
+                "ops verified, %zu refusals, 0 violations (seed=%llu)\n",
+                o.iters, completed_accum, oos_accum,
                 static_cast<unsigned long long>(o.seed));
     return 0;
   }
-  std::printf("flit-crashtest: ok — %d kills, %zu acked ops verified, 0 "
-              "violations (seed=%llu)\n",
-              o.iters, acked_accum,
+  std::printf("flit-crashtest: ok — %d kills, %zu completed ops verified, "
+              "0 violations (seed=%llu)\n",
+              o.iters, completed_accum,
               static_cast<unsigned long long>(o.seed));
   return 0;
 }

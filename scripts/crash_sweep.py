@@ -11,7 +11,9 @@ failure so a red run is reproducible with --seed.
 The sweep ends with a seeded-bug validation round: the harness is re-run
 with the bug.unsafe_ack failpoint site armed (FLIT_FAILPOINTS, an
 intentionally planted ack-before-durable bug) and must REPORT a
-violation — proving the detector still detects.
+durable-lost violation — the only class an ack-before-durable bug can
+produce — proving the detector still detects. A red round for any other
+reason (a rejected open, a failed scan self-check) does not count.
 
 Usage:
   scripts/crash_sweep.py --crashtest build/bench/flit_crashtest \\
@@ -79,11 +81,13 @@ def run_seeded_bug_check(args, seed, workdir):
     ]
     print(f"--- seeded-bug validation, seed={seed}", flush=True)
     env = dict(os.environ, FLIT_FAILPOINTS="bug.unsafe_ack=once")
-    proc = subprocess.run(cmd, env=env)
-    if proc.returncode != 0:
+    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
+    sys.stdout.write(proc.stdout)
+    if proc.returncode != 0 or "VIOLATION durable-lost" not in proc.stdout:
         print(
             f"FAIL: the planted ack-before-durable bug went UNDETECTED "
-            f"(seed={seed}, master seed {args.seed})",
+            f"as durable-lost (seed={seed}, master seed {args.seed})",
             file=sys.stderr,
             flush=True,
         )

@@ -70,9 +70,7 @@ std::string describe(const Event& e) {
 /// changer starts after w responds and responds before t, so no
 /// linearization can keep w's value current at any point >= t.
 bool certainly_dead_before(const std::vector<Event>& evs, const Event& w,
-                          std::uint64_t t, const Event* killer_out_hack =
-                              nullptr) {
-  (void)killer_out_hack;
+                          std::uint64_t t) {
   for (const Event& q : evs) {
     if (!is_state_changer(q)) continue;
     if (q.inv > w.resp && q.resp < t) return true;

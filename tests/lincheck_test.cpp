@@ -3,7 +3,9 @@
 //   1. Checker unit tests on hand-built histories: linearizable histories
 //      are accepted; each violation class is produced by a minimal
 //      history that provably exhibits it (the checker is sound, so every
-//      rejection test is also a semantics test of the rule).
+//      rejection test is also a semantics test of the rule). The crash
+//      harness's ack-stream encoding is pinned the same way, from
+//      literal ack lines.
 //   2. Lifetime-analyzer unit tests driving the registry directly with
 //      fake pointers: the 3-epoch grace rule, quiescent-drain exemption,
 //      use-after-free / unprotected / stale dereference detection, and
@@ -37,6 +39,7 @@
 #include "check/linearizer.hpp"
 #include "core/checked.hpp"
 #include "core/failpoint.hpp"
+#include "crash_log.hpp"
 #include "ds/locked_bptree.hpp"
 #include "ds/natarajan_bst.hpp"
 #include "kv/store.hpp"
@@ -373,6 +376,95 @@ TEST(LinCheckDurable, AcceptsOpsInvokedAfterCut) {
   History h;
   h.events = {ev(6, 7, 1, Op::kPut, v1, true)};
   EXPECT_CLEAN(check::check_durable(h, 5, {}));
+}
+
+// --- 1. checker unit tests: flit_crashtest's ack-stream encoding -----------
+//
+// Literal ack-stream lines go through the harness's own parser and
+// history builder (bench/crash_log.hpp), then check_durable judges an
+// image, exactly as flit_crashtest judges a reopened file. Thread t owns
+// the keys k with k mod threads == t.
+
+std::vector<Finding> judge_stream(int threads,
+                                  std::initializer_list<const char*> lines,
+                                  const std::map<K, std::uint64_t>& image) {
+  crashtest::AckLog log(threads);
+  for (const char* line : lines) log.parse_line(line);
+  const crashtest::CrashHistory ch = crashtest::build_history(log);
+  EXPECT_TRUE(ch.error.empty()) << ch.error;
+  return check::check_durable(ch.history, ch.cut, image);
+}
+
+std::uint64_t crash_vid(K key, std::uint64_t vseq) {
+  return check::value_id(crashtest::make_value(key, vseq));
+}
+
+TEST(LinCheckDurable, CrashLogSameKeyPutsInOneMultiPutStayOrdered) {
+  // Both puts share one D-line. Ticks follow program order, so the first
+  // value is superseded; a response taken from the shared D or ack tick
+  // would let this rolled-back image pass.
+  const auto lines = {"I 0 1 P 0 1", "I 0 2 P 0 2", "D 0 2"};
+  const auto fs = judge_stream(1, lines, {{0, crash_vid(0, 1)}});
+  EXPECT_TRUE(has_class(fs, ViolationClass::kDurableLost)) << render(fs);
+  EXPECT_CLEAN(judge_stream(1, lines, {{0, crash_vid(0, 2)}}));
+}
+
+TEST(LinCheckDurable, CrashLogUnackedPutAfterAckedPut) {
+  const auto lines = {"I 0 1 P 0 1", "A 0 1", "I 0 2 P 0 2"};
+  EXPECT_CLEAN(judge_stream(1, lines, {{0, crash_vid(0, 1)}}));
+  EXPECT_CLEAN(judge_stream(1, lines, {{0, crash_vid(0, 2)}}));
+  const auto fs = judge_stream(1, lines, {});
+  EXPECT_TRUE(has_class(fs, ViolationClass::kDurableLost)) << render(fs);
+}
+
+TEST(LinCheckDurable, CrashLogNetShapeAcksWithoutDoneLines) {
+  // One pipelined round of three, two replies read before the kill.
+  const auto lines = {"I 0 1 P 0 1", "I 0 2 R 0", "I 0 3 P 0 2", "A 0 1",
+                      "A 0 2"};
+  EXPECT_CLEAN(judge_stream(1, lines, {}));
+  EXPECT_CLEAN(judge_stream(1, lines, {{0, crash_vid(0, 2)}}));
+  const auto fs = judge_stream(1, lines, {{0, crash_vid(0, 1)}});
+  EXPECT_TRUE(has_class(fs, ViolationClass::kDurableLost)) << render(fs);
+}
+
+TEST(LinCheckDurable, CrashLogAckBeforeDoneShape) {
+  // bug.unsafe_ack acks at issue time and applies later: the kill landed
+  // between the ack and the apply.
+  const auto lines = {"I 0 1 P 0 1", "A 0 1"};
+  const auto fs = judge_stream(1, lines, {});
+  EXPECT_TRUE(has_class(fs, ViolationClass::kDurableLost)) << render(fs);
+}
+
+TEST(LinCheckDurable, CrashLogRefusedPutWithoutLaterOpIsInFlight) {
+  // The later D covers seq 1, but a refused op promised nothing.
+  const auto lines = {"I 0 1 P 0 1", "F 0 1 1", "I 0 2 P 1 1", "D 0 2"};
+  EXPECT_CLEAN(judge_stream(1, lines, {{1, crash_vid(1, 1)}}));
+  EXPECT_CLEAN(judge_stream(
+      1, lines, {{0, crash_vid(0, 1)}, {1, crash_vid(1, 1)}}));
+}
+
+TEST(LinCheckDurable, CrashLogRefusedValueSupersededByLaterPut) {
+  // A refused multi_put, then a completed put of its first key.
+  const auto lines = {"I 0 1 P 0 1", "I 0 2 P 1 1", "F 0 1 2",
+                      "I 0 3 P 0 2", "D 0 3"};
+  EXPECT_CLEAN(judge_stream(1, lines, {{0, crash_vid(0, 2)}}));
+  EXPECT_FALSE(judge_stream(1, lines, {{0, crash_vid(0, 1)}}).empty());
+}
+
+TEST(LinCheckDurable, CrashLogTornValueIsPhantom) {
+  const auto lines = {"I 0 1 P 0 1", "I 0 2 P 0 2", "A 0 1"};
+  const std::string v1 = crashtest::make_value(0, 1);
+  const std::string v2 = crashtest::make_value(0, 2);
+  const std::string torn =
+      v1.substr(0, v1.size() / 2) + v2.substr(v2.size() / 2);
+  const auto fs = judge_stream(1, lines, {{0, check::value_id(torn)}});
+  EXPECT_TRUE(has_class(fs, ViolationClass::kDurablePhantom)) << render(fs);
+}
+
+TEST(LinCheckDurable, CrashLogKeyOffItsStripeIsAnError) {
+  crashtest::AckLog log(2);
+  log.parse_line("I 0 1 P 1 1");  // key 1 belongs to thread 1
+  EXPECT_FALSE(crashtest::build_history(log).error.empty());
 }
 
 // --- 2. lifetime analyzer unit tests ---------------------------------------
