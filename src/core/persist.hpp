@@ -158,7 +158,7 @@ class persist {
     return cas(expected, desired, pflag);
   }
 
-  // --- deferred-fence publication (batched operations) --------------------
+  // --- deferred-fence publication (every KV put) ---------------------------
   // The flit counter exists to decouple visibility from persistence: while
   // a location is tagged, every p-load flushes it, so a store may be
   // observed before its own fence without breaking durable linearizability.
@@ -168,9 +168,9 @@ class persist {
   // published word (Condition 3: value persisted before untag). The
   // leading per-store fence of Algorithm 4 is replaced by the batch-level
   // fence the caller issued over the publications' dependencies (the fully
-  // flushed value records) before the first publish — see
-  // kv::Store::multi_put for the end-to-end protocol and ARCHITECTURE.md
-  // for the safety argument.
+  // flushed value records) before the first publish. A scalar KV put is a
+  // batch of one — see kv::Shard::put and kv::Store::multi_put for the
+  // end-to-end protocol and ARCHITECTURE.md for the safety argument.
 
   /// True if a successful cas_deferred leaves per-word state that
   /// complete_deferred must clean up (tag-counter placements). Plain

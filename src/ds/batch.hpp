@@ -1,7 +1,7 @@
-// batch.hpp — deferred-fence publication batches for the multi-op KV path.
+// batch.hpp — deferred-fence publication batches: every KV put publishes
+// through one (a scalar put is a batch of one; see kv::Shard::put).
 //
-// A scalar durable publish pays its own trailing pfence (Algorithm 4). A
-// batch of publishes instead leaves every published word tagged (persist<>
+// A batch of publishes leaves every published word tagged (persist<>
 // counter) or dirty (lap_word bit), issues ONE pfence covering all of the
 // batch's pwbs, and only then clears the per-word state — concurrent
 // p-loads flush-if-tagged in the meantime, so visibility before the shared
@@ -10,8 +10,8 @@
 // complete_deferred() calls the batch owner owes after its fence.
 //
 // Single-owner, single-threaded object: one batch belongs to one in-flight
-// multi-op on one thread (the words it points at are shared; the list is
-// not).
+// put or multi-op on one thread (the words it points at are shared; the
+// list is not).
 #pragma once
 
 #include <cstddef>
@@ -79,16 +79,21 @@ class PublishBatch {
   std::vector<Pending> pending_;
 };
 
-/// Deferred-fence variant of replace_value (the upsert in-place overwrite,
-/// see tagged_ptr.hpp): the winning CAS leaves the word tagged/dirty and
-/// enlists it in `batch`; the caller issues one pfence covering the whole
-/// batch and then batch.complete_all(). Same return contract as
-/// replace_value: the superseded value on success (uniquely owned by the
-/// caller — but see kv::Shard::put_batched: retirement must wait for the
-/// batch fence), nullopt when the value was claimed by a removal.
+/// The replace half of the value-claim protocol (upsert's in-place
+/// overwrite; see tagged_ptr.hpp): CAS the word old→new until it succeeds
+/// — returning the superseded value, which the caller now uniquely owns —
+/// or the value is found claimed by a removal, returning nullopt: the node
+/// is logically dead, and the caller should re-search (helping unlink) and
+/// fall back to inserting a fresh node. The winning CAS leaves the word
+/// tagged/dirty and enlists it in `batch`; the caller issues one pfence
+/// covering the whole batch and then batch.complete_all(), and may retire
+/// the superseded value only after that fence (see kv::Shard::commit).
+/// `cas_pflag` should be the Method's critical pflag — this CAS is the
+/// overwrite's durable linearization point, and the caller must have
+/// fully persisted what `v` points at before installing it.
 template <class Word, class V = typename Word::value_type>
-std::optional<V> replace_value_deferred(Word& word, V v, bool load_pflag,
-                                        bool cas_pflag, PublishBatch& batch)
+std::optional<V> replace_value(Word& word, V v, bool load_pflag,
+                               bool cas_pflag, PublishBatch& batch)
   requires std::is_pointer_v<V>
 {
   V old = word.load(load_pflag);

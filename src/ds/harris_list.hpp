@@ -102,26 +102,20 @@ class HarrisList {
   /// Insert-or-replace. Returns the superseded value when k was present
   /// (the caller owns cleanup of whatever it referenced — see the file
   /// comment), nullopt when this call freshly inserted k. The replacement
-  /// is one durable CAS on the node's value word: a concurrent find
-  /// observes the old or the new value, never absence. Pointer values
-  /// only (the coordination with removal needs bit 0 of the word).
-  std::optional<V> upsert(K k, V v)
-    requires std::is_pointer_v<V>
-  {
-    return upsert(head_->next, k, v);
-  }
-
-  /// Batched upsert: identical set semantics to upsert(), but the publish
-  /// (value-word replace or fresh-node link) is a deferred-fence CAS
-  /// enlisted in `batch`, and no per-op completion fence is issued — the
-  /// caller pays one pfence for the whole batch and then
-  /// batch.complete_all() (see ds/batch.hpp and kv::Store::multi_put).
+  /// is one CAS on the node's value word: a concurrent find observes the
+  /// old or the new value, never absence. Pointer values only (the
+  /// coordination with removal needs bit 0 of the word).
+  ///
+  /// The publish (value-word replace or fresh-node link) is a
+  /// deferred-fence CAS enlisted in `batch`, and no per-op completion
+  /// fence is issued: the caller pays one pfence for the whole batch and
+  /// then batch.complete_all() (see ds/batch.hpp and kv::Shard::commit).
   /// Precondition: everything `v` points at is already flushed, and the
   /// caller fences those flushes before the first publish of the batch.
-  std::optional<V> upsert_batched(K k, V v, PublishBatch& batch)
+  std::optional<V> upsert(K k, V v, PublishBatch& batch)
     requires std::is_pointer_v<V>
   {
-    return upsert_batched(head_->next, k, v, batch);
+    return upsert(head_->next, k, v, batch);
   }
 
   /// Remove k. Returns false if k is absent.
@@ -209,7 +203,7 @@ class HarrisList {
     }
   }
 
-  static std::optional<V> upsert(Link& head, K k, V v)
+  static std::optional<V> upsert(Link& head, K k, V v, PublishBatch& batch)
     requires std::is_pointer_v<V>
   {
     recl::Ebr::Guard g;
@@ -224,32 +218,9 @@ class HarrisList {
         // unclaimed, so the remover has not returned and the two
         // overlapping operations linearize as replace-then-remove (the
         // remover's claim captures — and owns — our value).
-        if (std::optional<V> old = replace_value(
-                curr->value, v, Method::critical_load,
-                Method::critical_store)) {
-          Words::operation_completion();
-          return old;
-        }
-        continue;
-      }
-      if (try_link(k, v, *prev, curr)) {
-        Words::operation_completion();
-        return std::nullopt;
-      }
-    }
-  }
-
-  static std::optional<V> upsert_batched(Link& head, K k, V v,
-                                         PublishBatch& batch)
-    requires std::is_pointer_v<V>
-  {
-    recl::Ebr::Guard g;
-    for (;;) {
-      auto [prev, curr] = search(head, k);
-      if (curr->key.load(Method::critical_load) == k) {
-        if (std::optional<V> old = replace_value_deferred(
-                curr->value, v, Method::critical_load,
-                Method::critical_store, batch)) {
+        if (std::optional<V> old =
+                replace_value(curr->value, v, Method::critical_load,
+                              Method::critical_store, batch)) {
           return old;
         }
         continue;

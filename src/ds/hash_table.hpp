@@ -85,13 +85,14 @@ class HashTable {
         owns_(std::exchange(o.owns_, false)) {}
 
   bool insert(K k, V v) { return List::insert(head(k), k, v); }
-  /// Insert-or-replace with an atomic in-place value CAS (pointer values
-  /// only; see HarrisList::upsert). Returns the superseded value when k
-  /// was present, nullopt on a fresh insert.
-  std::optional<V> upsert(K k, V v)
+  /// Insert-or-replace with an atomic in-place value CAS whose publish
+  /// defers its fence to `batch` (pointer values only; see
+  /// HarrisList::upsert). Returns the superseded value when k was
+  /// present, nullopt on a fresh insert.
+  std::optional<V> upsert(K k, V v, PublishBatch& batch)
     requires std::is_pointer_v<V>
   {
-    return List::upsert(head(k), k, v);
+    return List::upsert(head(k), k, v, batch);
   }
   bool remove(K k) { return remove_get(k).has_value(); }
   /// Remove k, returning the removed value (see HarrisList::remove_get).
@@ -99,22 +100,15 @@ class HashTable {
   bool contains(K k) const { return List::contains(head(k), k); }
   std::optional<V> find(K k) const { return List::find(head(k), k); }
 
-  // --- batched multi-op hooks (see HarrisList) -----------------------------
+  // --- KV store hooks (see HarrisList) ------------------------------------
 
   /// Prefetch k's head word and first node ahead of a later operation on
   /// k.
   void prepare(K k) const noexcept { List::prepare(head(k)); }
   /// Lookup without the per-op completion fence; the caller fences once
-  /// per batch.
+  /// per batch (one lookup for a scalar get).
   std::optional<V> find_batched(K k) const {
     return List::find_batched(head(k), k);
-  }
-  /// Upsert whose publish defers its fence to `batch` (see
-  /// HarrisList::upsert_batched).
-  std::optional<V> upsert_batched(K k, V v, PublishBatch& batch)
-    requires std::is_pointer_v<V>
-  {
-    return List::upsert_batched(head(k), k, v, batch);
   }
 
   std::size_t bucket_count() const noexcept { return roots_->nbuckets; }

@@ -106,12 +106,16 @@ class SkipList {
 
   /// Insert-or-replace. Returns the superseded value when k was present
   /// (the caller owns cleanup of whatever it referenced), nullopt when
-  /// this call freshly inserted k. The replacement is one durable CAS on
-  /// the node's value word — a concurrent find/scan observes the old or
-  /// the new value, never absence. Pointer values only (the coordination
-  /// with removal needs bit 0 of the word); see HarrisList::upsert for
-  /// the linearization argument, which carries over unchanged.
-  std::optional<V> upsert(K k, V v)
+  /// this call freshly inserted k. The replacement is one CAS on the
+  /// node's value word — a concurrent find/scan observes the old or the
+  /// new value, never absence. Pointer values only (the coordination with
+  /// removal needs bit 0 of the word); see HarrisList::upsert for the
+  /// linearization argument and the `batch` contract, which carry over
+  /// unchanged: the publish (value-word replace or the fresh tower's
+  /// bottom-level link) is a deferred-fence CAS enlisted in `batch`, and
+  /// the caller fences once per batch. Index levels are linked with
+  /// ordinary CASes (they never decide set membership).
+  std::optional<V> upsert(K k, V v, PublishBatch& batch)
     requires std::is_pointer_v<V>
   {
     recl::Ebr::Guard g;
@@ -120,40 +124,9 @@ class SkipList {
     const int height = random_height();
     for (;;) {
       if (find(k, preds, succs)) {
-        if (std::optional<V> old = replace_value(
-                succs[0]->value, v, Method::critical_load,
-                Method::critical_store)) {
-          Words::operation_completion();
-          return old;
-        }
-        continue;  // claimed by a removal: re-find (helps unlink), insert
-      }
-      if (try_link(k, v, height, preds, succs)) {
-        Words::operation_completion();
-        return std::nullopt;
-      }
-    }
-  }
-
-  /// Batched upsert: identical set semantics to upsert(), but the publish
-  /// (value-word replace or the fresh tower's bottom-level link) is a
-  /// deferred-fence CAS enlisted in `batch`, and no per-op completion
-  /// fence is issued — the caller pays one pfence for the whole batch and
-  /// then batch.complete_all() (see ds/batch.hpp and
-  /// kv::Store::multi_put). Index-level linking is unchanged (it never
-  /// decides set membership).
-  std::optional<V> upsert_batched(K k, V v, PublishBatch& batch)
-    requires std::is_pointer_v<V>
-  {
-    recl::Ebr::Guard g;
-    Node* preds[kMaxLevel];
-    Node* succs[kMaxLevel];
-    const int height = random_height();
-    for (;;) {
-      if (find(k, preds, succs)) {
-        if (std::optional<V> old = replace_value_deferred(
-                succs[0]->value, v, Method::critical_load,
-                Method::critical_store, batch)) {
+        if (std::optional<V> old =
+                replace_value(succs[0]->value, v, Method::critical_load,
+                              Method::critical_store, batch)) {
           return old;
         }
         continue;  // claimed by a removal: re-find (helps unlink), insert

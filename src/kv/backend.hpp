@@ -16,18 +16,16 @@
 //   Backend(std::size_t capacity_hint);       // fresh structure
 //   static Backend recover(Roots*);           // volatile handle rebuild
 //   Roots* roots();
-//   bool insert(Key, Record*);                // false if key present
-//   std::optional<Record*> upsert(Key, Record*);  // atomic in-place
-//                                             // replace-or-insert; the
+//   std::optional<Record*> upsert(Key, Record*, ds::PublishBatch&);
+//                                             // atomic in-place replace-
+//                                             // or-insert whose publish
+//                                             // joins the batch; the
 //                                             // superseded record (owned
 //                                             // by the caller) or nullopt
 //   std::optional<Record*> remove_get(Key);   // unique unlink ownership
-//   std::optional<Record*> find(Key);
+//   std::optional<Record*> find(Key);         // lookup; the caller fences
 //   bool contains(Key);
 //   void prepare(Key);                        // prefetch probe entry
-//   std::optional<Record*> find_batched(Key); // lookup, caller fences batch
-//   std::optional<Record*> upsert_batched(Key, Record*, ds::PublishBatch&);
-//                                             // deferred-fence publication
 //   std::size_t count();                      // O(data) reachable sweep
 //   void release();                           // disown persisted nodes
 //   for_each_linked(f);                       // recovery sweep, see below
@@ -89,21 +87,13 @@ class HashBackend {
   }
 
   Roots* roots() const noexcept { return table_.roots(); }
-  bool insert(Key k, Record* r) { return table_.insert(k, r); }
-  std::optional<Record*> upsert(Key k, Record* r) {
-    return table_.upsert(k, r);
+  std::optional<Record*> upsert(Key k, Record* r, ds::PublishBatch& batch) {
+    return table_.upsert(k, r, batch);
   }
   std::optional<Record*> remove_get(Key k) { return table_.remove_get(k); }
-  std::optional<Record*> find(Key k) const { return table_.find(k); }
+  std::optional<Record*> find(Key k) const { return table_.find_batched(k); }
   bool contains(Key k) const { return table_.contains(k); }
   void prepare(Key k) const noexcept { table_.prepare(k); }
-  std::optional<Record*> find_batched(Key k) const {
-    return table_.find_batched(k);
-  }
-  std::optional<Record*> upsert_batched(Key k, Record* r,
-                                        ds::PublishBatch& batch) {
-    return table_.upsert_batched(k, r, batch);
-  }
   std::size_t count() const { return table_.size(); }
   void release() noexcept { table_.release(); }
 
@@ -195,21 +185,13 @@ class OrderedBackend {
   }
 
   Roots* roots() const noexcept { return roots_; }
-  bool insert(Key k, Record* r) { return list_.insert(k, r); }
-  std::optional<Record*> upsert(Key k, Record* r) {
-    return list_.upsert(k, r);
+  std::optional<Record*> upsert(Key k, Record* r, ds::PublishBatch& batch) {
+    return list_.upsert(k, r, batch);
   }
   std::optional<Record*> remove_get(Key k) { return list_.remove_get(k); }
-  std::optional<Record*> find(Key k) const { return list_.find_value(k); }
+  std::optional<Record*> find(Key k) const { return list_.find_batched(k); }
   bool contains(Key k) const { return list_.contains(k); }
   void prepare(Key k) const noexcept { list_.prepare(k); }
-  std::optional<Record*> find_batched(Key k) const {
-    return list_.find_batched(k);
-  }
-  std::optional<Record*> upsert_batched(Key k, Record* r,
-                                        ds::PublishBatch& batch) {
-    return list_.upsert_batched(k, r, batch);
-  }
   std::size_t count() const { return list_.size(); }
   void release() noexcept { list_.release(); }
 

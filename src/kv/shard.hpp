@@ -161,14 +161,15 @@ class Shard {
   }
 
   /// Insert or overwrite. Returns true if k was absent (fresh insert).
-  /// Durability: the record is fully persisted before the backend links
-  /// it, and the link — a fresh node's publish CAS or an overwrite's
-  /// in-place value-word CAS — is durably linearizable per Words×Method.
-  /// An overwrite is atomic: concurrent reads observe the old or new
-  /// value, never absence (see the file comment). Throws
-  /// std::invalid_argument on a reserved sentinel key, std::length_error
-  /// past Record::kMaxValueBytes, and std::bad_alloc on a full pool (the
-  /// unpublished record is freed).
+  /// A put is a batch of one: the record is fully persisted (its own
+  /// pfence) before publish() links it, and commit() then fences the
+  /// publish — a fresh node's link CAS or an overwrite's in-place
+  /// value-word CAS — before the superseded record is retired. The link
+  /// is durably linearizable per Words×Method. An overwrite is atomic:
+  /// concurrent reads observe the old or new value, never absence (see
+  /// the file comment). Throws std::invalid_argument on a reserved
+  /// sentinel key, std::length_error past Record::kMaxValueBytes, and
+  /// std::bad_alloc on a full pool (the unpublished record is freed).
   bool put(Key k, std::string_view value) {
     if (reserved_key(k)) {
       throw std::invalid_argument("kv: INT64_MIN/INT64_MAX are reserved");
@@ -190,9 +191,6 @@ class Shard {
         // report kStaleRead.
         check::unsafe_apply_pending();
         Record* rec = Record::create<Backend::kPersistent>(value);
-        if constexpr (Backend::kPersistent) {
-          pmem::pc_publish(rec, Record::bytes(rec->len), "kv::Shard::put");
-        }
         const bool fresh = !backend_.contains(k);
         check::unsafe_defer([this, k, rec] { apply_put(k, rec); });
         return fresh;
@@ -202,19 +200,16 @@ class Shard {
     // it, the backend operations pin their own epochs, and pinning across
     // a large value's copy + per-line flush would stall reclamation
     // everywhere else.
-    Record* rec = Record::create<Backend::kPersistent>(value);
-    if constexpr (Backend::kPersistent) {
-      pmem::pc_publish(rec, Record::bytes(rec->len), "kv::Shard::put");
-    }
-    return apply_put(k, rec);
+    return apply_put(k, Record::create<Backend::kPersistent>(value));
   }
 
-  /// Copy out the value for k (nullopt if absent). The Ebr::Guard spans
-  /// the pointer lookup *and* the byte copy: the record cannot be freed
-  /// while we read it.
+  /// Copy out the value for k (nullopt if absent), without the completion
+  /// fence: the caller issues it once for however many lookups it runs
+  /// (Store::get one, Store::multi_get a batch). The caller's
+  /// Ebr::Guard must span the call — the returned string is copied from
+  /// the record under it, so the record cannot be freed while we read it.
   std::optional<std::string> get(Key k) const {
     if (reserved_key(k)) return std::nullopt;
-    recl::Ebr::Guard g;
     const std::optional<Record*> rec = backend_.find(k);
     if (!rec) return std::nullopt;
     check::lc_deref(*rec, "kv::Shard::get");
@@ -238,47 +233,46 @@ class Shard {
     return !reserved_key(k) && backend_.contains(k);
   }
 
-  // --- batched multi-op path (see Store::multi_get / multi_put) -----------
-
   /// Prefetch the backend's probe entry for an upcoming operation on k —
   /// called for key i+1 while key i's cache misses are outstanding.
   void prepare(Key k) const noexcept {
     if (!reserved_key(k)) backend_.prepare(k);
   }
 
-  /// Batched lookup: like get(), but without the per-op completion fence
-  /// (the caller fences once per batch) and under the *caller's*
-  /// Ebr::Guard, which must span the call — the returned string is copied
-  /// from the record under that guard.
-  std::optional<std::string> get_batched(Key k) const {
-    if (reserved_key(k)) return std::nullopt;
-    const std::optional<Record*> rec = backend_.find_batched(k);
-    if (!rec) return std::nullopt;
-    check::lc_deref(*rec, "kv::Shard::get_batched");
-    return std::string((*rec)->view());
-  }
+  // --- the publish path: put is a batch of one, Store::multi_put a batch --
 
-  /// Batched insert-or-overwrite of a record the caller has already
-  /// flushed and fenced (Record::create<persistent, false> + one batch
-  /// pfence). The publish is a deferred-fence CAS enlisted in `batch`; a
+  /// Insert-or-overwrite of a record the caller has already flushed and
+  /// fenced. The publish is a deferred-fence CAS enlisted in `batch`; a
   /// superseded record is appended to `superseded` instead of retired
-  /// here — the caller may retire it only AFTER the batch's covering
-  /// pfence, because until the new link is durable, recycling the old
-  /// record's bytes could leave a crash image whose (still old) link
-  /// points at clobbered storage. Returns true on a fresh insert.
-  bool put_batched(Key k, Record* rec, ds::PublishBatch& batch,
-                   std::vector<Record*>& superseded) {
+  /// here. Nothing is durable, untagged or retired until the caller runs
+  /// commit(). Returns true on a fresh insert.
+  bool publish(Key k, Record* rec, ds::PublishBatch& batch,
+               std::vector<Record*>& superseded) {
     if constexpr (Backend::kPersistent) {
-      pmem::pc_publish(rec, Record::bytes(rec->len),
-                       "kv::Shard::put_batched");
+      pmem::pc_publish(rec, Record::bytes(rec->len), "kv::Shard::put");
     }
-    if (std::optional<Record*> old =
-            backend_.upsert_batched(k, rec, batch)) {
+    if (std::optional<Record*> old = backend_.upsert(k, rec, batch)) {
+      // We won the value-word CAS that superseded *old: unique retirement
+      // ownership. The counter is untouched — an overwrite changes no
+      // key's presence, so size() does not dip during overwrites.
       superseded.push_back(*old);
       return false;
     }
     approx_size_.fetch_add(1, std::memory_order_relaxed);
     return true;
+  }
+
+  /// Close a run of publishes: one pfence covering every deferred publish
+  /// pwb, THEN untag/clear the published words (Condition 3), and only
+  /// then retire the superseded records. Retiring before the fence could
+  /// let an old record's storage be recycled while a crash image still
+  /// holds the old link to it.
+  static void commit(ds::PublishBatch& batch,
+                     std::vector<Record*>& superseded) {
+    if constexpr (Backend::kPersistent) pmem::pfence();
+    batch.complete_all();
+    for (Record* r : superseded) Record::retire<Backend::kPersistent>(r);
+    superseded.clear();
   }
 
   /// Approximate key count, O(1): a relaxed counter bumped at each
@@ -384,28 +378,30 @@ class Shard {
  private:
   explicit Shard(Backend&& b) noexcept : backend_(std::move(b)) {}
 
-  /// The publish half of put(): install the already-persisted record and
-  /// retire whatever it superseded. Split out so the seeded stale_read
-  /// bug can defer exactly this step.
+  /// The publish half of put(), a batch of one. Split out so the seeded
+  /// stale_read bug can defer exactly this step.
   bool apply_put(Key k, Record* rec) {
-    std::optional<Record*> old;
+    // One batch per thread, reserved once: a put allocates nothing here,
+    // and enlist cannot allocate after its publish CAS has succeeded.
+    thread_local struct One {
+      ds::PublishBatch batch;
+      std::vector<Record*> superseded;
+      One() {
+        batch.reserve(1);
+        superseded.reserve(1);
+      }
+    } one;
+    bool fresh;
     try {
-      old = backend_.upsert(k, rec);
+      fresh = publish(k, rec, one.batch, one.superseded);
     } catch (...) {
       // upsert's node allocation can throw on a near-full pool; rec was
       // never published, so free it immediately rather than leak it.
       pmem::Pool::instance().dealloc(rec, Record::bytes(rec->len));
       throw;
     }
-    if (old) {
-      // We won the value-word CAS that superseded *old: unique retirement
-      // ownership. The counter is untouched — an overwrite changes no
-      // key's presence, so size() no longer dips during overwrites.
-      Record::retire<Backend::kPersistent>(*old);
-      return false;
-    }
-    approx_size_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    commit(one.batch, one.superseded);
+    return fresh;
   }
 
   Backend backend_;

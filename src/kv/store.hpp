@@ -482,7 +482,12 @@ class Store {
   /// even against concurrent overwrites of k.
   std::optional<std::string> get(Key k) const {
     const std::uint64_t inv = check::lc_begin();
-    std::optional<std::string> out = shard_for(k).get(k);
+    std::optional<std::string> out;
+    {
+      recl::Ebr::Guard g;  // spans the lookup + record copy
+      out = shard_for(k).get(k);
+    }
+    Words::operation_completion();
     check::lc_end_read(inv, k, out.has_value(),
                        out ? std::string_view(*out) : std::string_view{});
     return out;
@@ -518,7 +523,8 @@ class Store {
   // fences to one shared pfence, and only then are the published words
   // untagged. Per-element durability-before-publication is preserved —
   // see ARCHITECTURE.md ("Batched multi-op path") for the full argument.
-  // Scalar get/put/remove are untouched.
+  // A scalar get or put is the batch of one: the same shard lookup or
+  // publish step, and the same closing fence.
 
   /// Batched get: out[i] corresponds to keys[i] (nullopt if absent; a
   /// reserved sentinel key is simply absent, as in get()). Duplicate keys
@@ -541,7 +547,7 @@ class Store {
           shards_[sidx[j]].prepare(keys[j]);
         }
         const std::uint32_t i = order[pos];
-        out[i] = shards_[sidx[i]].get_batched(keys[i]);
+        out[i] = shards_[sidx[i]].get(keys[i]);
       }
     }
     Words::operation_completion();  // one fence for the whole batch
@@ -644,16 +650,15 @@ class Store {
           shards_[sidx[j]].prepare(kvs[j].first);
         }
         const std::uint32_t i = order[pos];
-        fresh[i] =
-            shards_[sidx[i]].put_batched(kvs[i].first, recs[i], batch,
-                                         superseded);
+        fresh[i] = shards_[sidx[i]].publish(kvs[i].first, recs[i], batch,
+                                            superseded);
         ++done;
       }
     } catch (...) {
       // Publishes so far must still become durable and untagged; the
       // failing element's record (and any never-reached ones) were never
       // published and are freed in place.
-      commit_publishes(batch, superseded);
+      Shard_::commit(batch, superseded);
       for (std::size_t pos = done; pos < n; ++pos) {
         Record* r = recs[order[pos]];
         pmem::Pool::instance().dealloc(r, Record::bytes(r->len));
@@ -663,7 +668,7 @@ class Store {
 
     // Phase 3: one fence covers every publish pwb, then untag/clear and
     // retire the superseded records.
-    commit_publishes(batch, superseded);
+    Shard_::commit(batch, superseded);
     if constexpr (core::kChecked) {
       // Recorded only on full success: an exception path leaves a prefix
       // applied but unrecorded, which the checker cannot distinguish from
@@ -1131,19 +1136,6 @@ class Store {
     for (std::size_t i = 0; i < n; ++i) {
       order[offset[sidx[i]]++] = static_cast<std::uint32_t>(i);
     }
-  }
-
-  /// multi_put's closing sequence: one pfence covering every deferred
-  /// publish pwb, THEN untag/clear the published words (Condition 3), and
-  /// only then retire the superseded records — retiring before the fence
-  /// could let the old records' storage be recycled while a crash image
-  /// still holds links to them.
-  static void commit_publishes(ds::PublishBatch& batch,
-                               std::vector<Record*>& superseded) {
-    if constexpr (Backend_::kPersistent) pmem::pfence();
-    batch.complete_all();
-    for (Record* r : superseded) Record::retire<Backend_::kPersistent>(r);
-    superseded.clear();
   }
 
   std::vector<Shard_> shards_;

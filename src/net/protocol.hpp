@@ -31,6 +31,7 @@
 // connection. See ARCHITECTURE.md "Network front-end".
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
@@ -53,6 +54,10 @@ struct ProtocolLimits {
   /// that runs longer than this without a newline is garbage.
   std::size_t max_header_bytes = 32;
 };
+
+/// Most (key, value) pairs one SCAN may ask for. The server rejects a
+/// longer count, and a reply array may hold two elements per pair.
+inline constexpr std::size_t kMaxScanPairs = 65536;
 
 /// One parsed request: argv[0] is the command word (case-insensitive),
 /// the rest its arguments, all binary-safe.
@@ -103,7 +108,10 @@ class RequestParser {
       }
       if (c == '*') return parse_array(out);
       if (c == '$') return fail("protocol: bulk string outside an array");
-      return parse_inline(out);
+      const ParseStatus st = parse_inline(out);
+      // A whitespace-only line is skipped here, in the loop, so a flood
+      // of them costs no stack.
+      if (st != ParseStatus::kOk || !out.argv.empty()) return st;
     }
   }
 
@@ -192,7 +200,8 @@ class RequestParser {
     return ParseStatus::kOk;
   }
 
-  /// One line of space-separated tokens.
+  /// One line of space-separated tokens; kOk with an empty argv for a
+  /// whitespace-only line.
   ParseStatus parse_inline(Request& out) {
     std::size_t after = 0;
     const auto line = take_line(pos_, after);
@@ -225,7 +234,6 @@ class RequestParser {
       i = j;
     }
     pos_ = after;
-    if (argv.empty()) return next(out);  // blank line: keep scanning
     out.argv = std::move(argv);
     return ParseStatus::kOk;
   }
@@ -407,7 +415,7 @@ class ReplyParser {
         // pair; MGET one per key), so the element bound is looser than
         // the request-side argv bound.
         if (static_cast<std::uint64_t>(*n) >
-            2 * lim_.max_array_elems + 16) {
+            std::max(2 * kMaxScanPairs, lim_.max_array_elems)) {
           return fail("protocol: array reply too large");
         }
         Reply arr;

@@ -89,8 +89,6 @@ struct ServerConfig {
   /// *reading* the connection (TCP backpressure reaches the client) and
   /// only keeps flushing, so the close is the last rung, not the first.
   std::size_t max_out_buffer = std::size_t{64} << 20;
-  /// Upper bound on one SCAN's requested length.
-  std::size_t max_scan_len = 65536;
   /// Overload protection: connections past this cap are accepted and
   /// immediately closed (shed) so the backlog cannot silt up with
   /// connections nobody will serve. 0 = uncapped.
@@ -910,7 +908,7 @@ class Server {
             append_error(c.out, "ERR SCAN start/count must be integers");
             return;
           }
-          if (static_cast<std::uint64_t>(*count) > cfg_.max_scan_len) {
+          if (static_cast<std::uint64_t>(*count) > kMaxScanPairs) {
             append_error(c.out, "ERR SCAN count too large");
             return;
           }

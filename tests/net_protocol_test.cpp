@@ -91,6 +91,16 @@ TEST(RequestParser, InlineCommands) {
   EXPECT_EQ(reqs[0].argv, (std::vector<std::string>{"PING"}));
   EXPECT_EQ(reqs[1].argv, (std::vector<std::string>{"GET", "17"}));
   EXPECT_EQ(reqs[2].argv, (std::vector<std::string>{"SET", "3", "abc"}));
+
+  // A flood of whitespace-only lines is skipped without growing the
+  // stack: one frame per line used to crash the server.
+  RequestParser flooded;
+  std::string blanks;
+  for (int i = 0; i < 200'000; ++i) blanks += " \r\n";
+  flooded.feed(blanks + "PING\r\n");
+  const auto after_blanks = drain(flooded);
+  ASSERT_EQ(after_blanks.size(), 1u);
+  EXPECT_EQ(after_blanks[0].argv, (std::vector<std::string>{"PING"}));
 }
 
 TEST(RequestParser, InlineTornFeed) {

@@ -166,6 +166,23 @@ TEST_F(NetServerTest, ScanOnOrderedLayout) {
   ASSERT_EQ(lo.elems.size(), 6u);
   EXPECT_EQ(lo.elems[0].str, "0");
   EXPECT_TRUE(c.command({"SCAN", "0", "999999999"}).is_error());  // too long
+
+  // A scan wider than the request-side argv bound still parses on the
+  // client: the reply bound follows the server's SCAN limit.
+  for (int k = 30; k < 2000; ++k) {
+    c.enqueue({"SET", std::to_string(k), "s" + std::to_string(k)});
+  }
+  c.flush();
+  for (int k = 30; k < 2000; ++k) ASSERT_TRUE(c.read_reply().ok()) << k;
+  const Reply wide = c.command({"SCAN", "0", "2000"});
+  ASSERT_EQ(wide.type, Reply::Type::kArray);
+  ASSERT_EQ(wide.elems.size(), 4000u);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_EQ(wide.elems[static_cast<std::size_t>(2 * i)].str,
+              std::to_string(i));
+    ASSERT_EQ(wide.elems[static_cast<std::size_t>(2 * i + 1)].str,
+              "s" + std::to_string(i));
+  }
 }
 
 TEST_F(NetServerTest, ScanOnHashedLayoutIsAnError) {

@@ -167,7 +167,7 @@ TEST_F(PersistCheckTest, RetireBeforeBatchFenceFiresPrematureRetire) {
   std::vector<Record*> superseded;
   Record* rec = Record::create<true, false>("new");
   pfence();  // the batch's record fence (phase 1)
-  shard.put_batched(1, rec, batch, superseded);
+  shard.publish(1, rec, batch, superseded);
   ASSERT_EQ(superseded.size(), 1u);
 
   // ...but with the retirement hoisted above the batch's covering pfence:
@@ -201,7 +201,7 @@ TEST_F(PersistCheckTest, CompleteWithoutFenceFiresDeferredDangling) {
   std::vector<Record*> superseded;
   Record* rec = Record::create<true, false>("new");
   pfence();
-  shard.put_batched(1, rec, batch, superseded);
+  shard.publish(1, rec, batch, superseded);
   ASSERT_EQ(superseded.size(), 1u);
 
   // Seeded bug: untag the published word with NO covering pfence — readers
