@@ -194,7 +194,6 @@ int serve(const Options& o) {
   cfg.host = o.host;
   cfg.port = static_cast<std::uint16_t>(o.port);
   cfg.workers = o.workers;
-  cfg.max_value_bytes = kv::Record::kMaxValueBytes;
   cfg.max_connections = o.max_conns;
   cfg.idle_timeout_ms = o.idle_timeout_ms;
   net::Server<StoreT> server(store, cfg);

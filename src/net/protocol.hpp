@@ -84,43 +84,22 @@ inline std::optional<std::int64_t> parse_i64(std::string_view s) noexcept {
   return v;
 }
 
-}  // namespace detail
-
-/// Incremental request parser. feed() appends raw socket bytes; next()
-/// extracts complete requests one at a time. After kError the parser (and
-/// the connection) is dead — error() holds the diagnostic for the final
-/// -ERR reply.
-class RequestParser {
+/// The framing buffer both parsers share: feed() appends raw socket
+/// bytes, pos_ marks the first unconsumed one, and a failure is sticky —
+/// after kError the parser (and the connection) is dead, and error()
+/// holds the diagnostic for the final -ERR reply.
+class FrameBuffer {
  public:
-  explicit RequestParser(ProtocolLimits limits = {}) : lim_(limits) {}
-
   void feed(std::string_view bytes) { buf_.append(bytes); }
-
-  ParseStatus next(Request& out) {
-    if (failed_) return ParseStatus::kError;
-    for (;;) {
-      compact();
-      if (pos_ >= buf_.size()) return ParseStatus::kNeedMore;
-      const char c = buf_[pos_];
-      if (c == '\r' || c == '\n') {  // stray blank line: skip it
-        ++pos_;
-        continue;
-      }
-      if (c == '*') return parse_array(out);
-      if (c == '$') return fail("protocol: bulk string outside an array");
-      const ParseStatus st = parse_inline(out);
-      // A whitespace-only line is skipped here, in the loop, so a flood
-      // of them costs no stack.
-      if (st != ParseStatus::kOk || !out.argv.empty()) return st;
-    }
-  }
 
   const std::string& error() const noexcept { return error_; }
   bool failed() const noexcept { return failed_; }
-  /// Bytes buffered but not yet consumed by a complete request.
+  /// Bytes buffered but not yet consumed by a complete message.
   std::size_t buffered() const noexcept { return buf_.size() - pos_; }
 
- private:
+ protected:
+  explicit FrameBuffer(ProtocolLimits limits) : lim_(limits) {}
+
   ParseStatus fail(std::string msg) {
     failed_ = true;
     error_ = std::move(msg);
@@ -150,6 +129,43 @@ class RequestParser {
     return std::string_view(buf_).substr(from, end - from);
   }
 
+  ProtocolLimits lim_;
+  std::string buf_;
+  std::size_t pos_ = 0;
+
+ private:
+  std::string error_;
+  bool failed_ = false;
+};
+
+}  // namespace detail
+
+/// Incremental request parser: next() extracts complete requests one at
+/// a time from the fed bytes.
+class RequestParser : public detail::FrameBuffer {
+ public:
+  explicit RequestParser(ProtocolLimits limits = {}) : FrameBuffer(limits) {}
+
+  ParseStatus next(Request& out) {
+    if (failed()) return ParseStatus::kError;
+    for (;;) {
+      compact();
+      if (pos_ >= buf_.size()) return ParseStatus::kNeedMore;
+      const char c = buf_[pos_];
+      if (c == '\r' || c == '\n') {  // stray blank line: skip it
+        ++pos_;
+        continue;
+      }
+      if (c == '*') return parse_array(out);
+      if (c == '$') return fail("protocol: bulk string outside an array");
+      const ParseStatus st = parse_inline(out);
+      // A whitespace-only line is skipped here, in the loop, so a flood
+      // of them costs no stack.
+      if (st != ParseStatus::kOk || !out.argv.empty()) return st;
+    }
+  }
+
+ private:
   /// `*<n>\r\n` then n bulk strings. Limit checks run on each *header* as
   /// soon as it is complete, before waiting for (or buffering) the body.
   ParseStatus parse_array(Request& out) {
@@ -237,12 +253,6 @@ class RequestParser {
     out.argv = std::move(argv);
     return ParseStatus::kOk;
   }
-
-  ProtocolLimits lim_;
-  std::string buf_;
-  std::size_t pos_ = 0;
-  std::string error_;
-  bool failed_ = false;
 };
 
 // --- reply serialization ----------------------------------------------------
@@ -308,14 +318,12 @@ struct Reply {
 /// Incremental RESP reply parser (the client half). Same contract as
 /// RequestParser: feed bytes, next() yields complete replies; kError
 /// poisons the stream.
-class ReplyParser {
+class ReplyParser : public detail::FrameBuffer {
  public:
-  explicit ReplyParser(ProtocolLimits limits = {}) : lim_(limits) {}
-
-  void feed(std::string_view bytes) { buf_.append(bytes); }
+  explicit ReplyParser(ProtocolLimits limits = {}) : FrameBuffer(limits) {}
 
   ParseStatus next(Reply& out) {
-    if (failed_) return ParseStatus::kError;
+    if (failed()) return ParseStatus::kError;
     compact();
     std::size_t p = pos_;
     const ParseStatus st = parse_one(out, p, /*depth=*/0);
@@ -323,36 +331,8 @@ class ReplyParser {
     return st;
   }
 
-  const std::string& error() const noexcept { return error_; }
-
  private:
   static constexpr int kMaxDepth = 4;
-
-  ParseStatus fail(std::string msg) {
-    failed_ = true;
-    error_ = std::move(msg);
-    return ParseStatus::kError;
-  }
-
-  void compact() {
-    if (pos_ == buf_.size()) {
-      buf_.clear();
-      pos_ = 0;
-    } else if (pos_ > (std::size_t{64} << 10) && pos_ > buf_.size() / 2) {
-      buf_.erase(0, pos_);
-      pos_ = 0;
-    }
-  }
-
-  std::optional<std::string_view> take_line(std::size_t from,
-                                            std::size_t& next_pos) const {
-    const std::size_t nl = buf_.find('\n', from);
-    if (nl == std::string::npos) return std::nullopt;
-    std::size_t end = nl;
-    if (end > from && buf_[end - 1] == '\r') --end;
-    next_pos = nl + 1;
-    return std::string_view(buf_).substr(from, end - from);
-  }
 
   ParseStatus parse_one(Reply& out, std::size_t& p, int depth) {
     if (depth > kMaxDepth) return fail("protocol: reply nested too deeply");
@@ -444,12 +424,6 @@ class ReplyParser {
     }
     return ParseStatus::kNeedMore;
   }
-
-  ProtocolLimits lim_;
-  std::string buf_;
-  std::size_t pos_ = 0;
-  std::string error_;
-  bool failed_ = false;
 };
 
 }  // namespace flit::net

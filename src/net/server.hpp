@@ -10,11 +10,11 @@
 // Per readiness event a worker drains the socket into the connection's
 // incremental RequestParser, then executes *every* fully parsed request
 // before writing anything back. This is where the network layer becomes
-// the batch former for the PR 5 multi-op path: consecutive runs of the
-// same command inside one pipelined burst are grouped into a single
-// multi_get / multi_put / multi_remove (singleton runs fall back to the
-// scalar ops), so a client pipelining k SETs pays the coalesced-fence
-// batched-put bill (two pfences per run) instead of k scalar commits.
+// the batch former for the store's multi-op path: consecutive runs of
+// the same command inside one pipelined burst are grouped into a single
+// multi_get / multi_put / multi_remove (a lone request is a run of one),
+// so a client pipelining k SETs pays the coalesced-fence batched-put
+// bill (two pfences per run) instead of k separate commits.
 // Grouping only ever merges *adjacent* same-command requests, so the
 // per-connection sequential semantics are byte-identical to scalar
 // execution — a GET pipelined after a SET of the same key always sees
@@ -49,7 +49,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -78,17 +77,6 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = kernel-assigned (read back via port())
   int workers = 2;
-  int backlog = 128;
-  ProtocolLimits limits{};
-  /// Largest value SET accepts (kv::Record::kMaxValueBytes upstream; the
-  /// parser's max_bulk_bytes usually binds first).
-  std::size_t max_value_bytes = std::size_t{1} << 26;
-  /// A connection whose unsent replies exceed this is a dead/stuck reader
-  /// and is dropped rather than allowed to balloon the process. Below the
-  /// bound the server degrades first: past max_out_buffer/2 it stops
-  /// *reading* the connection (TCP backpressure reaches the client) and
-  /// only keeps flushing, so the close is the last rung, not the first.
-  std::size_t max_out_buffer = std::size_t{64} << 20;
   /// Overload protection: connections past this cap are accepted and
   /// immediately closed (shed) so the backlog cannot silt up with
   /// connections nobody will serve. 0 = uncapped.
@@ -98,9 +86,6 @@ struct ServerConfig {
   /// abandoned-peer defense). 0 = never (the default; tests and the
   /// bench server opt in).
   int idle_timeout_ms = 0;
-  /// Cap on the listener's exponential accept backoff after fd-pressure
-  /// failures (EMFILE/ENFILE/ENOBUFS/ENOMEM): 1 ms doubling up to this.
-  int accept_backoff_max_ms = 200;
 };
 
 /// Process-wide serving counters (relaxed; read by STATS and tests).
@@ -129,7 +114,7 @@ class Server {
       : store_(store), cfg_(std::move(cfg)) {
     if (cfg_.workers < 1) cfg_.workers = 1;
     ignore_sigpipe();
-    listen_fd_ = listen_tcp(cfg_.host, cfg_.port, cfg_.backlog);
+    listen_fd_ = listen_tcp(cfg_.host, cfg_.port);
     port_ = local_port(listen_fd_.get());
     stop_event_.reset(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
     if (!stop_event_.valid()) {
@@ -188,8 +173,7 @@ class Server {
             // Exponential backoff: stop draining the backlog until fds
             // free up; clients wait in the (bounded) listen queue.
             backoff_ms = backoff_ms > 0
-                             ? std::min(backoff_ms * 2,
-                                        cfg_.accept_backoff_max_ms)
+                             ? std::min(backoff_ms * 2, kAcceptBackoffMaxMs)
                              : 1;
             stats_.accept_backoffs.fetch_add(1, std::memory_order_relaxed);
           }
@@ -229,6 +213,16 @@ class Server {
   }
 
  private:
+  /// Cap on the listener's exponential accept backoff after fd-pressure
+  /// failures (EMFILE/ENFILE/ENOBUFS/ENOMEM): 1 ms doubling up to this.
+  static constexpr int kAcceptBackoffMaxMs = 200;
+  /// A connection whose unsent replies exceed this is a dead/stuck reader
+  /// and is dropped rather than allowed to balloon the process. Below the
+  /// bound the server degrades first: past half of it, it stops *reading*
+  /// the connection (TCP backpressure reaches the client) and only keeps
+  /// flushing, so the close is the last rung, not the first.
+  static constexpr std::size_t kMaxOutBuffer = std::size_t{64} << 20;
+
   // --- per-worker event loop ------------------------------------------------
 
   struct Conn {
@@ -238,7 +232,7 @@ class Server {
     std::size_t out_pos = 0;
     bool want_write = false;   ///< EPOLLOUT currently registered
     bool closing = false;      ///< flush remaining replies, then close
-    bool read_paused = false;  ///< EPOLLIN dropped: output backpressure
+    bool read_paused = false;  ///< EPOLLIN dropped: backpressure or closing
     /// Last inbound traffic; the timer wheel reaps connections idle past
     /// cfg_.idle_timeout_ms.
     std::chrono::steady_clock::time_point last_active{};
@@ -246,8 +240,7 @@ class Server {
     /// number never inherits a stale expiry from its predecessor.
     std::uint64_t token = 0;
 
-    explicit Conn(SocketFd f, const ProtocolLimits& lim)
-        : fd(std::move(f)), parser(lim) {}
+    explicit Conn(SocketFd f) : fd(std::move(f)) {}
   };
 
   struct Worker {
@@ -414,7 +407,7 @@ class Server {
       adopted.swap(w.pending);
     }
     for (const int fd : adopted) {
-      auto conn = std::make_unique<Conn>(SocketFd(fd), cfg_.limits);
+      auto conn = std::make_unique<Conn>(SocketFd(fd));
       epoll_event ev{};
       ev.events = EPOLLIN;
       ev.data.fd = fd;
@@ -484,15 +477,18 @@ class Server {
       c.closing = true;
     }
     if (saw_eof) c.closing = true;
-    if (c.out.size() - c.out_pos > cfg_.max_out_buffer) return false;
-    if (!c.closing && !c.read_paused &&
-        c.out.size() - c.out_pos > cfg_.max_out_buffer / 2) {
-      // Degrade before dropping: stop reading so TCP backpressure reaches
-      // the slow reader; only crossing max_out_buffer itself closes.
+    if (c.out.size() - c.out_pos > kMaxOutBuffer) return false;
+    bool alive = flush(w, c);
+    if (alive && !c.read_paused &&
+        (c.closing || c.out.size() - c.out_pos > kMaxOutBuffer / 2)) {
+      // Replies are still queued. A closing connection reads no more: a
+      // peer at EOF stays readable, so level-triggered EPOLLIN would spin
+      // the worker until the peer drained them. An open one degrades
+      // before dropping: it stops reading so TCP backpressure reaches the
+      // slow reader, and only crossing kMaxOutBuffer itself closes.
       c.read_paused = true;
-      if (!update_interest(w, c)) return false;
+      alive = update_interest(w, c);
     }
-    const bool alive = flush(w, c);
     if (shutdown_after) {
       // Best effort: the +OK should reach the client before the process
       // stops accepting writes. flush() already pushed what the socket
@@ -567,31 +563,54 @@ class Server {
     return Cmd::kUnknown;
   }
 
-  static bool reserved_key(std::int64_t k) noexcept {
-    return k == std::numeric_limits<std::int64_t>::min() ||
-           k == std::numeric_limits<std::int64_t>::max();
-  }
-
-  /// Validate one key argument; sets `err` (reply text) on failure.
+  /// Validate one key argument; on failure `err` points at the reply.
   static std::optional<std::int64_t> parse_key(const std::string& s,
-                                               std::string& err) {
+                                               const char*& err) {
     const auto k = detail::parse_i64(s);
     if (!k) {
       err = "ERR key is not an int64";
       return std::nullopt;
     }
-    if (reserved_key(*k)) {
+    if (KV::Shard_::reserved_key(*k)) {
       err = "ERR INT64_MIN/INT64_MAX are reserved";
       return std::nullopt;
     }
     return k;
   }
 
+  /// The keys of an MGET or MDEL (stride 1), or of an MSET's key-value
+  /// pairs (stride 2), all or nothing: a wrong argument count or one bad
+  /// key fails the whole command, and `err` points at the reply.
+  static bool parse_keys(const Request& r, std::size_t stride,
+                         const char* usage, std::vector<std::int64_t>& keys,
+                         const char*& err) {
+    if (r.argv.size() < 1 + stride || (r.argv.size() - 1) % stride != 0) {
+      err = usage;
+      return false;
+    }
+    keys.reserve((r.argv.size() - 1) / stride);
+    for (std::size_t i = 1; i < r.argv.size(); i += stride) {
+      const auto k = parse_key(r.argv[i], err);
+      if (!k) return false;
+      keys.push_back(*k);
+    }
+    return true;
+  }
+
+  static void append_value(std::string& out,
+                           const std::optional<std::string>& v) {
+    if (v) {
+      append_bulk(out, *v);
+    } else {
+      append_null(out);
+    }
+  }
+
   /// Execute every request of one readiness event: adjacent same-command
-  /// runs of GET/SET/DEL collapse into one multi-op (length 1 runs stay
-  /// scalar), everything else executes one by one. Replies are appended
-  /// in request order. The durability hook runs once, after all of the
-  /// event's writes and before the caller flushes replies.
+  /// runs of GET/SET/DEL collapse into one multi-op (a lone request is a
+  /// run of one), everything else executes one by one. Replies are
+  /// appended in request order. The durability hook runs once, after all
+  /// of the event's writes and before the caller flushes replies.
   void execute_batch(Conn& c, std::vector<Request>& reqs,
                      bool& shutdown_after) {
     stats_.requests.fetch_add(reqs.size(), std::memory_order_relaxed);
@@ -606,18 +625,7 @@ class Server {
       if (cmd == Cmd::kGet || cmd == Cmd::kSet || cmd == Cmd::kDel) {
         std::size_t j = i + 1;
         while (j < reqs.size() && classify(reqs[j]) == cmd) ++j;
-        const std::span<Request> run(reqs.data() + i, j - i);
-        switch (cmd) {
-          case Cmd::kGet:
-            run_gets(c, run);
-            break;
-          case Cmd::kSet:
-            run_sets(c, run, wrote);
-            break;
-          default:
-            run_dels(c, run, wrote);
-            break;
-        }
+        execute_run(c, cmd, std::span<const Request>(&reqs[i], j - i), wrote);
         i = j;
         continue;
       }
@@ -643,255 +651,117 @@ class Server {
     }
   }
 
-  /// A run of GETs: one multi_get (scalar get for a singleton). Requests
-  /// that fail validation get their error reply in place; the valid rest
-  /// still batch.
-  void run_gets(Conn& c, std::span<Request> run) {
-    if (run.size() == 1) {
-      std::string err;
-      const Request& r = run[0];
-      if (r.argv.size() != 2) {
-        append_error(c.out, "ERR GET expects: GET key");
-        return;
-      }
-      const auto k = parse_key(r.argv[1], err);
-      if (!k) {
-        append_error(c.out, err);
-        return;
-      }
-      stats_.scalar_ops.fetch_add(1, std::memory_order_relaxed);
-      const auto v = store_.get(*k);
-      if (v) {
-        append_bulk(c.out, *v);
-      } else {
-        append_null(c.out);
-      }
-      return;
-    }
+  /// A run of GETs, SETs or DELs: each request is validated on its own,
+  /// the valid ones go to the store as one multi_get, multi_put or
+  /// multi_remove, and the replies follow in request order. A request
+  /// that fails validation gets its error in place and costs its
+  /// neighbours nothing; a run with no valid request makes no store call.
+  void execute_run(Conn& c, Cmd cmd, std::span<const Request> run,
+                   bool& wrote) {
+    const std::size_t arity = cmd == Cmd::kSet ? 3 : 2;
+    const char* usage = cmd == Cmd::kGet   ? "ERR GET expects: GET key"
+                        : cmd == Cmd::kSet ? "ERR SET expects: SET key value"
+                                           : "ERR DEL expects: DEL key";
+    std::vector<const char*> errs(run.size(), nullptr);  // nullptr: valid
     std::vector<std::int64_t> keys;
-    std::vector<std::string> errs(run.size());
-    std::vector<std::size_t> slot(run.size(), SIZE_MAX);
+    std::vector<std::pair<std::int64_t, std::string_view>> kvs;  // SET
     keys.reserve(run.size());
     for (std::size_t i = 0; i < run.size(); ++i) {
-      if (run[i].argv.size() != 2) {
-        errs[i] = "ERR GET expects: GET key";
-        continue;
+      if (run[i].argv.size() != arity) {
+        errs[i] = usage;
+      } else if (const auto k = parse_key(run[i].argv[1], errs[i])) {
+        keys.push_back(*k);
+        if (cmd == Cmd::kSet) kvs.emplace_back(*k, run[i].argv[2]);
       }
-      const auto k = parse_key(run[i].argv[1], errs[i]);
-      if (!k) continue;
-      slot[i] = keys.size();
-      keys.push_back(*k);
     }
-    stats_.batched_keys.fetch_add(keys.size(), std::memory_order_relaxed);
-    const auto vals = store_.multi_get(keys);
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (slot[i] == SIZE_MAX) {
-        append_error(c.out, errs[i]);
-      } else if (vals[slot[i]]) {
-        append_bulk(c.out, *vals[slot[i]]);
+    // STATS: a run of one is a scalar op; a longer run's keys are batched.
+    (run.size() == 1 ? stats_.scalar_ops : stats_.batched_keys)
+        .fetch_add(keys.size(), std::memory_order_relaxed);
+    std::vector<std::optional<std::string>> vals;
+    std::vector<bool> removed;
+    std::optional<std::string> store_err;  // shared by every valid request
+    if (!keys.empty()) {
+      if (cmd == Cmd::kGet) {
+        vals = store_.multi_get(keys);
+      } else if (cmd == Cmd::kSet) {
+        store_err = apply_store([&] { store_.multi_put(kvs); }, wrote);
       } else {
-        append_null(c.out);
+        store_err =
+            apply_store([&] { removed = store_.multi_remove(keys); }, wrote);
       }
     }
-  }
-
-  /// A run of SETs: one multi_put. Validation (arity, key syntax,
-  /// reserved keys, value size) happens before anything is applied, so a
-  /// bad element costs only its own error reply.
-  void run_sets(Conn& c, std::span<Request> run, bool& wrote) {
-    if (run.size() == 1) {
-      const Request& r = run[0];
-      std::string err;
-      if (r.argv.size() != 3) {
-        append_error(c.out, "ERR SET expects: SET key value");
-        return;
-      }
-      const auto k = parse_key(r.argv[1], err);
-      if (!k) {
+    std::size_t v = 0;  // the next valid request's result
+    for (const char* err : errs) {
+      if (err != nullptr) {
         append_error(c.out, err);
-        return;
-      }
-      if (r.argv[2].size() > cfg_.max_value_bytes) {
-        append_error(c.out, "ERR value too large");
-        return;
-      }
-      stats_.scalar_ops.fetch_add(1, std::memory_order_relaxed);
-      if (!apply_store(c, [&] { store_.put(*k, r.argv[2]); }, &wrote)) {
-        return;
-      }
-      append_simple(c.out, "OK");
-      return;
-    }
-    std::vector<std::pair<std::int64_t, std::string_view>> kvs;
-    std::vector<std::string> errs(run.size());
-    std::vector<bool> valid(run.size(), false);
-    kvs.reserve(run.size());
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      const Request& r = run[i];
-      if (r.argv.size() != 3) {
-        errs[i] = "ERR SET expects: SET key value";
-        continue;
-      }
-      const auto k = parse_key(r.argv[1], errs[i]);
-      if (!k) continue;
-      if (r.argv[2].size() > cfg_.max_value_bytes) {
-        errs[i] = "ERR value too large";
-        continue;
-      }
-      valid[i] = true;
-      kvs.emplace_back(*k, std::string_view(r.argv[2]));
-    }
-    stats_.batched_keys.fetch_add(kvs.size(), std::memory_order_relaxed);
-    std::string batch_err;
-    const bool applied =
-        apply_store_err(batch_err, [&] { store_.multi_put(kvs); }, &wrote);
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (!valid[i]) {
-        append_error(c.out, errs[i]);
-      } else if (applied) {
+      } else if (store_err) {
+        append_error(c.out, *store_err);
+      } else if (cmd == Cmd::kGet) {
+        append_value(c.out, vals[v++]);
+      } else if (cmd == Cmd::kSet) {
         append_simple(c.out, "OK");
       } else {
-        append_error(c.out, batch_err);
-      }
-    }
-  }
-
-  /// A run of DELs: one multi_remove.
-  void run_dels(Conn& c, std::span<Request> run, bool& wrote) {
-    if (run.size() == 1) {
-      const Request& r = run[0];
-      std::string err;
-      if (r.argv.size() != 2) {
-        append_error(c.out, "ERR DEL expects: DEL key");
-        return;
-      }
-      const auto k = parse_key(r.argv[1], err);
-      if (!k) {
-        append_error(c.out, err);
-        return;
-      }
-      stats_.scalar_ops.fetch_add(1, std::memory_order_relaxed);
-      bool removed = false;
-      if (!apply_store(c, [&] { removed = store_.remove(*k); }, &wrote)) {
-        return;
-      }
-      append_integer(c.out, removed ? 1 : 0);
-      return;
-    }
-    std::vector<std::int64_t> keys;
-    std::vector<std::string> errs(run.size());
-    std::vector<std::size_t> slot(run.size(), SIZE_MAX);
-    keys.reserve(run.size());
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (run[i].argv.size() != 2) {
-        errs[i] = "ERR DEL expects: DEL key";
-        continue;
-      }
-      const auto k = parse_key(run[i].argv[1], errs[i]);
-      if (!k) continue;
-      slot[i] = keys.size();
-      keys.push_back(*k);
-    }
-    stats_.batched_keys.fetch_add(keys.size(), std::memory_order_relaxed);
-    std::vector<bool> removed;
-    std::string batch_err;
-    const bool applied = apply_store_err(
-        batch_err, [&] { removed = store_.multi_remove(keys); }, &wrote);
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (slot[i] == SIZE_MAX) {
-        append_error(c.out, errs[i]);
-      } else if (applied) {
-        append_integer(c.out, removed[slot[i]] ? 1 : 0);
-      } else {
-        append_error(c.out, batch_err);
+        append_integer(c.out, removed[v++] ? 1 : 0);
       }
     }
   }
 
   void execute_single(Conn& c, const Request& r, Cmd cmd, bool& wrote,
                       bool& shutdown_after) {
-    std::string err;
+    const char* err = nullptr;
+    std::vector<std::int64_t> keys;
     switch (cmd) {
       case Cmd::kPing:
         append_simple(c.out, "PONG");
         return;
       case Cmd::kMget: {
-        if (r.argv.size() < 2) {
-          append_error(c.out, "ERR MGET expects: MGET key [key ...]");
-          return;
-        }
-        std::vector<std::int64_t> keys;
-        keys.reserve(r.argv.size() - 1);
-        for (std::size_t i = 1; i < r.argv.size(); ++i) {
-          const auto k = parse_key(r.argv[i], err);
-          if (!k) {
-            append_error(c.out, err);
-            return;
-          }
-          keys.push_back(*k);
+        if (!parse_keys(r, 1, "ERR MGET expects: MGET key [key ...]", keys,
+                        err)) {
+          break;
         }
         stats_.batched_keys.fetch_add(keys.size(),
                                       std::memory_order_relaxed);
         const auto vals = store_.multi_get(keys);
         append_array_header(c.out, vals.size());
-        for (const auto& v : vals) {
-          if (v) {
-            append_bulk(c.out, *v);
-          } else {
-            append_null(c.out);
-          }
-        }
+        for (const auto& v : vals) append_value(c.out, v);
         return;
       }
       case Cmd::kMset: {
-        if (r.argv.size() < 3 || r.argv.size() % 2 != 1) {
-          append_error(c.out, "ERR MSET expects: MSET key value [k v ...]");
-          return;
+        if (!parse_keys(r, 2, "ERR MSET expects: MSET key value [k v ...]",
+                        keys, err)) {
+          break;
         }
         std::vector<std::pair<std::int64_t, std::string_view>> kvs;
-        kvs.reserve((r.argv.size() - 1) / 2);
-        for (std::size_t i = 1; i + 1 < r.argv.size(); i += 2) {
-          const auto k = parse_key(r.argv[i], err);
-          if (!k) {
-            append_error(c.out, err);
-            return;
-          }
-          if (r.argv[i + 1].size() > cfg_.max_value_bytes) {
-            append_error(c.out, "ERR value too large");
-            return;
-          }
-          kvs.emplace_back(*k, std::string_view(r.argv[i + 1]));
+        kvs.reserve(keys.size());
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          kvs.emplace_back(keys[i], r.argv[2 * i + 2]);
         }
         stats_.batched_keys.fetch_add(kvs.size(), std::memory_order_relaxed);
-        if (!apply_store(c, [&] { store_.multi_put(kvs); }, &wrote)) return;
-        append_simple(c.out, "OK");
+        const auto store_err =
+            apply_store([&] { store_.multi_put(kvs); }, wrote);
+        if (store_err) {
+          append_error(c.out, *store_err);
+        } else {
+          append_simple(c.out, "OK");
+        }
         return;
       }
       case Cmd::kMdel: {
-        if (r.argv.size() < 2) {
-          append_error(c.out, "ERR MDEL expects: MDEL key [key ...]");
-          return;
-        }
-        std::vector<std::int64_t> keys;
-        keys.reserve(r.argv.size() - 1);
-        for (std::size_t i = 1; i < r.argv.size(); ++i) {
-          const auto k = parse_key(r.argv[i], err);
-          if (!k) {
-            append_error(c.out, err);
-            return;
-          }
-          keys.push_back(*k);
+        if (!parse_keys(r, 1, "ERR MDEL expects: MDEL key [key ...]", keys,
+                        err)) {
+          break;
         }
         stats_.batched_keys.fetch_add(keys.size(),
                                       std::memory_order_relaxed);
         std::vector<bool> removed;
-        if (!apply_store(
-                c, [&] { removed = store_.multi_remove(keys); }, &wrote)) {
-          return;
+        const auto store_err =
+            apply_store([&] { removed = store_.multi_remove(keys); }, wrote);
+        if (store_err) {
+          append_error(c.out, *store_err);
+        } else {
+          append_integer(c.out,
+                         std::count(removed.begin(), removed.end(), true));
         }
-        std::int64_t count = 0;
-        for (const bool b : removed) count += b ? 1 : 0;
-        append_integer(c.out, count);
         return;
       }
       case Cmd::kScan: {
@@ -959,9 +829,23 @@ class Server {
         return;
       case Cmd::kUnknown:
       default:
-        append_error(c.out, "ERR unknown command '" + r.argv[0] + "'");
+        append_unknown_command(c.out, r.argv[0]);
         return;
     }
+    append_error(c.out, err);  // an M-command's arguments failed to parse
+  }
+
+  /// The command word is binary-safe but the error reply is one line, so
+  /// the echo turns control bytes into spaces (a CR LF would split the
+  /// reply in two and shift every later reply) and is capped in length.
+  static void append_unknown_command(std::string& out, std::string_view name) {
+    constexpr std::size_t kMaxEcho = 128;
+    std::string msg = "ERR unknown command '";
+    for (const char ch : name.substr(0, kMaxEcho)) {
+      msg += static_cast<unsigned char>(ch) < 0x20 ? ' ' : ch;
+    }
+    msg += '\'';
+    append_error(out, msg);
   }
 
   // persist-lint: allow(reads the volatile ServerStats counters above)
@@ -972,55 +856,39 @@ class Server {
   }
 
   /// Run a store mutation, converting exceptions (pool exhaustion,
-  /// length/argument errors that slipped past validation) into one -ERR
-  /// reply. Returns false when the mutation threw — the server keeps
+  /// length/argument errors that slipped past validation) into the text
+  /// of an -ERR reply; nullopt when it completed. The server keeps
   /// serving; the store's documented partial-application rules apply.
-  /// `mutated`, when given, is set whenever the store may have changed —
-  /// on success, and on failures that can leave a partially applied batch
-  /// (OutOfSpace fails element k with the prefix landed). It is NOT set
-  /// for StoreReadOnly: that refusal happens up front, before anything is
+  /// `wrote` is set whenever the store may have changed — on success, and
+  /// on failures that can leave a partially applied batch (OutOfSpace
+  /// fails element k with the prefix landed). It is NOT set for
+  /// StoreReadOnly: that refusal happens up front, before anything is
   /// applied, so there is nothing for the commit hook to make durable —
   /// and calling checkpoint() on a latched store would just throw again
   /// and needlessly tear the connection down.
   template <class Fn>
-  bool apply_store(Conn& c, Fn&& fn, bool* mutated = nullptr) {
-    std::string err;
-    if (apply_store_err(err, std::forward<Fn>(fn), mutated)) return true;
-    append_error(c.out, err);
-    return false;
-  }
-
-  /// Error-capturing variant for batched runs: the caller owes one reply
-  /// per request of the run, so the diagnostic must be emitted per
-  /// element, not appended once (which would desynchronize the pipeline
-  /// by an extra reply).
-  template <class Fn>
-  bool apply_store_err(std::string& err, Fn&& fn, bool* mutated = nullptr) {
+  static std::optional<std::string> apply_store(Fn&& fn, bool& wrote) {
     try {
       fn();
-      if (mutated != nullptr) *mutated = true;
-      return true;
+      wrote = true;
+      return std::nullopt;
     } catch (const kv::OutOfSpace&) {
       // Pool exhausted: this mutation failed cleanly (strong exception
       // safety upstream); reads/deletes on this connection keep working.
-      if (mutated != nullptr) *mutated = true;
-      err = "ERR OUT_OF_SPACE store is full; reads and deletes still "
-            "served";
-      return false;
+      wrote = true;
+      return "ERR OUT_OF_SPACE store is full; reads and deletes still "
+             "served";
     } catch (const std::bad_alloc&) {
-      if (mutated != nullptr) *mutated = true;
-      err = "ERR out of persistent memory";
-      return false;
+      wrote = true;
+      return "ERR out of persistent memory";
     } catch (const kv::StoreReadOnly&) {
       // Durability latch (failed msync): mutations refused up front,
       // reads still answered from the in-memory index.
-      err = "ERR READONLY store is degraded read-only (durability "
-            "failure); reads still served";
-      return false;
+      return "ERR READONLY store is degraded read-only (durability "
+             "failure); reads still served";
     } catch (const std::exception& e) {
-      if (mutated != nullptr) *mutated = true;
-      err = std::string("ERR ") + e.what();
-      return false;
+      wrote = true;
+      return std::string("ERR ") + e.what();
     }
   }
 

@@ -10,6 +10,8 @@
 #include <memory>
 #include <poll.h>
 #include <string>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -145,6 +147,47 @@ TEST_F(NetServerTest, CommandErrorsAreRecoverable) {
   EXPECT_EQ(c.read_reply().str, "fine");
 }
 
+TEST_F(NetServerTest, MultiKeyCommandsAreAllOrNothing) {
+  Harness<HashedKv> h(hashed());
+  Client c = h.connect();
+  ASSERT_TRUE(c.command({"SET", "21", "keep"}).ok());
+  // A bad key anywhere in an M-command gets one error for the whole
+  // command and applies nothing. The PING pipelined behind each proves
+  // the reply count: exactly one reply per command.
+  c.enqueue({"MSET", "20", "a", "bogus", "b"});
+  c.enqueue({"PING"});
+  c.enqueue({"MGET", "21", "bogus"});
+  c.enqueue({"PING"});
+  c.enqueue({"MDEL", "21", "9223372036854775807"});
+  c.enqueue({"PING"});
+  c.flush();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(c.read_reply().is_error()) << i;
+    EXPECT_EQ(c.read_reply().str, "PONG") << i;
+  }
+  EXPECT_TRUE(c.command({"GET", "20"}).is_null());
+  EXPECT_EQ(c.command({"GET", "21"}).str, "keep");
+  // A lone DEL validates like any element of a DEL run.
+  EXPECT_TRUE(c.command({"DEL"}).is_error());
+  EXPECT_TRUE(c.command({"DEL", "bogus"}).is_error());
+  EXPECT_EQ(c.command({"DEL", "21"}).integer, 1);
+}
+
+TEST_F(NetServerTest, UnknownCommandErrorKeepsReplyFraming) {
+  Harness<HashedKv> h(hashed());
+  Client c = h.connect();
+  // The command word is binary-safe; echoing its CR LF into the one-line
+  // error would split the reply in two and shift every later reply.
+  const Reply r = c.command({"X\r\n+OK"});
+  EXPECT_TRUE(r.is_error()) << r.str;
+  EXPECT_EQ(c.command({"PING"}).str, "PONG");
+  // The echo is bounded, whatever the length of the command word.
+  const Reply big = c.command({std::string(1 << 20, 'Z')});
+  ASSERT_TRUE(big.is_error());
+  EXPECT_LT(big.str.size(), 256u);
+  EXPECT_EQ(c.command({"PING"}).str, "PONG");
+}
+
 TEST_F(NetServerTest, ScanOnOrderedLayout) {
   Harness<OrderedKv> h(ordered());
   Client c = h.connect();
@@ -275,6 +318,56 @@ TEST_F(NetServerTest, PeerVanishingMidReplyDoesNotKillTheServer) {
   EXPECT_EQ(c2.command({"GET", "2"}).str, std::string(256 << 10, 'y'));
 }
 
+/// CPU time (user + system) of the whole process, server threads included.
+double process_cpu_seconds() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+TEST_F(NetServerTest, HalfClosedPeerDoesNotSpinItsWorker) {
+  // A client that half-closes (SHUT_WR) with replies still unread: its
+  // socket is at EOF, so it stays readable. The worker must stop reading
+  // it and only wait for the socket to drain, not spin on EPOLLIN.
+  ServerConfig cfg;
+  cfg.workers = 1;
+  Harness<HashedKv> h(hashed(), cfg);
+  Client c = h.connect();
+  const std::string big(512 << 10, 'h');  // 512 KiB
+  ASSERT_TRUE(c.command({"SET", "1", big}).ok());
+  constexpr int kReads = 24;  // ~12 MiB of replies, more than fit in flight
+  for (int i = 0; i < kReads; ++i) c.enqueue({"GET", "1"});
+  c.flush();
+  ASSERT_EQ(::shutdown(c.fd(), SHUT_WR), 0);
+  // Let the worker execute the GETs and see the EOF before measuring:
+  // wait for the requests, then (for up to 2 s, so a slow sanitizer
+  // build is not measured mid-copy) for a 50 ms slice that is idle.
+  for (int spin = 0; spin < 500; ++spin) {
+    if (h.server.stats().requests.load() >= 1 + kReads) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (int slice = 0; slice < 40; ++slice) {
+    const double before = process_cpu_seconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (process_cpu_seconds() - before < 0.01) break;
+  }
+  const double cpu0 = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double burned = process_cpu_seconds() - cpu0;
+  EXPECT_LT(burned, 0.1) << "a half-closed peer kept its worker busy";
+  // Every reply still arrives intact, then EOF.
+  for (int i = 0; i < kReads; ++i) {
+    const Reply r = c.read_reply();
+    ASSERT_EQ(r.type, Reply::Type::kBulk) << i;
+    ASSERT_EQ(r.str, big) << i;
+  }
+  EXPECT_THROW((void)c.read_reply(), std::runtime_error);
+}
+
 TEST_F(NetServerTest, StatsAndDurabilityCounters) {
   Harness<HashedKv> h(hashed());
   Client c = h.connect();
@@ -285,6 +378,17 @@ TEST_F(NetServerTest, StatsAndDurabilityCounters) {
   EXPECT_NE(r.str.find("requests="), std::string::npos);
   EXPECT_NE(r.str.find("pfences="), std::string::npos);
   EXPECT_NE(r.str.find("keys=1"), std::string::npos);
+}
+
+TEST_F(NetServerTest, StatsCountsLoneAndBatchedKeys) {
+  Harness<HashedKv> h(hashed());
+  Client c = h.connect();
+  // A lone GET is a run of one (scalar_ops); an MGET's keys are batched.
+  EXPECT_TRUE(c.command({"GET", "1"}).is_null());
+  EXPECT_EQ(c.command({"MGET", "1", "2", "3"}).elems.size(), 3u);
+  const Reply r = c.command({"STATS"});
+  EXPECT_NE(r.str.find(" batched_keys=3 scalar_ops=1 "), std::string::npos)
+      << r.str;
 }
 
 TEST_F(NetServerTest, ShutdownCommandStopsTheServer) {
