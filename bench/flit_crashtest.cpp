@@ -29,8 +29,13 @@
 // line per present key to <file>.recovered, and runs the store's
 // self-checks, which compare two read paths with each other: size()
 // against the probed count and, on the ordered layout, scan() against
-// point lookups. The parent then judges the recovered map with
-// check_durable and prints each finding under LinCheck's class name.
+// point lookups. A last self-check tests the allocator mark the reopen
+// repaired: up to 256 fresh keys with 1 KiB values (bump allocations,
+// which land on any live record the mark missed), then a close and a
+// clean reopen that must read every probed key unchanged, every fresh
+// key intact, and size() = probed + written. The parent then judges the
+// recovered map with check_durable and prints each finding under
+// LinCheck's class name.
 //
 // Network mode (--mode=net) drives the same check through flit_server
 // --durability=always: pipelined SET/DEL over real sockets, each reply
@@ -476,11 +481,80 @@ template <class StoreT>
 
 // ------------------------------------------------------------- verifier
 
+/// The repaired allocator mark, tested on a real crash image: only a
+/// SIGKILLed image holds nodes that are marked but still linked and
+/// claimed values, which the dirty open's record bound must skip. Writes
+/// up to 256 fresh keys (k >= o.keys) with 1 KiB values — stopping at
+/// the first OutOfSpace, as --inject runs at the brim — then closes,
+/// reopens cleanly and compares every key with `probed` and the fresh
+/// writes. Returns the number of violations (each printed with its key),
+/// or -1 when the region could not be re-mapped.
+template <class StoreT>
+int verify_mark(const Options& o, std::optional<StoreT>& store,
+                const std::map<Key, std::string>& probed) {
+  std::map<Key, std::string> fresh;
+  for (Key k = static_cast<Key>(o.keys); fresh.size() < 256; ++k) {
+    std::string v = "fresh " + std::to_string(k);
+    v.resize(1024, '.');
+    try {
+      store->put(k, v);
+    } catch (const kv::OutOfSpace&) {
+      break;
+    }
+    fresh.emplace(k, std::move(v));
+  }
+  store.reset();  // close()
+  pmem::Pool::instance().reinit(pmem::Pool::kDefaultCapacity);
+  try {
+    store.emplace(open_store<StoreT>(o));
+  } catch (const std::exception& e) {
+    if (std::strstr(e.what(), "could not re-map") != nullptr) return -1;
+    std::fprintf(stderr, "verify: VIOLATION: clean reopen rejected: %s\n",
+                 e.what());
+    return 1;
+  }
+  int violations = 0;
+  for (Key k = 0; k < static_cast<Key>(o.keys); ++k) {
+    const auto v = store->get(k);
+    const auto it = probed.find(k);
+    const bool same =
+        it == probed.end()
+            ? !v.has_value()
+            : v && check::value_id(*v) == check::value_id(it->second);
+    if (!same) {
+      std::fprintf(stderr,
+                   "verify: VIOLATION: key %lld changed after fresh writes "
+                   "and a clean reopen\n",
+                   static_cast<long long>(k));
+      ++violations;
+    }
+  }
+  for (const auto& [k, v] : fresh) {
+    if (store->get(k) != v) {
+      std::fprintf(stderr,
+                   "verify: VIOLATION: fresh key %lld not read back "
+                   "byte-exact\n",
+                   static_cast<long long>(k));
+      ++violations;
+    }
+  }
+  if (store->size() != probed.size() + fresh.size()) {
+    std::fprintf(stderr,
+                 "verify: VIOLATION: size()=%zu after the clean reopen, "
+                 "expected %zu probed + %zu written\n",
+                 store->size(), probed.size(), fresh.size());
+    ++violations;
+  }
+  return violations;
+}
+
 /// Reopen the crash image, write one `key value_id` line per present key
 /// to <file>.recovered for the parent to judge, and run the store's
-/// self-checks. Exit codes: 0 self-checks pass, 1 self-check violation,
-/// 3 I/O error, 4 could not remap the region (the parent re-execs for
-/// fresh ASLR), 5 open() rejected the image.
+/// self-checks (the last one, verify_mark, writes to the image after
+/// .recovered is complete). Exit codes: 0 self-checks pass, 1 self-check
+/// violation, 3 I/O error or a failed re-map on the clean reopen, 4 could
+/// not remap the region (the parent re-execs for fresh ASLR), 5 open()
+/// rejected the image.
 template <class StoreT>
 int verify_image(const Options& o) {
   pmem::set_backend(pmem::Backend::kSimLatency);
@@ -544,6 +618,9 @@ int verify_image(const Options& o) {
       ++violations;
     }
   }
+  const int mark_violations = verify_mark(o, store, probed);
+  if (mark_violations < 0) return 3;
+  violations += mark_violations;
   return violations == 0 ? 0 : 1;
 }
 

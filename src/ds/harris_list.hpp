@@ -172,16 +172,6 @@ class HarrisList {
   /// being closed while the persisted nodes stay on disk).
   void release() noexcept { owns_ = false; }
 
-  /// Visit every linked node — sentinels and marked nodes included — as
-  /// f(node, is_marked). Single-threaded use only (see the link form
-  /// below).
-  template <class F>
-  void for_each_linked(F&& f) const {
-    f(*head_, false);
-    for_each_linked(head_->next, tail_, f);
-    f(*tail_, false);
-  }
-
   // --- the algorithm, run from a head link ---------------------------------
   //
   // `head` is the link word a chain starts from; every chain ends at a
@@ -295,37 +285,33 @@ class HarrisList {
   }
 
   /// Reachable (unmarked) keys between `head` and `tail`; single-threaded
-  /// use only. Throws std::length_error on a chain that dead-ends before
-  /// the tail sentinel — a healthy chain always reaches it, so a premature
-  /// null is a truncated/torn image (e.g. a node zeroed by file
-  /// truncation), and walking past it would either miscount silently or
-  /// dereference null.
+  /// use only. Throws std::length_error on a link outside the Pool (see
+  /// walk_chain).
   static std::size_t size(const Link& head, const Node* tail) {
     std::size_t n = 0;
-    for_each_linked(head, tail, [&n](const Node&, bool marked) {
-      if (!marked) ++n;
-    });
+    walk_chain(head, tail, Bounds::pool(),
+               [&n](const Node&, bool live) { n += live; });
     return n;
   }
 
-  /// Visit every node linked between `head` and `tail` (exclusive; marked
-  /// nodes included) as f(node, is_marked). Single-threaded use only
-  /// (recovery sweeps that rebuild allocator metadata must see every byte
-  /// a traversal could reach; note a *marked* node's value may reference
-  /// already-reclaimed storage, which is why the flag is passed along).
-  /// Every healthy chain ends at the tail sentinel; a null link before it
-  /// is a truncated/torn image and throws std::length_error rather than
-  /// letting recovery half-succeed.
+  /// Visit every node linked between `head` and `tail` (exclusive) as
+  /// f(node, live), where live means unmarked: a *marked* node's value
+  /// may reference already-reclaimed storage. Each node is checked
+  /// against `b` before any of its fields is read, and a link outside
+  /// throws std::length_error — that includes a chain that dead-ends at
+  /// null before the tail sentinel (a truncated image re-extended with
+  /// zeros), which would otherwise miscount silently or dereference null.
+  /// Single-threaded (recovery) use only.
   template <class F>
-  static void for_each_linked(const Link& head, const Node* tail, F&& f) {
+  static void walk_chain(const Link& head, const Node* tail, Bounds b,
+                         F&& f) {
     const Node* c = without_mark(head.load_private());
     while (c != tail) {
-      if (c == nullptr) {
-        throw std::length_error(
-            "ds::HarrisList: chain breaks before the tail sentinel");
+      if (!b.holds(c)) {
+        throw std::length_error("ds::HarrisList: link outside the region");
       }
       const Node* succ = c->next.load_private();
-      f(*c, is_marked(succ));
+      f(*c, !is_marked(succ));
       c = without_mark(succ);
     }
   }

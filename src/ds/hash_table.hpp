@@ -135,15 +135,24 @@ class HashTable {
   /// Disown the nodes: the persisted bytes outlive this volatile handle.
   void release() noexcept { owns_ = false; }
 
-  /// Visit every linked node in every bucket, then the shared tail once,
-  /// as f(node, is_marked); single-threaded use only (see
-  /// HarrisList::for_each_linked).
+  /// recover(roots), after one walk of every bucket chain: each node is
+  /// checked against `b` before it is read and handed to f(node, live)
+  /// (see HarrisList::walk_chain); the shared tail is checked first and
+  /// visited last, as a node holding no key. Throws std::length_error on
+  /// a link outside `b`. The root block itself is the caller's to check.
+  /// Single-threaded, read-only.
   template <class F>
-  void for_each_linked(F&& f) const {
-    for (std::size_t i = 0; i < roots_->nbuckets; ++i) {
-      List::for_each_linked(roots_->heads[i], roots_->tail, f);
+  static HashTable recover(Roots* roots, Bounds b, F&& f) {
+    const Node* tail = roots->tail;
+    if (!b.holds(tail)) {
+      throw std::length_error("ds::HashTable: tail outside the region");
     }
-    f(*roots_->tail, false);
+    const std::size_t nb = roots->nbuckets;
+    for (std::size_t i = 0; i < nb; ++i) {
+      List::walk_chain(roots->heads[i], tail, b, f);
+    }
+    f(*tail, false);
+    return recover(roots);
   }
 
   /// One past the last byte of the persisted root block.

@@ -326,31 +326,6 @@ class SkipList {
   /// being closed while the persisted nodes stay on disk).
   void release() noexcept { owns_ = false; }
 
-  /// Visit every bottom-level linked node — sentinels and marked nodes
-  /// included — as f(node, is_marked). Single-threaded use only (recovery
-  /// sweeps that rebuild allocator metadata must see every byte a
-  /// traversal could reach; a *marked* node's value may reference
-  /// already-reclaimed storage, which is why the flag is passed along).
-  /// Every healthy bottom level terminates at the tail sentinel (the only
-  /// tower whose next[0] is null); a walk ending anywhere else is a
-  /// truncated/torn image and throws std::length_error rather than
-  /// letting recovery half-succeed.
-  template <class F>
-  void for_each_linked(F&& f) const {
-    const Node* c = head_;
-    const Node* last = nullptr;
-    while (c != nullptr) {
-      const Node* succ = c->next[0].load_private();
-      f(*c, is_marked(succ));
-      last = c;
-      c = without_mark(succ);
-    }
-    if (last != tail_) {
-      throw std::length_error(
-          "ds::SkipList: bottom level breaks before the tail sentinel");
-    }
-  }
-
   /// Post-crash recovery. The durable set is the bottom level (every
   /// insert/delete linearizes there with p-instructions); the index levels
   /// may be stale after a crash — under the Manual method the index is
@@ -358,9 +333,21 @@ class SkipList {
   /// at level 0 but look alive above. Like the durable skiplists in the
   /// literature, recovery therefore rebuilds the index from the bottom
   /// level (single-threaded, then re-persisted) instead of trusting it.
+  /// Checks every tower against the Pool (see the form below).
   static SkipList recover(Node* head, Node* tail) {
+    return recover(head, tail, Bounds::pool(), [](const Node&, bool) {});
+  }
+
+  /// recover(head, tail) whose one walk of the bottom level checks each
+  /// tower — the sentinels first — against `b` before reading it (see
+  /// check_tower) and hands it to f(node, live); the sentinels are
+  /// visited as nodes holding no key, a marked node as not live. Throws
+  /// std::length_error on a tower outside `b`, before the index is
+  /// persisted.
+  template <class F>
+  static SkipList recover(Node* head, Node* tail, Bounds b, F&& f) {
     SkipList s(head, tail);
-    s.rebuild_index();
+    s.rebuild_index(b, f);
     return s;
   }
 
@@ -441,8 +428,17 @@ class SkipList {
   /// Single-threaded crash-recovery repair: walk the durable bottom level,
   /// splice out logically deleted (marked) nodes, rebuild every index
   /// level from scratch, and persist the repaired pointers so a subsequent
-  /// crash recovers from a clean image.
-  void rebuild_index() {
+  /// crash recovers from a clean image. The persist pass is a second walk
+  /// over the repaired level 0: a pwb per line of every tower, then one
+  /// pfence. No write-back needs to precede another — recovery reads only
+  /// level 0, whose stores here only bypass marked nodes, so any subset of
+  /// them reaching memory is itself a recoverable image — and the fence
+  /// makes them all durable before recover() returns.
+  template <class F>
+  void rebuild_index(Bounds b, F&& visit) {
+    check_tower(head_, b);
+    check_tower(tail_, b);
+    visit(*head_, false);
     // Per-level "last node seen with height > level" cursors.
     Node* prev_at[kMaxLevel];
     for (int i = 0; i < kMaxLevel; ++i) prev_at[i] = head_;
@@ -450,45 +446,50 @@ class SkipList {
     Node* prev0 = head_;
     Node* c = without_mark(head_->next[0].load_private());
     while (c != tail_) {
-      if (c == nullptr) {
-        // The durable bottom level dead-ends before the tail sentinel: a
-        // truncated/torn image. Abort before re-stitching (and durably
-        // persisting) an index over the broken chain — the caller rejects
-        // the whole store instead of half-recovering it.
-        throw std::length_error(
-            "ds::SkipList: bottom level breaks before the tail sentinel");
-      }
+      // A link outside the region — a chain that dead-ends at null in a
+      // truncated image included — aborts before anything is persisted:
+      // the caller rejects the whole store instead of half-recovering it.
+      check_tower(c, b);
       Node* nxt = c->next[0].load_private();
-      if (is_marked(nxt)) {  // logically deleted: drop from every level
-        c = without_mark(nxt);
-        continue;
-      }
-      // Live node: stitch bottom level and its index levels.
-      if (prev0->next[0].load_private() != c) {
-        prev0->next[0].store_private(c, kVolatile);
-      }
-      prev0 = c;
-      for (int lvl = 1; lvl < c->height && lvl < kMaxLevel; ++lvl) {
-        prev_at[lvl]->next[lvl].store_private(c, kVolatile);
-        prev_at[lvl] = c;
-      }
+      const bool live = !is_marked(nxt);
+      visit(*c, live);
+      if (live) {  // stitch bottom level and its index levels
+        if (prev0->next[0].load_private() != c) {
+          prev0->next[0].store_private(c, kVolatile);
+        }
+        prev0 = c;
+        for (int lvl = 1; lvl < c->height; ++lvl) {
+          prev_at[lvl]->next[lvl].store_private(c, kVolatile);
+          prev_at[lvl] = c;
+        }
+      }  // else logically deleted: dropped from every level
       c = without_mark(nxt);
     }
+    visit(*tail_, false);
     // Terminate every level at the tail.
     prev0->next[0].store_private(tail_, kVolatile);
     for (int lvl = 1; lvl < kMaxLevel; ++lvl) {
       prev_at[lvl]->next[lvl].store_private(tail_, kVolatile);
     }
     if constexpr (Words::persistent) {
-      // Re-persist every repaired tower (head, tail, and all live nodes).
-      persist_node(head_);
-      persist_node(tail_);
+      // Write back every repaired tower (head, tail, and all live nodes).
+      pwb_node(head_);
+      pwb_node(tail_);
       for (Node* n = without_mark(head_->next[0].load_private());
-           n != tail_ && n != nullptr;
-           n = without_mark(n->next[0].load_private())) {
-        persist_node(n);
+           n != tail_; n = without_mark(n->next[0].load_private())) {
+        pwb_node(n);
       }
       pmem::pfence();
+    }
+  }
+
+  /// Throw std::length_error unless n's whole tower lies inside b: the
+  /// base node before its height is read, the height before the last
+  /// link word's address is formed.
+  static void check_tower(const Node* n, Bounds b) {
+    if (!b.holds(n) || n->height < 1 || n->height > kMaxLevel ||
+        !b.holds(&n->next[n->height - 1])) {
+      throw std::length_error("ds::SkipList: tower outside the region");
     }
   }
 
@@ -536,6 +537,10 @@ class SkipList {
     if constexpr (Words::persistent) {
       pmem::persist_range(n, Node::bytes_for(n->height));
     }
+  }
+
+  static void pwb_node(const Node* n) {
+    pmem::pwb_range(n, Node::bytes_for(n->height));
   }
 
   static Node* alloc_node(K k, V v, int h) {

@@ -1,5 +1,6 @@
-// tagged_ptr.hpp — low-bit pointer tagging helpers shared by the lock-free
-// structures.
+// tagged_ptr.hpp — pointer helpers shared by the lock-free structures:
+// low-bit tagging, the value-claim protocol, and the bounds a recovery
+// walk checks every persisted link against.
 //
 // Bit assignments across the library:
 //   bit 0 — data-structure logical-deletion mark (Harris / Fraser / the
@@ -11,8 +12,11 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
+
+#include "pmem/pool.hpp"
 
 namespace flit::ds {
 
@@ -106,5 +110,43 @@ typename Word::value_type claim_value(Word& word, bool load_pflag,
     return word.load_private();
   }
 }
+
+// --- recovery walks ----------------------------------------------------------
+
+/// The bytes a recovery walk may read: [base, base + len). Allocator
+/// metadata is not crash-consistent (the libvmmalloc model), so recovery
+/// learns where nodes are only from persisted links, and a torn or
+/// bit-rotted image can hold a link to anywhere. Each walk therefore
+/// checks a node against the bounds before reading any of its fields
+/// and throws std::length_error on a miss; a null link is just another
+/// miss. Passed by value: the per-node check is one unsigned compare.
+struct Bounds {
+  std::uintptr_t base;
+  std::size_t len;
+
+  Bounds(const void* b, std::size_t n) noexcept
+      : base(reinterpret_cast<std::uintptr_t>(b)), len(n) {}
+
+  /// The process-global Pool every structure allocates from: the bounds
+  /// of a simulated-crash (pool-backed) recovery.
+  static Bounds pool() noexcept {
+    const pmem::Pool& p = pmem::Pool::instance();
+    return {p.base(), p.capacity()};
+  }
+
+  /// True iff [p, p + n) lies inside, for any n.
+  bool spans(const void* p, std::size_t n) const noexcept {
+    const std::uintptr_t off = reinterpret_cast<std::uintptr_t>(p) - base;
+    return off <= len && n <= len - off;
+  }
+
+  /// spans(p, sizeof(T)) in one compare: an address below base (null
+  /// included) wraps past len. Requires sizeof(T) <= len, which every
+  /// node type meets in a region that holds its superblock.
+  template <class T>
+  bool holds(const T* p) const noexcept {
+    return reinterpret_cast<std::uintptr_t>(p) - base <= len - sizeof(T);
+  }
+};
 
 }  // namespace flit::ds

@@ -14,7 +14,9 @@
 //   static constexpr const char* kLayoutName; // superblock layout tag
 //
 //   Backend(std::size_t capacity_hint);       // fresh structure
-//   static Backend recover(Roots*);           // volatile handle rebuild
+//   static Backend recover(Roots*, ds::Bounds, visit);
+//                                             // recovery's one walk, see
+//                                             // below
 //   Roots* roots();
 //   std::optional<Record*> upsert(Key, Record*, ds::PublishBatch&);
 //                                             // atomic in-place replace-
@@ -26,13 +28,19 @@
 //   std::optional<Record*> find(Key);         // lookup; the caller fences
 //   bool contains(Key);
 //   void prepare(Key);                        // prefetch probe entry
-//   std::size_t count();                      // O(data) reachable sweep
 //   void release();                           // disown persisted nodes
-//   for_each_linked(f);                       // recovery sweep, see below
 //   std::uintptr_t roots_extent();
 //   static std::size_t node_bytes(const Node&);
-//   static validate_roots(const Roots*, spans);  // bounds-check headers
+//   static validate_roots(const Roots*, ds::Bounds);  // root block only
 //   for_each_range(Key lo, f);                // ordered backends only
+//
+// recover() rebuilds the volatile handle in one walk of the persisted
+// structure — every bucket chain, or the skiplist's level-0 index
+// rebuild — that checks each node against the region's bounds before
+// reading any of its fields and hands it to visit(const Node&, bool
+// live), sentinels included (as not live). kv::Shard::recover re-counts
+// live keys and, after a dirty shutdown, bounds the allocator mark in
+// that visitor; a node outside the bounds throws std::length_error.
 //
 // Two backends are provided: HashBackend (a hash table whose buckets are
 // Harris lists, one persistent head word each — the original store
@@ -54,7 +62,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
 
 #include "ds/batch.hpp"
 #include "ds/hash_table.hpp"
@@ -82,8 +89,9 @@ class HashBackend {
   explicit HashBackend(std::size_t capacity_hint) : table_(capacity_hint) {}
   HashBackend(HashBackend&&) noexcept = default;
 
-  static HashBackend recover(Roots* roots) {
-    return HashBackend(Table::recover(roots));
+  template <class F>
+  static HashBackend recover(Roots* roots, ds::Bounds b, F&& visit) {
+    return HashBackend(Table::recover(roots, b, visit));
   }
 
   Roots* roots() const noexcept { return table_.roots(); }
@@ -94,13 +102,7 @@ class HashBackend {
   std::optional<Record*> find(Key k) const { return table_.find_batched(k); }
   bool contains(Key k) const { return table_.contains(k); }
   void prepare(Key k) const noexcept { table_.prepare(k); }
-  std::size_t count() const { return table_.size(); }
   void release() noexcept { table_.release(); }
-
-  template <class F>
-  void for_each_linked(F&& f) const {
-    table_.for_each_linked(f);
-  }
 
   std::uintptr_t roots_extent() const noexcept {
     return table_.roots_extent();
@@ -110,33 +112,17 @@ class HashBackend {
     return sizeof(Node);
   }
 
-  /// Bounds-check everything recovery dereferences on the way to the
-  /// nodes: the root block (including its nbuckets head words), the
-  /// shared tail sentinel, and the unmarked target of every head word.
-  /// `spans(p, len)` must return true iff [p, p+len) lies inside the
-  /// region. Throws IncompatibleStore on a torn or bit-rotted header.
-  /// Interior node corruption (next pointers) has no integrity metadata
-  /// to check against and is out of scope, like the rest of the library's
-  /// recovery model.
-  template <class Spans>
-  static void validate_roots(const Roots* roots, std::size_t region_capacity,
-                             Spans&& spans) {
-    if (!spans(roots, sizeof(Roots))) {
+  /// Bounds-check the root block, its nbuckets head words included.
+  /// Throws IncompatibleStore on a torn or bit-rotted header. The nodes,
+  /// the shared tail among them, are checked by recover()'s walk.
+  static void validate_roots(const Roots* roots, ds::Bounds b) {
+    if (!b.spans(roots, sizeof(Roots))) {
       throw IncompatibleStore("kv::Store: corrupt shard root");
     }
     const std::size_t nb = roots->nbuckets;
-    if (nb == 0 || nb > region_capacity / sizeof(typename Table::Link) ||
-        !spans(roots, Roots::bytes(nb))) {
+    if (nb == 0 || nb > b.len / sizeof(typename Table::Link) ||
+        !b.spans(roots, Roots::bytes(nb))) {
       throw IncompatibleStore("kv::Store: corrupt shard root array");
-    }
-    if (!spans(roots->tail, sizeof(Node))) {
-      throw IncompatibleStore("kv::Store: corrupt bucket tail sentinel");
-    }
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (!spans(ds::without_mark(roots->heads[b].load_private()),
-                 sizeof(Node))) {
-        throw IncompatibleStore("kv::Store: corrupt bucket head word");
-      }
     }
   }
 
@@ -180,8 +166,10 @@ class OrderedBackend {
 
   OrderedBackend(OrderedBackend&&) noexcept = default;
 
-  static OrderedBackend recover(Roots* roots) {
-    return OrderedBackend(List::recover(roots->head, roots->tail), roots);
+  template <class F>
+  static OrderedBackend recover(Roots* roots, ds::Bounds b, F&& visit) {
+    return OrderedBackend(List::recover(roots->head, roots->tail, b, visit),
+                          roots);
   }
 
   Roots* roots() const noexcept { return roots_; }
@@ -192,13 +180,7 @@ class OrderedBackend {
   std::optional<Record*> find(Key k) const { return list_.find_batched(k); }
   bool contains(Key k) const { return list_.contains(k); }
   void prepare(Key k) const noexcept { list_.prepare(k); }
-  std::size_t count() const { return list_.size(); }
   void release() noexcept { list_.release(); }
-
-  template <class F>
-  void for_each_linked(F&& f) const {
-    list_.for_each_linked(f);
-  }
 
   /// Ordered visit of every live (key, record) with key >= lo, ascending,
   /// until f returns false. See SkipList::for_each_range for the
@@ -213,32 +195,17 @@ class OrderedBackend {
     return reinterpret_cast<std::uintptr_t>(roots_) + sizeof(Roots);
   }
 
-  /// Skiplist nodes are tower-sized; a corrupt height would poison the
-  /// recovery sweep's extent arithmetic, so reject it here (the sweep
-  /// turns length_error into IncompatibleStore).
-  static std::size_t node_bytes(const Node& n) {
-    if (n.height < 1 || n.height > List::kMaxLevel) {
-      throw std::length_error("kv: corrupt skiplist node height");
-    }
+  /// Skiplist nodes are tower-sized (recover()'s walk has checked the
+  /// height).
+  static std::size_t node_bytes(const Node& n) noexcept {
     return Node::bytes_for(n.height);
   }
 
-  template <class Spans>
-  static void validate_roots(const Roots* roots,
-                             std::size_t /*region_capacity*/, Spans&& spans) {
-    if (!spans(roots, sizeof(Roots))) {
+  /// Bounds-check the root block; the sentinel towers it names are
+  /// checked by recover()'s walk.
+  static void validate_roots(const Roots* roots, ds::Bounds b) {
+    if (!b.spans(roots, sizeof(Roots))) {
       throw IncompatibleStore("kv::Store: corrupt shard root");
-    }
-    for (const Node* s : {roots->head, roots->tail}) {
-      // Two-step: the base Node must be in-region before its height can be
-      // read, then the full tower must fit too.
-      if (!spans(s, sizeof(Node))) {
-        throw IncompatibleStore("kv::Store: corrupt skiplist sentinel");
-      }
-      if (s->height < 1 || s->height > List::kMaxLevel ||
-          !spans(s, Node::bytes_for(s->height))) {
-        throw IncompatibleStore("kv::Store: corrupt skiplist sentinel tower");
-      }
     }
   }
 

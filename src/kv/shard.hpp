@@ -29,6 +29,7 @@
 // protocol in ds/harris_list.hpp.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -281,7 +282,7 @@ class Shard {
   /// concurrency it may transiently deviate by the number of in-flight
   /// inserts/removes. Overwrites never touch it (an in-place upsert
   /// changes no key's presence), so a store under pure overwrite churn
-  /// reads exactly. Rebuilt by an O(data) sweep on recovery. See
+  /// reads exactly. Re-counted by recovery's walk (see recover()). See
   /// ARCHITECTURE.md for the accuracy contract.
   std::size_t size() const noexcept {
     const auto n = approx_size_.load(std::memory_order_relaxed);
@@ -314,66 +315,54 @@ class Shard {
 
   Roots* roots() const noexcept { return backend_.roots(); }
 
-  /// Rebuild a non-owning shard handle from its persisted roots and
-  /// re-count the reachable keys (the O(1) size counter is volatile).
-  /// Single-threaded; the caller (Store) has already bounds-checked the
-  /// roots via Backend::validate_roots.
-  static Shard recover(Roots* roots) {
-    Shard s(Backend::recover(roots));
-    s.approx_size_.store(
-        static_cast<std::ptrdiff_t>(s.backend_.count()),
-        std::memory_order_relaxed);
+  /// Rebuild a non-owning shard handle from its persisted roots in one
+  /// walk: the backend's recovery (every bucket chain, or the skiplist's
+  /// level-0 index rebuild) checks each node against `b` before reading
+  /// it and hands it to the visitor below, which re-counts the live keys
+  /// (the O(1) size counter is volatile). After a dirty shutdown the
+  /// caller passes `mark`, and the visitor also raises *mark to one past
+  /// the last byte of every visited node and live record and of the root
+  /// block: the allocator high-water mark the region must resume above.
+  /// A marked node's record was already retired (possibly reclaimed and
+  /// reused before the crash), so its pointer may dangle — exactly why
+  /// traversals never read marked values — and it is excluded the same
+  /// way. A live record's pointer and length are checked against `b`
+  /// before the mark trusts them. Throws std::length_error on anything
+  /// outside `b`. Single-threaded; the caller (Store) has already checked
+  /// the root block via Backend::validate_roots.
+  static Shard recover(Roots* roots, ds::Bounds b, std::uintptr_t* mark) {
+    std::ptrdiff_t live_keys = 0;
+    Shard s(Backend::recover(roots, b, [&](const Node& n, bool live) {
+      live_keys += live;
+      if (mark == nullptr) return;
+      const auto na = reinterpret_cast<std::uintptr_t>(&n);
+      *mark = std::max(*mark, na + Backend::node_bytes(n));
+      if (!live) return;
+      const Record* r = n.value.load_private();
+      // A claimed (bit-0-marked) value only ever appears on a marked
+      // node; skipped anyway, so a violated invariant is a skip, not a
+      // wild dereference.
+      if (ds::is_marked(r)) return;
+      if (!b.holds(r)) {
+        throw std::length_error("kv: record pointer outside the region");
+      }
+      // A live record's length is bounded at creation; anything larger,
+      // or a record running past the region, is bit rot that would
+      // poison the rebuilt allocator mark.
+      const char* end = reinterpret_cast<const char*>(r) +
+                        Record::bytes(r->len);
+      if (r->len > Record::kMaxValueBytes || !b.holds(end - 1)) {
+        throw std::length_error("kv: corrupt record length");
+      }
+      *mark = std::max(*mark, reinterpret_cast<std::uintptr_t>(end));
+    }));
+    s.approx_size_.store(live_keys, std::memory_order_relaxed);
+    if (mark != nullptr) *mark = std::max(*mark, s.backend_.roots_extent());
     return s;
   }
 
   /// Disown the persisted nodes (file-backed stores closing the region).
   void release() noexcept { backend_.release(); }
-
-  /// One past the highest byte reachable from this shard: roots, every
-  /// linked node, and every *live* record. A marked node's record was
-  /// already retired (possibly reclaimed and reused before the crash), so
-  /// its pointer may dangle — exactly why traversals never read marked
-  /// values — and it is excluded here the same way. Live record pointers
-  /// and lengths are validated against [lo, limit) before the first
-  /// dereference (std::length_error on bit rot); node pointer corruption
-  /// has no integrity metadata and stays out of scope. Single-threaded
-  /// recovery use only.
-  std::uintptr_t max_extent(std::uintptr_t lo, std::uintptr_t limit) const {
-    std::uintptr_t hi = backend_.roots_extent();
-    backend_.for_each_linked([&hi, lo, limit](const Node& n, bool marked) {
-      const auto na = reinterpret_cast<std::uintptr_t>(&n);
-      // Address first, then layout: node_bytes reads the node (a skiplist
-      // tower's height), so an out-of-region link must be rejected before
-      // the first field access, not diagnosed by the SIGSEGV it causes.
-      if (na < lo || na >= limit || sizeof(Node) > limit - na) {
-        throw std::length_error("kv: node pointer outside the region");
-      }
-      const std::size_t nb = Backend::node_bytes(n);  // validates layout
-      if (nb > limit - na) {
-        throw std::length_error("kv: node extends past the region");
-      }
-      if (na + nb > hi) hi = na + nb;
-      const Record* r = n.value.load_private();
-      // Sentinel, or a retired value: a marked node's record was claimed
-      // by its removal (and a claimed — bit-0-marked — value pointer only
-      // ever appears on a marked node; checked here anyway so a violated
-      // invariant surfaces as a skip, not a wild dereference).
-      if (marked || r == nullptr || ds::is_marked(r)) return;
-      const auto ra = reinterpret_cast<std::uintptr_t>(r);
-      if (ra < lo || ra + sizeof(Record) > limit) {
-        throw std::length_error("kv: record pointer outside the region");
-      }
-      if (r->len > Record::kMaxValueBytes) {
-        // A live record's length is bounded at creation; anything larger
-        // is bit rot, and trusting it would poison the rebuilt allocator
-        // mark.
-        throw std::length_error("kv: corrupt record length");
-      }
-      const auto rec_end = ra + Record::bytes(r->len);
-      if (rec_end > hi) hi = rec_end;
-    });
-    return hi;
-  }
 
  private:
   explicit Shard(Backend&& b) noexcept : backend_(std::move(b)) {}

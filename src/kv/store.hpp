@@ -31,13 +31,15 @@
 //     and the superblock is wired to the region's root slot 0, so a later
 //     open() of the same file transparently recovers every shard and the
 //     generation stamp survives process restarts. Allocator metadata is
-//     not crash-consistent (the libvmmalloc model), so open() rebuilds
-//     the pool's high-water mark by sweeping the recovered shards —
-//     a dirty shutdown (no close()) cannot cause recovered records to be
-//     handed back out by the allocator. On DRAM+disk machines the
-//     mmap'd bytes themselves are only msync-durable: checkpoint()/
-//     close() bound that exposure; on DAX the pwb/pfence backend
-//     applies as-is.
+//     not crash-consistent (the libvmmalloc model), so after a dirty
+//     shutdown (no close()) open() rebuilds the pool's high-water mark in
+//     recovery's one walk per shard, which bounds every node and live
+//     record — recovered records cannot be handed back out by the
+//     allocator. The walk checks every node against the region before
+//     reading it, so a torn image is rejected, not dereferenced (see
+//     Shard::recover). On DRAM+disk machines the mmap'd bytes themselves
+//     are only msync-durable: checkpoint()/close() bound that exposure;
+//     on DAX the pwb/pfence backend applies as-is.
 //
 // The generation stamp counts sessions: 1 on creation, +1 (persisted) on
 // every successful recovery — restart-count telemetry that doubles as a
@@ -112,7 +114,7 @@ struct KeyRange {
 /// page cache survives those) can take back:
 ///
 ///   * kNever   — only explicit checkpoint()/close() msync. Loss window:
-///     everything since the last checkpoint. Fastest; the recovery sweep
+///     everything since the last checkpoint. Fastest; the recovery walk
 ///     still repairs the allocator mark, so committed-and-synced data is
 ///     never resurrected wrong, but recent writes may vanish wholesale.
 ///   * kEverySec — a background flusher checkpoints every interval
@@ -165,8 +167,8 @@ class Store {
   static constexpr std::size_t kSuperblockSlot = 0;
   /// Root slot doubling as a clean-shutdown flag: non-null only between a
   /// quiesced close() and the next open(). While it is set, the header's
-  /// bump mark is authoritative and open() can skip the O(data) recovery
-  /// sweep; a dirty shutdown leaves it null. (checkpoint() deliberately
+  /// bump mark is authoritative and open()'s recovery walk reads no
+  /// record; a dirty shutdown leaves it null. (checkpoint() deliberately
   /// does NOT set it: post-checkpoint allocations would sit above the
   /// checkpointed mark.)
   static constexpr std::size_t kCleanShutdownSlot = 1;
@@ -317,13 +319,15 @@ class Store {
     }
   }
 
-  /// Rebuild a store from a persisted superblock (simulated-crash path, or
-  /// the recovered half of open()). Bumps the generation stamp durably.
-  /// Ordered shards additionally repair their skiplist index levels from
-  /// the durable bottom level (see SkipList::recover), and every shard
-  /// re-counts its keys for the O(1) size counter.
+  /// Rebuild a pool-backed store from its persisted superblock (the
+  /// simulated-crash path). Bumps the generation stamp durably. Each
+  /// shard recovers in one walk that checks every node against the
+  /// Pool's bounds (see Shard::recover): ordered shards repair their
+  /// skiplist index levels from the durable bottom level (see
+  /// SkipList::recover), and every shard re-counts its keys for the O(1)
+  /// size counter. A node outside the Pool throws std::length_error.
   static Store recover(Superblock* sb) {
-    Store s = recover_handles(sb);
+    Store s = recover_handles(sb, ds::Bounds::pool(), nullptr);
     bump_generation(sb);
     return s;
   }
@@ -332,9 +336,10 @@ class Store {
   /// the store recovers from (or installs) the superblock in root slot 0.
   /// An existing file's shard count and partition bounds win over the
   /// `nshards`/`range` arguments. Throws IncompatibleStore when the file
-  /// exists but was written by a different store configuration or has a
-  /// corrupt header — in that case (and on any other throw) the global
-  /// Pool is left usable.
+  /// exists but was written by a different store configuration, has a
+  /// corrupt header, or links a node or live record outside the region —
+  /// in that case (and on any other throw) the global Pool is left
+  /// usable.
   static Store open(const std::string& path, std::size_t capacity,
                     std::uint32_t nshards, std::size_t capacity_per_shard,
                     KeyRange range = {}) {
@@ -344,11 +349,12 @@ class Store {
     // to 0 and overwriting committed records). Checked for *any* existing
     // region — even one whose superblock root was never set takes the
     // mark into adopt(). Too-small marks are repaired by the recovery
-    // sweep; too-large ones are corruption.
+    // walk; too-large ones are corruption.
     if (region.recovered() && region.bump() > region.usable_capacity()) {
       throw IncompatibleStore("kv::Store: corrupt allocator bump mark");
     }
     void* root = region.recovered() ? region.root(kSuperblockSlot) : nullptr;
+    const ds::Bounds bounds(region.usable_base(), region.usable_capacity());
     // Validate before the Pool adopts the region: a reject (foreign file,
     // newer version, corrupt header) must unwind with the global allocator
     // untouched, not leave it pointing into a mapping this frame is about
@@ -356,67 +362,52 @@ class Store {
     // bounds-checked before the first dereference — a torn or bit-rotted
     // header must produce the clean throw, not a SIGSEGV.
     if (root != nullptr) {
-      if (!region_spans(region, root, sizeof(Superblock))) {
+      if (!bounds.spans(root, sizeof(Superblock))) {
         throw IncompatibleStore("kv::Store: corrupt superblock offset");
       }
       auto* sb = static_cast<Superblock*>(root);
       validate_superblock(sb);
-      validate_region_layout(region, sb);
+      validate_region_layout(bounds, sb);
     }
     // Once the Pool has adopted the region, an exception unwinding this
     // frame would unmap the region under the adopted pool — every later
     // allocation in the process would fault. Catch, restore a fresh
     // anonymous pool at the pre-adopt capacity (its contents were already
     // discarded by the adoption), rethrow. Before adoption (the recovery
-    // handles and the sweep run first — no allocation) the existing pool
-    // is healthy and must be left alone.
+    // walk runs first — no allocation) the existing pool is healthy and
+    // must be left alone.
     const std::size_t prev_capacity = pmem::Pool::instance().capacity();
     bool adopted = false;
     try {
       if (root != nullptr) {
-        // Recover the handles first (no allocation; ordered shards repair
-        // their index levels in place). After a *dirty* shutdown the
-        // header's bump mark can sit below durably committed records (it
-        // is only written at checkpoint()/close(); allocator metadata is
-        // not crash-consistent, the libvmmalloc model) — resuming from it
-        // verbatim would hand their bytes right back out, so rebuild the
-        // high-water mark by sweeping what the shards actually reach. A
-        // clean shutdown left the flag slot set, making the mark
-        // authoritative and the O(data) sweep skippable.
+        // Recover the handles first: one walk per shard, no allocation
+        // (ordered shards repair their index levels in place), every node
+        // checked against the region before it is read. After a *dirty*
+        // shutdown the header's bump mark can sit below durably committed
+        // records (it is only written at checkpoint()/close(); allocator
+        // metadata is not crash-consistent, the libvmmalloc model) —
+        // resuming from it verbatim would hand their bytes right back
+        // out, so the same walk also bounds every node and live record
+        // (`hi`). A clean shutdown left the flag slot set, making the mark
+        // authoritative, so a clean open reads no record.
         //
-        // Handle recovery itself walks every chain (the size re-count, the
-        // ordered index rebuild); a truncated or torn image surfaces there
-        // as std::length_error — a broken chain, an impossible node — and
-        // must reject the open, not escape as a generic runtime error or
-        // worse, yield a silently half-recovered store.
+        // A truncated, torn or bit-rotted image surfaces in the walk as
+        // std::length_error — a link or record outside the region, an
+        // impossible tower — and must reject the open, not escape as a
+        // generic runtime error or, worse, yield a silently
+        // half-recovered store.
+        const bool dirty = region.root(kCleanShutdownSlot) == nullptr;
+        std::uintptr_t hi = 0;
         Store s = [&] {
           try {
-            return recover_handles(static_cast<Superblock*>(root));
+            return recover_handles(static_cast<Superblock*>(root), bounds,
+                                   dirty ? &hi : nullptr);
           } catch (const std::length_error& e) {
             throw IncompatibleStore(e.what());
           }
         }();
         std::size_t resume = region.bump();
-        if (region.root(kCleanShutdownSlot) == nullptr) {
-          const auto base =
-              reinterpret_cast<std::uintptr_t>(region.usable_base());
-          const std::uintptr_t limit = base + region.usable_capacity();
-          std::uintptr_t hi = 0;
-          try {
-            hi = s.max_extent(base, limit);
-          } catch (const std::length_error& e) {
-            throw IncompatibleStore(e.what());  // corrupt record length
-          }
-          if (hi > limit) {
-            // A reachable object appearing past the region is bit rot in
-            // a length or pointer field; clamping would only defer the
-            // damage to an inexplicably full allocator.
-            throw IncompatibleStore(
-                "kv::Store: recovered data extends past the region");
-          }
-          const std::size_t swept = hi > base ? hi - base : 0;
-          resume = std::max(resume, swept);
-        }
+        if (dirty) resume = std::max(resume, hi - bounds.base);
         pmem::Pool::instance().adopt(region.usable_base(),
                                      region.usable_capacity(), resume);
         adopted = true;
@@ -809,9 +800,9 @@ class Store {
   /// everything committed so far is on stable storage (msync-durable
   /// even on DRAM+disk machines, where pwb/pfence alone reach only the
   /// page cache). Stop-the-world; file-backed stores only. open()'s
-  /// recovery sweep protects committed records from a dirty shutdown
-  /// regardless, but periodic checkpoints bound the sweep's work and the
-  /// msync exposure window.
+  /// recovery walk protects committed records from a dirty shutdown
+  /// regardless, but periodic checkpoints bound the msync exposure
+  /// window.
   void checkpoint() {
     if (durability_ctl_) {
       std::lock_guard<std::mutex> lk(durability_ctl_->mu);
@@ -1036,49 +1027,37 @@ class Store {
     }
   }
 
-  /// True if [p, p+len) lies inside the usable part of the region.
-  static bool region_spans(const pmem::FileRegion& region, const void* p,
-                           std::size_t len) noexcept {
-    const auto a = reinterpret_cast<std::uintptr_t>(p);
-    const auto lo = reinterpret_cast<std::uintptr_t>(region.usable_base());
-    const auto hi = lo + region.usable_capacity();
-    // The a <= hi guard keeps hi - a from wrapping for pointers past the
-    // region (a corrupt offset must fail here, not at the dereference).
-    return a >= lo && a <= hi && len <= hi - a;
-  }
-
-  /// Bounds-check everything recovery dereferences on the way to the
-  /// nodes: the superblock extent, then each shard's roots via the
-  /// backend's own validator (root blocks, the shared tail and every
-  /// head word's target for hashed shards, sentinel towers for ordered
-  /// ones). This catches torn or bit-rotted headers; interior node
-  /// corruption (next pointers) has no integrity metadata to check
-  /// against and is out of scope, like the rest of the library's recovery
-  /// model.
-  static void validate_region_layout(const pmem::FileRegion& region,
-                                     const Superblock* sb) {
-    if (!region_spans(region, sb, Superblock::bytes(sb->nshards))) {
+  /// Bounds-check everything recovery reads before the walk reaches the
+  /// nodes: the superblock extent, then each shard's root block via the
+  /// backend's own validator. This catches torn or bit-rotted headers;
+  /// the walk (Shard::recover) checks every node.
+  static void validate_region_layout(ds::Bounds b, const Superblock* sb) {
+    if (!b.spans(sb, Superblock::bytes(sb->nshards))) {
       throw IncompatibleStore("kv::Store: superblock exceeds the region");
     }
-    const auto spans = [&region](const void* p, std::size_t len) {
-      return region_spans(region, p, len);
-    };
     for (std::uint32_t i = 0; i < sb->nshards; ++i) {
-      Backend_::validate_roots(sb->shard_roots[i], region.usable_capacity(),
-                               spans);
+      Backend_::validate_roots(sb->shard_roots[i], b);
     }
   }
 
-  /// Validation + volatile-handle reconstruction, with no persistent
-  /// allocation (ordered shards do repair their skiplist index levels in
-  /// place; recovery otherwise only reads).
-  static Store recover_handles(Superblock* sb) {
+  /// Validation + volatile-handle reconstruction: one walk per shard
+  /// against `b` (see Shard::recover), no persistent allocation (ordered
+  /// shards do repair their skiplist index levels in place; recovery
+  /// otherwise only reads). A non-null `mark` is raised to one past the
+  /// highest byte reachable from the superblock: the allocator mark a
+  /// dirty shutdown must resume above.
+  static Store recover_handles(Superblock* sb, ds::Bounds b,
+                               std::uintptr_t* mark) {
     validate_superblock(sb);
     Store s{RecoverTag{}};
     s.sb_ = sb;
     s.shards_.reserve(sb->nshards);
     for (std::uint32_t i = 0; i < sb->nshards; ++i) {
-      s.shards_.push_back(Shard_::recover(sb->shard_roots[i]));
+      s.shards_.push_back(Shard_::recover(sb->shard_roots[i], b, mark));
+    }
+    if (mark != nullptr) {
+      *mark = std::max(*mark, reinterpret_cast<std::uintptr_t>(sb) +
+                                  Superblock::bytes(sb->nshards));
     }
     s.init_routing();
     return s;
@@ -1091,19 +1070,6 @@ class Store {
       pmem::pc_store(&sb->generation, sizeof(sb->generation));
       pmem::persist_range(&sb->generation, sizeof(sb->generation));
     }
-  }
-
-  /// One past the highest byte reachable from the superblock: the
-  /// recovery sweep that repairs the allocator bump mark after a dirty
-  /// shutdown. Record pointers/lengths are validated against [lo, limit).
-  /// Single-threaded (open-time) use only.
-  std::uintptr_t max_extent(std::uintptr_t lo, std::uintptr_t limit) const {
-    auto hi = reinterpret_cast<std::uintptr_t>(sb_) +
-              Superblock::bytes(sb_->nshards);
-    for (const Shard_& s : shards_) {
-      hi = std::max(hi, s.max_extent(lo, limit));
-    }
-    return hi;
   }
 
   Shard_& shard_for(Key k) noexcept { return shards_[shard_index(k)]; }

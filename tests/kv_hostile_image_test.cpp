@@ -1,20 +1,23 @@
 // Hostile-image recovery tests: Store::open() against files that were
 // truncated at the worst possible byte — mid-header, mid-superblock and
 // mid-slab (both with and without the clean-shutdown flag, and on both
-// layouts), or with one word rewritten (a bucket head word, the
-// superblock version). Every case must end in a clean rejection the
-// caller can catch (kv::IncompatibleStore / std::runtime_error), never a
-// SIGSEGV from walking zeroed node memory and never a silently
-// half-recovered store. The rejecting open must also leave the global
-// Pool untouched — validation precedes adoption.
+// layouts), or with one word rewritten (a bucket head word, an interior
+// level-0 link, the superblock version). Every case must end in a clean
+// rejection the caller can catch (kv::IncompatibleStore /
+// std::runtime_error), never a SIGSEGV from walking zeroed or unmapped
+// node memory and never a silently half-recovered store. The rejecting
+// open must also leave the global Pool untouched — validation precedes
+// adoption.
 //
-// Truncation is the canonical hostile shape because ftruncate-to-larger
-// (which FileRegion::open performs to restore the recorded capacity)
-// refills the lost tail with zeros: every pointer into the cut region
-// becomes a null-looking fake node, which is exactly what the tail-
-// sentinel termination checks in ds::HarrisList / ds::SkipList exist to
-// catch (a healthy chain ends at its tail sentinel; zeroed memory ends
-// at nullptr).
+// Recovery learns where nodes are only from persisted links, so its one
+// walk per shard checks every node against the region's bounds before
+// reading any of its fields, on clean and dirty opens alike. Truncation
+// is the canonical hostile shape because ftruncate-to-larger (which
+// FileRegion::open performs to restore the recorded capacity) refills the
+// lost tail with zeros: every pointer into the cut region becomes a fake
+// node whose links are null — a healthy chain ends at its tail sentinel,
+// zeroed memory ends at nullptr, which the walk rejects like any other
+// link outside the region.
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -114,6 +117,63 @@ class KvHostileImageTest : public PmemTest {
     ::close(fd);
   }
 
+  /// File offset of shard 0's root block.
+  template <class StoreT>
+  static std::uint64_t shard0_roots(const std::string& path,
+                                    const HeaderBits& h) {
+    return read_word(path,
+                     h.superblock_off +
+                         offsetof(typename StoreT::Superblock, shard_roots)) -
+           h.base;
+  }
+
+  /// File offset of an interior link of shard 0: the `next` word of the
+  /// first node in the first non-empty bucket (hashed), or the first
+  /// level-0 node's next[0] (ordered).
+  template <class StoreT>
+  static std::uint64_t first_interior_link(const std::string& path) {
+    using Roots = typename StoreT::Backend_::Roots;
+    using Node = typename StoreT::Shard_::Node;
+    const HeaderBits h = read_header(path);
+    const std::uint64_t roots = shard0_roots<StoreT>(path, h);
+    std::uint64_t node = 0;
+    if constexpr (StoreT::kOrdered) {
+      const std::uint64_t head =
+          read_word(path, roots + offsetof(Roots, head));
+      node = read_word(path, head - h.base + offsetof(Node, next));
+    } else {
+      const std::uint64_t nb =
+          read_word(path, roots + offsetof(Roots, nbuckets));
+      const std::uint64_t tail =
+          read_word(path, roots + offsetof(Roots, tail));
+      // heads[b] starts where a b-bucket root block would end.
+      for (std::uint64_t b = 0; b < nb && node == 0; ++b) {
+        const std::uint64_t w = read_word(path, roots + Roots::bytes(b));
+        if (w != tail) node = w;
+      }
+    }
+    EXPECT_NE(node, 0u);
+    return node - h.base + offsetof(Node, next);
+  }
+
+  /// Rewrite shard 0's first interior link past the region (after a
+  /// dirty shutdown too, when `dirty`): open() must reject the image
+  /// twice and leave the file byte-identical.
+  template <class StoreT>
+  void expect_interior_link_rejected(const std::string& path, bool dirty) {
+    SCOPED_TRACE(std::string(StoreT::Backend_::kLayoutName) +
+                 (dirty ? ", dirty" : ", clean"));
+    pmem::FileRegion::destroy(path);
+    populate<StoreT>(path);
+    const HeaderBits h = read_header(path);
+    write_at<std::uint64_t>(path, first_interior_link<StoreT>(path),
+                            h.base + kCapacity + 4096);
+    if (dirty) clear_clean_flag(path);
+    const std::string image = file_bytes(path);
+    expect_stable_rejection<StoreT, IncompatibleStore>(path);
+    EXPECT_EQ(file_bytes(path), image) << "a rejecting open wrote the file";
+  }
+
   template <class StoreT>
   void populate(const std::string& path) {
     StoreT kv = StoreT::open(path, kCapacity, 2, 128, KeyRange{0, 4096});
@@ -198,9 +258,10 @@ TEST_F(KvHostileImageTest, TruncatedMidSlabDirtyImageIsRejected) {
   pmem::FileRegion::destroy(path);
   populate<HashedKv>(path);
 
-  // Same cut, but with the clean flag cleared the open additionally runs
-  // the dirty-shutdown max-extent sweep, whose bounds checks must fire
-  // before any node field of an out-of-region fake node is read.
+  // Same cut, but with the clean flag cleared the walk also bounds every
+  // node and live record for the allocator mark: a record pointer or
+  // length read from zeroed memory must reject too, before it is
+  // dereferenced.
   const HeaderBits h = read_header(path);
   const std::uint64_t cut = h.superblock_off + 8192;
   ASSERT_LT(cut + 4096, h.bump);
@@ -241,8 +302,8 @@ TEST_F(KvHostileImageTest, HeadWordPastTheRegionIsRejected) {
   populate<HashedKv>(path);
 
   // Point one bucket head word of shard 0 past the region. Recovery's
-  // size re-count walks every chain from its head word, so the open must
-  // reject this in validate_roots, before the walk dereferences it.
+  // walk visits every chain from its head word, so it must check the node
+  // a head word names before dereferencing it.
   using Roots = HashedKv::Backend_::Roots;
   const HeaderBits h = read_header(path);
   const std::uint64_t roots =
@@ -255,6 +316,19 @@ TEST_F(KvHostileImageTest, HeadWordPastTheRegionIsRejected) {
   const std::string image = file_bytes(path);
   expect_stable_rejection<HashedKv, IncompatibleStore>(path);
   EXPECT_EQ(file_bytes(path), image) << "a rejecting open wrote the file";
+  pmem::FileRegion::destroy(path);
+}
+
+TEST_F(KvHostileImageTest, InteriorLinkPastTheRegionIsRejected) {
+  // One interior link rewritten past the region. Every open reads every
+  // node (the size re-count, the ordered index rebuild), so the walk must
+  // check the node a link names before reading any of its fields, and a
+  // clean open must reject the image as a dirty one does.
+  const std::string path = temp_path();
+  for (const bool dirty : {false, true}) {
+    expect_interior_link_rejected<HashedKv>(path, dirty);
+    expect_interior_link_rejected<OrderedKv>(path, dirty);
+  }
   pmem::FileRegion::destroy(path);
 }
 

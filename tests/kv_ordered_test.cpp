@@ -1,9 +1,9 @@
 // Tests for the ordered (skiplist-backed, range-partitioned) KV store:
 // scan semantics across shard boundaries, scans under concurrent
 // insert/remove, O(1) size counters, simulated-crash recovery of ordered
-// shards (every committed key observed in scan order), file restart, and
-// cross-layout-tag rejection (ordered file opened as hashed and vice
-// versa).
+// shards (every committed key observed in scan order) and its exact
+// persistence cost, file restart, and cross-layout-tag rejection (ordered
+// file opened as hashed and vice versa).
 #include "kv/store.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,9 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "pmem/file_region.hpp"
@@ -379,6 +381,50 @@ TEST_F(KvOrderedTest, ReservedSentinelKeysAuditOnTheOrderedStore) {
   EXPECT_TRUE(kv.scan(100, 10).empty());
 }
 
+TEST_F(KvOrderedTest, RecoveryPersistCountsAreExact) {
+  // Recovery writes back the generation word and every repaired level-0
+  // tower — the head, each live node and the tail of every shard — and
+  // fences once per shard's index rebuild plus once for the generation:
+  // no tower's write-back has to reach memory before another's, only all
+  // of them before recover() returns. A hashed shard's walk writes
+  // nothing.
+  constexpr std::uint32_t kShards = 4;
+  constexpr K kKeys = 10'000;
+  const std::string value(100, 'v');
+  const auto recovery_persists = [&](auto& kv) {
+    for (K k = 0; k < kKeys; ++k) kv.put(k, value);
+    for (K k = 0; k < kKeys; k += 4) kv.remove(k);
+    auto* sb = kv.superblock();
+    kv.close();
+    pmem::pfence();  // start with nothing pending
+    const pmem::StatsSnapshot before = pmem::stats_snapshot();
+    {
+      auto recovered = std::remove_reference_t<decltype(kv)>::recover(sb);
+      EXPECT_EQ(recovered.size(), 7'500u);
+    }
+    return std::pair(sb, pmem::stats_snapshot() - before);
+  };
+
+  Ordered ordered(kShards, 64, KeyRange{0, kKeys});
+  const auto [sb, d] = recovery_persists(ordered);
+  using Node = Ordered::Shard_::Node;
+  std::uint64_t lines = 0;
+  for (std::uint32_t i = 0; i < kShards; ++i) {
+    for (const Node* n = sb->shard_roots[i]->head; n != nullptr;
+         n = ds::without_mark(n->next[0].load_private())) {
+      lines += pmem::lines_spanned(reinterpret_cast<std::uintptr_t>(n),
+                                   Node::bytes_for(n->height));
+    }
+  }
+  EXPECT_EQ(d.pwbs, 1 + lines) << "the generation word + every tower";
+  EXPECT_EQ(d.pfences, kShards + 1u);
+
+  Store<HashedWords, Automatic> hashed(kShards, 64);
+  const auto hd = recovery_persists(hashed).second;
+  EXPECT_EQ(hd.pwbs, 1u) << "the generation word";
+  EXPECT_EQ(hd.pfences, 1u);
+}
+
 // --- simulated power failure -----------------------------------------------
 
 template <class StoreT>
@@ -598,7 +644,11 @@ TEST_F(KvOrderedFileTest, CrossLayoutOpenIsRejectedBothWays) {
 TEST_F(KvOrderedFileTest, DirtyShutdownSweepCoversSkiplistTowers) {
   // Same dirty-shutdown protocol as the hashed store (bump mark rewound,
   // clean flag cleared): the recovery sweep must walk skiplist towers and
-  // live records so post-recovery allocations cannot clobber them.
+  // live records so post-recovery allocations cannot clobber them. Each
+  // put allocates its record just before its node, so node extents alone
+  // would cover those records; session 2 therefore ends with a 4 KiB
+  // overwrite, whose record comes straight from the bump with no node
+  // after it — only the live-record bound covers it.
   const std::string path = temp_path();
   pmem::FileRegion::destroy(path);
   constexpr std::size_t kCapacity = 32 << 20;
@@ -624,6 +674,9 @@ TEST_F(KvOrderedFileTest, DirtyShutdownSweepCoversSkiplistTowers) {
       kv.put(k, v);
       oracle[k] = std::move(v);
     }
+    const std::string large(4096, 'L');
+    kv.put(kRange / 2, large);
+    oracle[kRange / 2] = large;
     kv.close();
   }
   pmem::Pool::instance().reinit(PmemTest::kPoolBytes);

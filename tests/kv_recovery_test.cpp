@@ -268,6 +268,91 @@ TYPED_TEST(KvCrashTest, CrashDuringOverwriteRecoversOldOrNewValue) {
   }
 }
 
+TYPED_TEST(KvCrashTest, CrashDuringRecoveryRecovers) {
+  // Recovery repairs the image it recovers (the ordered index rebuild,
+  // the generation stamp), so a crash in the middle of it must leave an
+  // image that recovers too. Capture the persistent image at the pfences
+  // of one Store::recover — at most kImages of them, evenly spread — and
+  // recover each again: every committed key byte-exact, removed keys
+  // absent, size() exact, and an ordered scan equal to the oracle.
+  constexpr K kRange = 96;
+  constexpr std::uint64_t kImages = 8;
+  TypeParam kv(4, 64, KeyRange{0, kRange});
+  auto* sb = kv.superblock();
+
+  std::mt19937_64 rng(99);
+  std::map<K, std::string> oracle;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    const K k = static_cast<K>(rng() % kRange);
+    if (rng() % 3 != 0) {
+      std::string v = value_for(k, i);
+      kv.put(k, v);
+      oracle[k] = std::move(v);
+    } else {
+      kv.remove(k);
+      oracle.erase(k);
+    }
+  }
+  pmem::SimMemory::instance().crash();
+  const std::vector<std::byte> crashed =
+      pmem::SimMemory::instance().clone_volatile(0);
+
+  struct Ctx {
+    std::uint64_t fences = 0;
+    std::uint64_t target = 0;
+    std::vector<std::byte> image;
+    static void hook(void* p) {
+      auto* c = static_cast<Ctx*>(p);
+      if (++c->fences == c->target) {
+        c->image = pmem::SimMemory::instance().clone_shadow(0);
+      }
+    }
+  };
+  // Recover the crash image with the hook armed at fence #target; returns
+  // the recovery's fence count and, in ctx.image, the image captured there.
+  const auto recover_crashed = [&](Ctx& ctx) {
+    pmem::SimMemory::instance().overwrite_volatile(crashed, 0);
+    pmem::SimMemory::instance().persist_all();
+    pmem::SimMemory::instance().set_pfence_hook(&Ctx::hook, &ctx);
+    { TypeParam r = TypeParam::recover(sb); }
+    pmem::SimMemory::instance().set_pfence_hook(nullptr, nullptr);
+    return ctx.fences;
+  };
+
+  Ctx count;
+  const std::uint64_t total = recover_crashed(count);
+  ASSERT_GT(total, 0u) << "recovery fences its generation bump";
+  const std::uint64_t step = (total + kImages - 1) / kImages;
+  for (std::uint64_t target = step; target <= total; target += step) {
+    Ctx ctx;
+    ctx.target = target;
+    recover_crashed(ctx);
+    ASSERT_FALSE(ctx.image.empty()) << "fence #" << target;
+    pmem::SimMemory::instance().overwrite_volatile(ctx.image, 0);
+    TypeParam recovered = TypeParam::recover(sb);
+    for (K k = 0; k < kRange; ++k) {
+      const auto got = recovered.get(k);
+      const auto it = oracle.find(k);
+      if (it == oracle.end()) {
+        EXPECT_EQ(got, std::nullopt)
+            << "removed key " << k << " back after fence #" << target;
+      } else {
+        ASSERT_TRUE(got.has_value())
+            << "key " << k << " lost in a crash at fence #" << target;
+        EXPECT_EQ(*got, it->second) << "key " << k << ", fence #" << target;
+      }
+    }
+    EXPECT_EQ(recovered.size(), oracle.size()) << "fence #" << target;
+    if constexpr (TypeParam::kOrdered) {
+      const auto out = recovered.scan(0, static_cast<std::size_t>(kRange));
+      const std::vector<std::pair<K, std::string>> want(oracle.begin(),
+                                                         oracle.end());
+      EXPECT_EQ(out, want) << "scan after a crash at fence #" << target;
+    }
+    if (::testing::Test::HasFailure()) return;  // first bad fence is enough
+  }
+}
+
 TYPED_TEST(KvCrashTest, MultiPutCrashRecoversEachElementAtomically) {
   // The coalesced-fence contract of the batched write path: a multi_put
   // persists ALL of its records under one pfence before publishing any
