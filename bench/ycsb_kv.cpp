@@ -11,9 +11,9 @@
 //   2. Batched sweep — the multi-op path (Store::multi_get/multi_put)
 //      over the A/B/C/F mixes at batch ∈ {1, 4, 16, 64} on BOTH store
 //      layouts (flit-HT words): batch=1 is the scalar per-op baseline;
-//      larger batches group ops by shard, pipeline probes with software
-//      prefetch, and coalesce the write path's pfences (one fence for a
-//      whole batch of records, one for all of its publishes). The
+//      larger batches pipeline probes with software prefetch (on the
+//      hashed layout) and coalesce the write path's pfences (one fence
+//      for a whole batch of records, one for all of its publishes). The
 //      pfences/op column is the paper's Figure-9 argument extended to
 //      batching — scripts/check_fence_coalescing.py asserts the
 //      amortization never regresses.

@@ -259,7 +259,7 @@ def main():
     if shed_reply != "":
         raise SystemExit(f"server_smoke: connection over --max-conns was "
                          f"served ({shed_reply!r}), not shed")
-    time.sleep(0.8)  # idle wheel (200ms timeout) reaps the held six
+    time.sleep(0.8)  # idle scan (200ms timeout) reaps the held six
     for sock in held:
         sock.close()
     fields = inline_stats(host, port)

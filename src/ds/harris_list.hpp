@@ -145,10 +145,6 @@ class HarrisList {
     return find_batched(head_->next, k);
   }
 
-  /// Prefetch the first probe targets of a later operation on this list
-  /// (see the link form below).
-  void prepare(K /*k*/) const noexcept { prepare(head_->next); }
-
   /// Number of reachable (unmarked) keys; single-threaded use only.
   /// Throws std::length_error on a chain that dead-ends before the tail
   /// sentinel (see the link form below).

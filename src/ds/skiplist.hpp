@@ -235,17 +235,6 @@ class SkipList {
     return out;
   }
 
-  /// Prefetch the first probe targets of a later operation: the head
-  /// tower's top-level link word (where every descent starts) and its
-  /// successor node. Purely a memory hint — one relaxed pointer load, no
-  /// dereference — safe with or without an EBR guard. Batched operations
-  /// call this for key i+1 while key i's cache misses are outstanding.
-  void prepare(K /*k*/) const noexcept {
-    __builtin_prefetch(head_);
-    __builtin_prefetch(&head_->next[kMaxLevel - 1]);
-    __builtin_prefetch(without_mark(head_->next[kMaxLevel - 1].load_private()));
-  }
-
   /// Reachable key count at the bottom level; single-threaded use only.
   std::size_t size() const {
     std::size_t n = 0;

@@ -27,7 +27,9 @@
 //   std::optional<Record*> remove_get(Key);   // unique unlink ownership
 //   std::optional<Record*> find(Key);         // lookup; the caller fences
 //   bool contains(Key);
-//   void prepare(Key);                        // prefetch probe entry
+//   void prepare(Key);                        // prefetch k's probe entry
+//                                             // (a no-op when every probe
+//                                             // starts at the same lines)
 //   void release();                           // disown persisted nodes
 //   std::uintptr_t roots_extent();
 //   static std::size_t node_bytes(const Node&);
@@ -179,7 +181,9 @@ class OrderedBackend {
   std::optional<Record*> remove_get(Key k) { return list_.remove_get(k); }
   std::optional<Record*> find(Key k) const { return list_.find_batched(k); }
   bool contains(Key k) const { return list_.contains(k); }
-  void prepare(Key k) const noexcept { list_.prepare(k); }
+  /// No prefetch: every skiplist probe starts at the head tower, whichever
+  /// the key, and every operation keeps those lines cached.
+  void prepare(Key) const noexcept {}
   void release() noexcept { list_.release(); }
 
   /// Ordered visit of every live (key, record) with key >= lo, ascending,

@@ -505,15 +505,14 @@ class Store {
 
   // --- batched multi-operations --------------------------------------------
   // Real serving traffic arrives in batches (RPC multi-get, pipelined
-  // writes). The multi-ops exploit that three ways: (1) ops are grouped by
-  // destination shard, so consecutive probes share shard-local state; (2)
-  // lookups are pipelined — while key i's cache miss is outstanding, key
-  // i+1's probe entry is software-prefetched; (3) writes coalesce their
-  // persistence: all of a batch's records are flushed and fenced ONCE
-  // before any is published, the publish CASes defer their trailing
-  // fences to one shared pfence, and only then are the published words
-  // untagged. Per-element durability-before-publication is preserved —
-  // see ARCHITECTURE.md ("Batched multi-op path") for the full argument.
+  // writes). The multi-ops run the batch in the caller's order and exploit
+  // it two ways: (1) lookups are pipelined — while key i's cache miss is
+  // outstanding, key i+1's probe entry is software-prefetched; (2) writes
+  // coalesce their persistence: all of a batch's records are flushed and
+  // fenced ONCE before any is published, the publish CASes defer their
+  // trailing fences to one shared pfence, and only then are the published
+  // words untagged. Per-element durability-before-publication is preserved
+  // — see ARCHITECTURE.md ("Batched multi-op path") for the full argument.
   // A scalar get or put is the batch of one: the same shard lookup or
   // publish step, and the same closing fence.
 
@@ -527,18 +526,11 @@ class Store {
     std::vector<std::optional<std::string>> out(n);
     if (n == 0) return out;
     const std::uint64_t lc_inv = check::lc_begin();
-    std::vector<std::uint32_t> sidx, order;
-    group_by_shard(
-        n, [&](std::size_t i) { return keys[i]; }, sidx, order);
     {
       recl::Ebr::Guard g;  // spans every lookup + record copy
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        if (pos + 1 < n) {
-          const std::uint32_t j = order[pos + 1];
-          shards_[sidx[j]].prepare(keys[j]);
-        }
-        const std::uint32_t i = order[pos];
-        out[i] = shards_[sidx[i]].get(keys[i]);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i + 1 < n) shard_for(keys[i + 1]).prepare(keys[i + 1]);
+        out[i] = shard_for(keys[i]).get(keys[i]);
       }
     }
     Words::operation_completion();  // one fence for the whole batch
@@ -556,9 +548,9 @@ class Store {
 
   /// Batched insert-or-overwrite: out[i] is the fresh-insert flag of
   /// kvs[i] (exactly put()'s return). Elements are applied in batch order
-  /// — with duplicate keys in one batch, every occurrence is applied and
-  /// the LAST one's value wins (each earlier record is superseded and
-  /// retired exactly once).
+  /// on every shard count — with duplicate keys in one batch, every
+  /// occurrence is applied and the LAST one's value wins (each earlier
+  /// record is superseded and retired exactly once).
   ///
   /// Durability: every record in the batch is flushed and covered by a
   /// single pfence before the first element is published; each publish
@@ -570,9 +562,9 @@ class Store {
   /// Errors: a reserved sentinel key or an oversized value throws
   /// (std::invalid_argument / std::length_error) before ANY element is
   /// applied. kv::OutOfSpace on a full pool can leave a prefix of the
-  /// batch applied (each applied element is complete and durable per the
-  /// phase protocol; the rest are not applied at all — nothing torn,
-  /// nothing leaked). kv::StoreReadOnly when latched degraded.
+  /// caller's batch applied (each applied element is complete and durable
+  /// per the phase protocol; the rest are not applied at all — nothing
+  /// torn, nothing leaked). kv::StoreReadOnly when latched degraded.
   std::vector<bool> multi_put(
       std::span<const std::pair<Key, std::string_view>> kvs) {
     ensure_writable();
@@ -601,9 +593,6 @@ class Store {
       (void)v;
     }
     const std::uint64_t lc_inv = check::lc_begin();
-    std::vector<std::uint32_t> sidx, order;
-    group_by_shard(
-        n, [&](std::size_t i) { return kvs[i].first; }, sidx, order);
 
     // Phase 1: create + flush every record, then ONE fence. Nothing is
     // published yet, so any throw here just frees the private records.
@@ -623,7 +612,7 @@ class Store {
     }
     if constexpr (Backend_::kPersistent) pmem::pfence();
 
-    // Phase 2: publish shard by shard with deferred fences, prefetching
+    // Phase 2: publish in batch order with deferred fences, prefetching
     // the next element's probe entry while the current one is in flight.
     // Superseded records are collected, NOT retired yet: until the final
     // fence lands, a crash image can still hold the old link, and retired
@@ -635,24 +624,20 @@ class Store {
     std::size_t done = 0;
     try {
       recl::Ebr::Guard g;
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        if (pos + 1 < n) {
-          const std::uint32_t j = order[pos + 1];
-          shards_[sidx[j]].prepare(kvs[j].first);
+      for (; done < n; ++done) {
+        if (done + 1 < n) {
+          shard_for(kvs[done + 1].first).prepare(kvs[done + 1].first);
         }
-        const std::uint32_t i = order[pos];
-        fresh[i] = shards_[sidx[i]].publish(kvs[i].first, recs[i], batch,
-                                            superseded);
-        ++done;
+        const Key k = kvs[done].first;
+        fresh[done] = shard_for(k).publish(k, recs[done], batch, superseded);
       }
     } catch (...) {
       // Publishes so far must still become durable and untagged; the
       // failing element's record (and any never-reached ones) were never
       // published and are freed in place.
       Shard_::commit(batch, superseded);
-      for (std::size_t pos = done; pos < n; ++pos) {
-        Record* r = recs[order[pos]];
-        pmem::Pool::instance().dealloc(r, Record::bytes(r->len));
+      for (std::size_t i = done; i < n; ++i) {
+        pmem::Pool::instance().dealloc(recs[i], Record::bytes(recs[i]->len));
       }
       throw;
     }
@@ -676,26 +661,19 @@ class Store {
  public:
   /// Batched remove: out[i] is remove()'s return for keys[i] (reserved
   /// sentinel keys report false). Elements are applied in batch order;
-  /// grouping and prefetching amortize the probes, but each removal keeps
-  /// its own durable mark CAS — fence coalescing targets the put path,
-  /// where records dominate the persistence bill. Throws
-  /// kv::StoreReadOnly when latched degraded.
+  /// prefetching overlaps the probes, but each removal keeps its own
+  /// durable mark CAS — fence coalescing targets the put path, where
+  /// records dominate the persistence bill. Throws kv::StoreReadOnly when
+  /// latched degraded.
   std::vector<bool> multi_remove(std::span<const Key> keys) {
     ensure_writable();
     const std::size_t n = keys.size();
     std::vector<bool> out(n, false);
     if (n == 0) return out;
     const std::uint64_t lc_inv = check::lc_begin();
-    std::vector<std::uint32_t> sidx, order;
-    group_by_shard(
-        n, [&](std::size_t i) { return keys[i]; }, sidx, order);
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      if (pos + 1 < n) {
-        const std::uint32_t j = order[pos + 1];
-        shards_[sidx[j]].prepare(keys[j]);
-      }
-      const std::uint32_t i = order[pos];
-      out[i] = shards_[sidx[i]].remove(keys[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + 1 < n) shard_for(keys[i + 1]).prepare(keys[i + 1]);
+      out[i] = shard_for(keys[i]).remove(keys[i]);
     }
     if constexpr (core::kChecked) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -1075,33 +1053,6 @@ class Store {
   Shard_& shard_for(Key k) noexcept { return shards_[shard_index(k)]; }
   const Shard_& shard_for(Key k) const noexcept {
     return shards_[shard_index(k)];
-  }
-
-  /// Stable counting sort of a batch by destination shard: sidx[i] is
-  /// element i's shard, order[] lists element indices shard-major with
-  /// batch order preserved within each shard (duplicate keys apply in
-  /// submission order — the documented last-wins semantics depend on this
-  /// stability).
-  template <class KeyOf>
-  void group_by_shard(std::size_t n, KeyOf key_of,
-                      std::vector<std::uint32_t>& sidx,
-                      std::vector<std::uint32_t>& order) const {
-    sidx.resize(n);
-    order.resize(n);
-    std::vector<std::uint32_t> offset(shards_.size(), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      sidx[i] = static_cast<std::uint32_t>(shard_index(key_of(i)));
-      ++offset[sidx[i]];
-    }
-    std::uint32_t sum = 0;
-    for (std::uint32_t& o : offset) {
-      const std::uint32_t c = o;
-      o = sum;
-      sum += c;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      order[offset[sidx[i]]++] = static_cast<std::uint32_t>(i);
-    }
   }
 
   std::vector<Shard_> shards_;

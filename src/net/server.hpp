@@ -82,7 +82,7 @@ struct ServerConfig {
   /// connections nobody will serve. 0 = uncapped.
   std::size_t max_connections = 4096;
   /// Idle-connection reaping: a connection with no inbound traffic for
-  /// this long is closed by its worker's timer wheel (slow-loris /
+  /// this long is closed by its worker's periodic idle scan (slow-loris /
   /// abandoned-peer defense). 0 = never (the default; tests and the
   /// bench server opt in).
   int idle_timeout_ms = 0;
@@ -101,7 +101,7 @@ struct ServerStats {
   // idle_timeouts=, accept_backoffs= fields).
   std::atomic<std::uint64_t> open_connections{0};   ///< gauge, not lifetime
   std::atomic<std::uint64_t> shed_connections{0};   ///< over max_connections
-  std::atomic<std::uint64_t> idle_timeouts{0};      ///< reaped by the wheel
+  std::atomic<std::uint64_t> idle_timeouts{0};      ///< reaped when idle
   std::atomic<std::uint64_t> accept_backoffs{0};    ///< fd-pressure episodes
 };
 
@@ -233,12 +233,9 @@ class Server {
     bool want_write = false;   ///< EPOLLOUT currently registered
     bool closing = false;      ///< flush remaining replies, then close
     bool read_paused = false;  ///< EPOLLIN dropped: backpressure or closing
-    /// Last inbound traffic; the timer wheel reaps connections idle past
+    /// Last inbound traffic; the idle scan reaps connections idle past
     /// cfg_.idle_timeout_ms.
     std::chrono::steady_clock::time_point last_active{};
-    /// Adoption token: wheel entries carry (fd, token) so a reused fd
-    /// number never inherits a stale expiry from its predecessor.
-    std::uint64_t token = 0;
 
     explicit Conn(SocketFd f) : fd(std::move(f)) {}
   };
@@ -285,18 +282,6 @@ class Server {
     std::mutex mu;
     std::vector<int> pending;  // adopted fds, guarded by mu
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
-
-    // Coarse idle-timeout wheel (only consulted when cfg_.idle_timeout_ms
-    // > 0): each adopted connection is dropped into the slot one full
-    // timeout ahead; when the sweep reaches the slot, entries whose
-    // connection has been active since are lazily re-bucketed instead of
-    // tracked on every request — the hot path only stamps last_active.
-    static constexpr std::size_t kWheelSlots = 16;
-    std::vector<std::vector<std::pair<int, std::uint64_t>>> wheel{
-        kWheelSlots};
-    std::size_t wheel_pos = 0;
-    std::uint64_t next_token = 1;
-    std::chrono::steady_clock::time_point last_tick{};
   };
 
   void join_workers() {
@@ -305,12 +290,12 @@ class Server {
     }
   }
 
-  /// One wheel slot spans tick_ms; the full wheel spans roughly one
-  /// timeout, so an idle connection is reaped within ~2 timeouts worst
-  /// case (coarse by design — idle reaping needs no precision).
+  /// The idle scan runs once per tick, a sixteenth of the timeout within
+  /// [10, 250] ms, so an idle connection is reaped within one timeout plus
+  /// one tick (coarse by design — idle reaping needs no precision). A scan
+  /// of max_connections costs microseconds.
   int tick_ms() const noexcept {
-    return std::clamp(cfg_.idle_timeout_ms / int(Worker::kWheelSlots), 10,
-                      250);
+    return std::clamp(cfg_.idle_timeout_ms / 16, 10, 250);
   }
 
   void worker_loop(Worker& w) {
@@ -318,7 +303,7 @@ class Server {
     std::vector<Request> reqs;
     const bool reap_idle = cfg_.idle_timeout_ms > 0;
     const auto tick = std::chrono::milliseconds(tick_ms());
-    w.last_tick = std::chrono::steady_clock::now();
+    auto last_scan = std::chrono::steady_clock::now();
     while (!stop_.load(std::memory_order_acquire)) {
       const int n = ::epoll_wait(w.epfd.get(), events, 64,
                                  reap_idle ? tick_ms() : -1);
@@ -351,11 +336,11 @@ class Server {
       }
       if (reap_idle) {
         // Elapsed-time driven, not per-wakeup: a busy worker whose
-        // epoll_wait returns early still advances the wheel on schedule.
+        // epoll_wait returns early scans once per tick, not per event.
         const auto now = std::chrono::steady_clock::now();
-        while (now - w.last_tick >= tick) {
-          w.last_tick += tick;
-          sweep_wheel_slot(w, now);
+        if (now - last_scan >= tick) {
+          last_scan = now;
+          reap_idle_conns(w, now);
         }
       }
     }
@@ -364,36 +349,18 @@ class Server {
     w.conns.clear();  // SocketFd dtors close everything
   }
 
-  /// Advance the wheel one slot and expire (or lazily re-bucket) its
-  /// entries. Entries whose (fd, token) no longer matches a live
-  /// connection are stale leftovers of a closed/reused fd: dropped.
-  void sweep_wheel_slot(Worker& w,
-                        std::chrono::steady_clock::time_point now) {
-    w.wheel_pos = (w.wheel_pos + 1) % Worker::kWheelSlots;
-    auto slot = std::move(w.wheel[w.wheel_pos]);
-    w.wheel[w.wheel_pos].clear();
+  /// Close every connection with no inbound traffic for
+  /// cfg_.idle_timeout_ms.
+  void reap_idle_conns(Worker& w, std::chrono::steady_clock::time_point now) {
     const auto timeout = std::chrono::milliseconds(cfg_.idle_timeout_ms);
-    for (const auto& [fd, token] : slot) {
-      const auto it = w.conns.find(fd);
-      if (it == w.conns.end() || it->second->token != token) continue;
-      Conn& c = *it->second;
-      const auto expires = c.last_active + timeout;
-      if (expires <= now) {
+    for (auto it = w.conns.begin(); it != w.conns.end();) {
+      const int fd = it->first;
+      const bool idle = now - it->second->last_active >= timeout;
+      ++it;  // advance first: close_conn's erase invalidates fd's entry
+      if (idle) {
         stats_.idle_timeouts.fetch_add(1, std::memory_order_relaxed);
         close_conn(w, fd);
-        continue;
       }
-      // Saw traffic since enqueue: re-bucket at (about) its new expiry.
-      const auto remain_ticks =
-          std::chrono::duration_cast<std::chrono::milliseconds>(expires -
-                                                                now)
-              .count() /
-          tick_ms();
-      const std::size_t ahead = std::clamp<std::size_t>(
-          static_cast<std::size_t>(remain_ticks) + 1, 1,
-          Worker::kWheelSlots - 1);
-      w.wheel[(w.wheel_pos + ahead) % Worker::kWheelSlots].emplace_back(
-          fd, token);
     }
   }
 
@@ -416,13 +383,6 @@ class Server {
         continue;  // conn dtor closes the fd
       }
       conn->last_active = std::chrono::steady_clock::now();
-      conn->token = w.next_token++;
-      if (cfg_.idle_timeout_ms > 0) {
-        // First expiry check one full wheel revolution out.
-        w.wheel[(w.wheel_pos + Worker::kWheelSlots - 1) %
-                Worker::kWheelSlots]
-            .emplace_back(fd, conn->token);
-      }
       w.conns.emplace(fd, std::move(conn));
     }
   }

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -23,15 +22,6 @@ std::atomic<std::uint64_t> g_pool_epoch{0};
 std::atomic<std::size_t> g_bump{0};
 std::mutex g_init_mu;
 
-std::size_t env_capacity() {
-  if (const char* s = std::getenv("FLIT_POOL_BYTES")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end != s && v >= (1u << 20)) return static_cast<std::size_t>(v);
-  }
-  return Pool::kDefaultCapacity;
-}
-
 }  // namespace
 
 Pool& Pool::instance() {
@@ -48,6 +38,16 @@ Pool::ThreadArena& Pool::tls_arena() {
   return a;
 }
 
+void Pool::map_anonymous(std::size_t capacity) {
+  capacity = round_up_to_line(capacity);
+  void* mem = ::mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mem == MAP_FAILED) throw std::bad_alloc();
+  base_ = mem;
+  capacity_ = capacity;
+  owns_mapping_ = true;
+}
+
 void Pool::reinit(std::size_t capacity) {
   std::lock_guard<std::mutex> lk(g_init_mu);
   if (base_ != nullptr) {
@@ -55,13 +55,7 @@ void Pool::reinit(std::size_t capacity) {
     base_ = nullptr;
     capacity_ = 0;
   }
-  owns_mapping_ = true;
-  capacity = round_up_to_line(capacity);
-  void* mem = ::mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (mem == MAP_FAILED) throw std::bad_alloc();
-  base_ = mem;
-  capacity_ = capacity;
+  map_anonymous(capacity);
   g_bump.store(0, std::memory_order_relaxed);
   // Invalidate every thread's arena lazily.
   g_pool_epoch.fetch_add(1, std::memory_order_acq_rel);
@@ -79,17 +73,8 @@ void Pool::reset() {
 
 void Pool::ensure_init() {
   if (base_ != nullptr) return;
-  std::size_t cap = env_capacity();
-  {
-    std::lock_guard<std::mutex> lk(g_init_mu);
-    if (base_ != nullptr) return;
-    cap = round_up_to_line(cap);
-    void* mem = ::mmap(nullptr, cap, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (mem == MAP_FAILED) throw std::bad_alloc();
-    base_ = mem;
-    capacity_ = cap;
-  }
+  std::lock_guard<std::mutex> lk(g_init_mu);
+  if (base_ == nullptr) map_anonymous(kDefaultCapacity);
 }
 
 std::byte* Pool::bump_chunk(std::size_t bytes) {

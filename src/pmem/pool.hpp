@@ -38,8 +38,8 @@ class Pool {
   Pool& operator=(const Pool&) = delete;
 
   /// (Re)create the region with the given capacity, discarding all previous
-  /// allocations. Stop-the-world only. Called lazily with kDefaultCapacity
-  /// (or $FLIT_POOL_BYTES) on first alloc if never called explicitly.
+  /// allocations. Stop-the-world only. A pool with no region maps one of
+  /// kDefaultCapacity on its first alloc.
   void reinit(std::size_t capacity);
 
   /// Drop all allocations but keep the mapping (fast between bench phases).
@@ -89,6 +89,9 @@ class Pool {
 
   static ThreadArena& tls_arena();
   void ensure_init();
+  /// Map a fresh anonymous region of `capacity` bytes (rounded up to a
+  /// line) as the pool's own; the caller holds the init lock.
+  void map_anonymous(std::size_t capacity);
   std::byte* bump_chunk(std::size_t bytes);
 
   static constexpr std::size_t size_class(std::size_t size) noexcept {

@@ -228,16 +228,14 @@ TEST_F(FailpointInjectionTest, PoolAllocInjectionBecomesOutOfSpace) {
   EXPECT_EQ(Failpoints::instance().hits("pool.alloc"), 1u);
 }
 
-// Satellite: the multi_put exception-safety audit. A batch whose k-th
-// allocation fails must leave elements < k fully applied and elements
-// >= k untouched — never torn, never interleaved. One shard keeps the
-// apply order equal to batch order so the prefix is checkable directly.
+// The multi_put exception-safety audit. A batch whose k-th allocation
+// fails must leave elements < k fully applied and elements >= k untouched
+// — never torn, never interleaved — on any shard count.
 TEST_F(FailpointInjectionTest, MultiPutEveryNthAllocLeavesCleanPrefix) {
   if (!core::kChecked) {
     GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   constexpr std::size_t kBatch = 32;
-  KvStore kv(1, 256);
   std::vector<std::string> values;
   std::vector<std::pair<std::int64_t, std::string_view>> kvs;
   for (std::size_t i = 0; i < kBatch; ++i) {
@@ -248,38 +246,44 @@ TEST_F(FailpointInjectionTest, MultiPutEveryNthAllocLeavesCleanPrefix) {
     kvs.emplace_back(static_cast<std::int64_t>(i), values[i]);
   }
 
-  // Fresh inserts allocate one record per element up front (phase 1) and
-  // one node per element at publish (phase 2); every:40 survives all 32
-  // record allocations and fires on the 8th publish.
-  arm("pool.alloc=every:40");
-  EXPECT_THROW(kv.multi_put(kvs), kv::OutOfSpace);
-  Failpoints::instance().disarm_all();
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    KvStore kv(shards, 256);
 
-  // The applied set must be a prefix of the batch, each element complete.
-  std::size_t applied = 0;
-  while (applied < kBatch &&
-         kv.get(static_cast<std::int64_t>(applied)).has_value()) {
-    ++applied;
-  }
-  EXPECT_LT(applied, kBatch) << "the injected failure should have bitten";
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    const auto got = kv.get(static_cast<std::int64_t>(i));
-    if (i < applied) {
-      ASSERT_TRUE(got.has_value()) << "hole inside the applied prefix at "
-                                   << i;
-      EXPECT_EQ(*got, values[i]) << "torn element " << i;
-    } else {
-      EXPECT_EQ(got, std::nullopt) << "element " << i
-                                   << " applied past the failure point";
+    // Fresh inserts allocate one record per element up front (phase 1)
+    // and one node per element at publish (phase 2); every:40 survives
+    // all 32 record allocations and fires on the 8th publish.
+    arm("pool.alloc=every:40");
+    EXPECT_THROW(kv.multi_put(kvs), kv::OutOfSpace);
+    Failpoints::instance().disarm_all();
+
+    // The applied set must be a prefix of the batch, each element
+    // complete.
+    std::size_t applied = 0;
+    while (applied < kBatch &&
+           kv.get(static_cast<std::int64_t>(applied)).has_value()) {
+      ++applied;
     }
-  }
-  EXPECT_EQ(kv.size(), applied);
+    EXPECT_LT(applied, kBatch) << "the injected failure should have bitten";
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      const auto got = kv.get(static_cast<std::int64_t>(i));
+      if (i < applied) {
+        ASSERT_TRUE(got.has_value()) << "hole inside the applied prefix at "
+                                     << i;
+        EXPECT_EQ(*got, values[i]) << "torn element " << i;
+      } else {
+        EXPECT_EQ(got, std::nullopt) << "element " << i
+                                     << " applied past the failure point";
+      }
+    }
+    EXPECT_EQ(kv.size(), applied);
 
-  // The store is not poisoned: the same batch succeeds once disarmed.
-  const auto fresh = kv.multi_put(kvs);
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    EXPECT_EQ(fresh[i], i >= applied);
-    EXPECT_EQ(kv.get(static_cast<std::int64_t>(i)), values[i]);
+    // The store is not poisoned: the same batch succeeds once disarmed.
+    const auto fresh = kv.multi_put(kvs);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      EXPECT_EQ(fresh[i], i >= applied);
+      EXPECT_EQ(kv.get(static_cast<std::int64_t>(i)), values[i]);
+    }
   }
 }
 

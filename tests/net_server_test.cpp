@@ -473,7 +473,7 @@ TEST_F(NetServerTest, IdleConnectionsAreReapedActiveOnesAreNot) {
   ASSERT_EQ(idle.command({"PING"}).str, "PONG");
 
   // `busy` keeps talking through several full timeout windows — the
-  // wheel must lazily re-bucket it, never reap it.
+  // idle scan must never reap it.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   bool idle_closed = false;
