@@ -10,7 +10,8 @@
 //
 //   2. Batched sweep — the multi-op path (Store::multi_get/multi_put)
 //      over the A/B/C/F mixes at batch ∈ {1, 4, 16, 64} on BOTH store
-//      layouts (flit-HT words): batch=1 is the scalar per-op baseline;
+//      layouts (flit-HT words): batch=1 is the scalar per-op baseline
+//      (taken from sweep 1 where sweep 1 ran the same cell);
 //      larger batches pipeline probes with software prefetch (on the
 //      hashed layout) and coalesce the write path's pfences (one fence
 //      for a whole batch of records, one for all of its publishes). The
@@ -33,6 +34,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util/ycsb.hpp"
@@ -132,7 +134,9 @@ void run_words(const char* name, const YcsbConfig& base, const Zipfian& zipf,
 
 /// The batched multi-op sweep: flit-HT words, A/B/C/F, both layouts,
 /// batch ∈ `batches`. batch=1 runs the scalar per-op loop (the baseline
-/// every larger batch is compared against).
+/// every larger batch is compared against); the scalar sweep already
+/// measured it for every hashed mix and for ordered F on the same store,
+/// so only ordered A/B/C run it here.
 void run_batched(const YcsbConfig& base, const Zipfian& zipf,
                  const std::vector<std::size_t>& batches, CsvWriter& csv,
                  Table& table, Totals& tot) {
@@ -140,7 +144,10 @@ void run_batched(const YcsbConfig& base, const Zipfian& zipf,
                            YcsbMix::f()};
   const auto sweep = [&](const char* layout, auto make_store) {
     for (const YcsbMix& mix : mixes) {
+      const bool scalar_measured = std::string_view(layout) == "hashed" ||
+                                   std::string_view(mix.name) == "F";
       for (const std::size_t batch : batches) {
+        if (batch == 1 && scalar_measured) continue;
         recl::Ebr::instance().drain_all();
         pmem::Pool::instance().reset();
 

@@ -40,8 +40,8 @@ def main():
     scalar = {}
     for r in rows:
         if r.get("batch", 1) == 1:
-            # Last batch=1 row wins; the batched sweep's own baseline rows
-            # come after the scalar sweep's, and either is a valid basis.
+            # The scalar sweep's batch=1 rows are the hashed and ordered-F
+            # baselines; the batched sweep adds only ordered A/B/C.
             scalar[(r["words"], r.get("layout", ""), r["mix"])] = r
 
     checked = 0

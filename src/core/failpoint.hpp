@@ -49,6 +49,8 @@
 //   net.read         read_some              read fails (default ECONNRESET)
 //   net.write        write_some             send fails (default ECONNRESET)
 //   net.write.short  write_some             send truncated to one byte
+//   kv.recover.thread Store::recover_handles a recovery helper thread
+//                                           fails to start (default EAGAIN)
 //
 // Seeded bugs (fire while armed; each names the checker that catches it):
 //

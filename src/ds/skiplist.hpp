@@ -321,8 +321,10 @@ class SkipList {
   /// maintained entirely with v-instructions, so a node can even be marked
   /// at level 0 but look alive above. Like the durable skiplists in the
   /// literature, recovery therefore rebuilds the index from the bottom
-  /// level (single-threaded, then re-persisted) instead of trusting it.
-  /// Checks every tower against the Pool (see the form below).
+  /// level instead of trusting it. The index is volatile state: the
+  /// rebuild writes it with v-instructions only, and leaves level 0 as
+  /// the crash left it. Checks every tower against the Pool (see the form
+  /// below).
   static SkipList recover(Node* head, Node* tail) {
     return recover(head, tail, Bounds::pool(), [](const Node&, bool) {});
   }
@@ -331,8 +333,8 @@ class SkipList {
   /// tower — the sentinels first — against `b` before reading it (see
   /// check_tower) and hands it to f(node, live); the sentinels are
   /// visited as nodes holding no key, a marked node as not live. Throws
-  /// std::length_error on a tower outside `b`, before the index is
-  /// persisted.
+  /// std::length_error on a tower outside `b`. Issues no p-instruction,
+  /// so lists on disjoint nodes may recover on concurrent threads.
   template <class F>
   static SkipList recover(Node* head, Node* tail, Bounds b, F&& f) {
     SkipList s(head, tail);
@@ -414,61 +416,43 @@ class SkipList {
     return true;
   }
 
-  /// Single-threaded crash-recovery repair: walk the durable bottom level,
-  /// splice out logically deleted (marked) nodes, rebuild every index
-  /// level from scratch, and persist the repaired pointers so a subsequent
-  /// crash recovers from a clean image. The persist pass is a second walk
-  /// over the repaired level 0: a pwb per line of every tower, then one
-  /// pfence. No write-back needs to precede another — recovery reads only
-  /// level 0, whose stores here only bypass marked nodes, so any subset of
-  /// them reaching memory is itself a recoverable image — and the fence
-  /// makes them all durable before recover() returns.
+  /// Crash-recovery rebuild of the index: walk the durable bottom level
+  /// and stitch index levels 1.. over its live nodes, each level ending
+  /// at the tail. Level 0 is left as the crash left it: a marked node
+  /// stays linked until the first find() that passes it unlinks it with
+  /// the cleanup CAS — the state a remover that died between its mark CAS
+  /// and its unlink leaves, which every traversal already handles. No
+  /// recovery reads the index levels, so their stores are v-instructions
+  /// and the rebuild persists nothing.
   template <class F>
   void rebuild_index(Bounds b, F&& visit) {
     check_tower(head_, b);
     check_tower(tail_, b);
     visit(*head_, false);
-    // Per-level "last node seen with height > level" cursors.
+    // Per-level "last live node seen with height > level" cursors.
     Node* prev_at[kMaxLevel];
     for (int i = 0; i < kMaxLevel; ++i) prev_at[i] = head_;
 
-    Node* prev0 = head_;
     Node* c = without_mark(head_->next[0].load_private());
     while (c != tail_) {
       // A link outside the region — a chain that dead-ends at null in a
-      // truncated image included — aborts before anything is persisted:
-      // the caller rejects the whole store instead of half-recovering it.
+      // truncated image included — throws before the node is read: the
+      // caller rejects the whole store instead of half-recovering it.
       check_tower(c, b);
       Node* nxt = c->next[0].load_private();
       const bool live = !is_marked(nxt);
       visit(*c, live);
-      if (live) {  // stitch bottom level and its index levels
-        if (prev0->next[0].load_private() != c) {
-          prev0->next[0].store_private(c, kVolatile);
-        }
-        prev0 = c;
+      if (live) {
         for (int lvl = 1; lvl < c->height; ++lvl) {
           prev_at[lvl]->next[lvl].store_private(c, kVolatile);
           prev_at[lvl] = c;
         }
-      }  // else logically deleted: dropped from every level
+      }  // else logically deleted: left out of every index level
       c = without_mark(nxt);
     }
     visit(*tail_, false);
-    // Terminate every level at the tail.
-    prev0->next[0].store_private(tail_, kVolatile);
     for (int lvl = 1; lvl < kMaxLevel; ++lvl) {
       prev_at[lvl]->next[lvl].store_private(tail_, kVolatile);
-    }
-    if constexpr (Words::persistent) {
-      // Write back every repaired tower (head, tail, and all live nodes).
-      pwb_node(head_);
-      pwb_node(tail_);
-      for (Node* n = without_mark(head_->next[0].load_private());
-           n != tail_; n = without_mark(n->next[0].load_private())) {
-        pwb_node(n);
-      }
-      pmem::pfence();
     }
   }
 
@@ -526,10 +510,6 @@ class SkipList {
     if constexpr (Words::persistent) {
       pmem::persist_range(n, Node::bytes_for(n->height));
     }
-  }
-
-  static void pwb_node(const Node* n) {
-    pmem::pwb_range(n, Node::bytes_for(n->height));
   }
 
   static Node* alloc_node(K k, V v, int h) {

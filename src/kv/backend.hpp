@@ -37,12 +37,15 @@
 //   for_each_range(Key lo, f);                // ordered backends only
 //
 // recover() rebuilds the volatile handle in one walk of the persisted
-// structure — every bucket chain, or the skiplist's level-0 index
-// rebuild — that checks each node against the region's bounds before
-// reading any of its fields and hands it to visit(const Node&, bool
-// live), sentinels included (as not live). kv::Shard::recover re-counts
-// live keys and, after a dirty shutdown, bounds the allocator mark in
-// that visitor; a node outside the bounds throws std::length_error.
+// structure — every bucket chain, or the skiplist's level 0, over which
+// it rebuilds the volatile index levels — that checks each node against
+// the region's bounds before reading any of its fields and hands it to
+// visit(const Node&, bool live), sentinels included (as not live). The
+// walk leaves the persisted links as it found them and issues no
+// p-instruction, so shards recover on concurrent threads.
+// kv::Shard::recover re-counts live keys and, after a dirty shutdown,
+// bounds the allocator mark in that visitor; a node outside the bounds
+// throws std::length_error.
 //
 // Two backends are provided: HashBackend (a hash table whose buckets are
 // Harris lists, one persistent head word each — the original store

@@ -125,8 +125,9 @@ struct Record {
 
 /// One shard of the store: a FliT set structure (the Backend — see
 /// backend.hpp for the contract) over a value-record slab. Thread-safe
-/// for put/get/remove/contains/scan; the recovery members are
-/// single-threaded (open/recover-time) only.
+/// for put/get/remove/contains/scan; the recovery members run at
+/// open/recover time, before the shard is shared (Store recovers
+/// different shards on concurrent threads).
 template <class Backend>
 class Shard {
  public:
@@ -317,19 +318,22 @@ class Shard {
 
   /// Rebuild a non-owning shard handle from its persisted roots in one
   /// walk: the backend's recovery (every bucket chain, or the skiplist's
-  /// level-0 index rebuild) checks each node against `b` before reading
-  /// it and hands it to the visitor below, which re-counts the live keys
-  /// (the O(1) size counter is volatile). After a dirty shutdown the
-  /// caller passes `mark`, and the visitor also raises *mark to one past
-  /// the last byte of every visited node and live record and of the root
-  /// block: the allocator high-water mark the region must resume above.
+  /// level 0 while it rebuilds the volatile index) checks each node
+  /// against `b` before reading it and hands it to the visitor below,
+  /// which re-counts the live keys (the O(1) size counter is volatile).
+  /// After a dirty shutdown the caller passes `mark`, and the visitor
+  /// also raises *mark to one past the last byte of every visited node
+  /// and live record and of the root block: the allocator high-water
+  /// mark the region must resume above.
   /// A marked node's record was already retired (possibly reclaimed and
   /// reused before the crash), so its pointer may dangle — exactly why
   /// traversals never read marked values — and it is excluded the same
   /// way. A live record's pointer and length are checked against `b`
   /// before the mark trusts them. Throws std::length_error on anything
-  /// outside `b`. Single-threaded; the caller (Store) has already checked
-  /// the root block via Backend::validate_roots.
+  /// outside `b`. Issues no p-instruction and touches only this shard's
+  /// nodes, so Store recovers its shards on concurrent threads; the
+  /// caller has already checked the root block via
+  /// Backend::validate_roots.
   static Shard recover(Roots* roots, ds::Bounds b, std::uintptr_t* mark) {
     std::ptrdiff_t live_keys = 0;
     Shard s(Backend::recover(roots, b, [&](const Node& n, bool live) {

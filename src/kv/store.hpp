@@ -66,13 +66,17 @@
 // Pool::reinit (or exit) before allocating persistently again.
 #pragma once
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -82,12 +86,14 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "check/lincheck.hpp"
 #include "core/checked.hpp"
+#include "core/failpoint.hpp"
 #include "kv/backend.hpp"
 #include "kv/errors.hpp"
 #include "kv/shard.hpp"
@@ -320,12 +326,14 @@ class Store {
   }
 
   /// Rebuild a pool-backed store from its persisted superblock (the
-  /// simulated-crash path). Bumps the generation stamp durably. Each
-  /// shard recovers in one walk that checks every node against the
-  /// Pool's bounds (see Shard::recover): ordered shards repair their
-  /// skiplist index levels from the durable bottom level (see
-  /// SkipList::recover), and every shard re-counts its keys for the O(1)
-  /// size counter. A node outside the Pool throws std::length_error.
+  /// simulated-crash path). Bumps the generation stamp durably — the one
+  /// pwb and pfence recovery issues. Each shard recovers in one walk that
+  /// checks every node against the Pool's bounds (see Shard::recover):
+  /// ordered shards rebuild their volatile skiplist index levels from the
+  /// durable bottom level (see SkipList::recover), and every shard
+  /// re-counts its keys for the O(1) size counter. The walks run on up to
+  /// min(shards, CPUs) threads (see recover_handles). A node outside the
+  /// Pool throws std::length_error.
   static Store recover(Superblock* sb) {
     Store s = recover_handles(sb, ds::Bounds::pool(), nullptr);
     bump_generation(sb);
@@ -381,14 +389,15 @@ class Store {
     try {
       if (root != nullptr) {
         // Recover the handles first: one walk per shard, no allocation
-        // (ordered shards repair their index levels in place), every node
-        // checked against the region before it is read. After a *dirty*
-        // shutdown the header's bump mark can sit below durably committed
-        // records (it is only written at checkpoint()/close(); allocator
-        // metadata is not crash-consistent, the libvmmalloc model) —
-        // resuming from it verbatim would hand their bytes right back
-        // out, so the same walk also bounds every node and live record
-        // (`hi`). A clean shutdown left the flag slot set, making the mark
+        // and no p-instruction (ordered shards rebuild their volatile
+        // index levels in place), every node checked against the region
+        // before it is read. After a *dirty* shutdown the header's bump
+        // mark can sit below durably committed records (it is only
+        // written at checkpoint()/close(); allocator metadata is not
+        // crash-consistent, the libvmmalloc model) — resuming from it
+        // verbatim would hand their bytes right back out, so the same
+        // walk also bounds every node and live record (`hi`). A clean
+        // shutdown left the flag slot set, making the mark
         // authoritative, so a clean open reads no record.
         //
         // A truncated, torn or bit-rotted image surfaces in the walk as
@@ -1019,26 +1028,81 @@ class Store {
   }
 
   /// Validation + volatile-handle reconstruction: one walk per shard
-  /// against `b` (see Shard::recover), no persistent allocation (ordered
-  /// shards do repair their skiplist index levels in place; recovery
-  /// otherwise only reads). A non-null `mark` is raised to one past the
-  /// highest byte reachable from the superblock: the allocator mark a
-  /// dirty shutdown must resume above.
+  /// against `b` (see Shard::recover), no persistent allocation and no
+  /// p-instruction (ordered shards do rebuild their volatile skiplist
+  /// index levels in place; recovery otherwise only reads). A non-null
+  /// `mark` is raised to one past the highest byte reachable from the
+  /// superblock: the allocator mark a dirty shutdown must resume above.
+  ///
+  /// The shards are independent, so the calling thread and up to
+  /// min(shards, CPUs in its affinity mask) - 1 helpers pull shard
+  /// indices from one cursor; a helper that cannot be started leaves the
+  /// walk to the threads already running. Every helper is joined before
+  /// anything is rethrown (none may outlive a rejected mapping), and a
+  /// failed walk rethrows the lowest-index shard's exception, so a
+  /// hostile image is rejected with the same message every time.
   static Store recover_handles(Superblock* sb, ds::Bounds b,
                                std::uintptr_t* mark) {
     validate_superblock(sb);
+    const std::uint32_t n = sb->nshards;
+    std::vector<std::optional<Shard_>> shards(n);
+    std::vector<std::uintptr_t> marks(n, 0);
+    std::vector<std::exception_ptr> errors(n);
+    // persist-lint: allow(volatile work cursor of the recovery walkers)
+    std::atomic<std::uint32_t> cursor{0};
+    const auto walk = [&]() noexcept {
+      for (std::uint32_t i = cursor.fetch_add(1); i < n;
+           i = cursor.fetch_add(1)) {
+        try {
+          shards[i].emplace(Shard_::recover(
+              sb->shard_roots[i], b, mark != nullptr ? &marks[i] : nullptr));
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+    };
+    std::vector<std::thread> helpers;
+    const unsigned nthreads = std::min<unsigned>(n, affinity_cpus());
+    helpers.reserve(nthreads - 1);
+    for (unsigned t = 1; t < nthreads; ++t) {
+      try {
+        if (const int e = core::fp_inject("kv.recover.thread", EAGAIN)) {
+          throw std::system_error(e, std::generic_category());
+        }
+        helpers.emplace_back(walk);
+      } catch (const std::exception&) {  // system_error, or bad_alloc
+        break;
+      }
+    }
+    walk();
+    for (std::thread& h : helpers) h.join();
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
+
     Store s{RecoverTag{}};
     s.sb_ = sb;
-    s.shards_.reserve(sb->nshards);
-    for (std::uint32_t i = 0; i < sb->nshards; ++i) {
-      s.shards_.push_back(Shard_::recover(sb->shard_roots[i], b, mark));
+    s.shards_.reserve(n);
+    for (std::optional<Shard_>& shard : shards) {
+      s.shards_.push_back(std::move(*shard));
     }
     if (mark != nullptr) {
+      for (const std::uintptr_t m : marks) *mark = std::max(*mark, m);
       *mark = std::max(*mark, reinterpret_cast<std::uintptr_t>(sb) +
-                                  Superblock::bytes(sb->nshards));
+                                  Superblock::bytes(n));
     }
     s.init_routing();
     return s;
+  }
+
+  /// CPUs in the calling thread's affinity mask; 1 when it cannot be read.
+  /// (std::thread::hardware_concurrency counts CPUs a pinned process may
+  /// not run on.)
+  static unsigned affinity_cpus() noexcept {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
   }
 
   /// Count this recovery in the session stamp, durably.

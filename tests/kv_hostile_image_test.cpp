@@ -1,13 +1,14 @@
 // Hostile-image recovery tests: Store::open() against files that were
 // truncated at the worst possible byte — mid-header, mid-superblock and
 // mid-slab (both with and without the clean-shutdown flag, and on both
-// layouts), or with one word rewritten (a bucket head word, an interior
-// level-0 link, the superblock version). Every case must end in a clean
-// rejection the caller can catch (kv::IncompatibleStore /
-// std::runtime_error), never a SIGSEGV from walking zeroed or unmapped
-// node memory and never a silently half-recovered store. The rejecting
-// open must also leave the global Pool untouched — validation precedes
-// adoption.
+// layouts), or with words rewritten (a bucket head word, interior
+// level-0 links or record pointers in one or two shards, the superblock
+// version). Every case must end in a clean rejection the caller can
+// catch (kv::IncompatibleStore / std::runtime_error), with the same
+// message on every attempt, never a SIGSEGV from walking zeroed or
+// unmapped node memory and never a silently half-recovered store. The
+// rejecting open must also leave the global Pool untouched — validation
+// precedes adoption.
 //
 // Recovery learns where nodes are only from persisted links, so its one
 // walk per shard checks every node against the region's bounds before
@@ -27,8 +28,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <string>
+#include <utility>
 
 #include "core/modes.hpp"
 #include "kv/store.hpp"
@@ -117,25 +120,27 @@ class KvHostileImageTest : public PmemTest {
     ::close(fd);
   }
 
-  /// File offset of shard 0's root block.
+  /// File offset of a shard's root block.
   template <class StoreT>
-  static std::uint64_t shard0_roots(const std::string& path,
-                                    const HeaderBits& h) {
+  static std::uint64_t shard_roots(const std::string& path,
+                                   const HeaderBits& h, std::uint32_t shard) {
     return read_word(path,
                      h.superblock_off +
-                         offsetof(typename StoreT::Superblock, shard_roots)) -
+                         offsetof(typename StoreT::Superblock, shard_roots) +
+                         shard * sizeof(std::uint64_t)) -
            h.base;
   }
 
-  /// File offset of an interior link of shard 0: the `next` word of the
+  /// File offset of an interior link of a shard: the `next` word of the
   /// first node in the first non-empty bucket (hashed), or the first
   /// level-0 node's next[0] (ordered).
   template <class StoreT>
-  static std::uint64_t first_interior_link(const std::string& path) {
+  static std::uint64_t first_interior_link(const std::string& path,
+                                           std::uint32_t shard = 0) {
     using Roots = typename StoreT::Backend_::Roots;
     using Node = typename StoreT::Shard_::Node;
     const HeaderBits h = read_header(path);
-    const std::uint64_t roots = shard0_roots<StoreT>(path, h);
+    const std::uint64_t roots = shard_roots<StoreT>(path, h, shard);
     std::uint64_t node = 0;
     if constexpr (StoreT::kOrdered) {
       const std::uint64_t head =
@@ -156,27 +161,36 @@ class KvHostileImageTest : public PmemTest {
     return node - h.base + offsetof(Node, next);
   }
 
-  /// Rewrite shard 0's first interior link past the region (after a
-  /// dirty shutdown too, when `dirty`): open() must reject the image
-  /// twice and leave the file byte-identical.
+  /// Rewrite the first interior link of each of `shards` past the region
+  /// (after a dirty shutdown too, when `dirty`) in a store of `nshards`
+  /// shards whose keys fill every shard: open() must reject the image
+  /// with the same message on every attempt and leave the file
+  /// byte-identical.
   template <class StoreT>
-  void expect_interior_link_rejected(const std::string& path, bool dirty) {
+  void expect_interior_link_rejected(
+      const std::string& path, bool dirty, std::uint32_t nshards,
+      std::initializer_list<std::uint32_t> shards) {
     SCOPED_TRACE(std::string(StoreT::Backend_::kLayoutName) +
-                 (dirty ? ", dirty" : ", clean"));
+                 (dirty ? ", dirty, " : ", clean, ") +
+                 std::to_string(shards.size()) + " shard(s) corrupted");
     pmem::FileRegion::destroy(path);
-    populate<StoreT>(path);
+    populate<StoreT>(path, nshards, KeyRange{0, 600});
     const HeaderBits h = read_header(path);
-    write_at<std::uint64_t>(path, first_interior_link<StoreT>(path),
-                            h.base + kCapacity + 4096);
+    for (const std::uint32_t shard : shards) {
+      write_at<std::uint64_t>(path, first_interior_link<StoreT>(path, shard),
+                              h.base + kCapacity + 4096);
+    }
     if (dirty) clear_clean_flag(path);
     const std::string image = file_bytes(path);
     expect_stable_rejection<StoreT, IncompatibleStore>(path);
     EXPECT_EQ(file_bytes(path), image) << "a rejecting open wrote the file";
   }
 
+  /// 600 keys, 0..599, in a store of `nshards` shards.
   template <class StoreT>
-  void populate(const std::string& path) {
-    StoreT kv = StoreT::open(path, kCapacity, 2, 128, KeyRange{0, 4096});
+  void populate(const std::string& path, std::uint32_t nshards = 2,
+                KeyRange range = {0, 4096}) {
+    StoreT kv = StoreT::open(path, kCapacity, nshards, 128, range);
     for (K k = 0; k < 600; ++k) {
       kv.put(k, "hostile-image payload " + std::to_string(k) +
                     std::string(40 + static_cast<std::size_t>(k % 97), 'p'));
@@ -185,20 +199,56 @@ class KvHostileImageTest : public PmemTest {
     pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   }
 
-  /// The rejection contract: open() throws something catchable twice in
-  /// a row (no crash, no state consumed by the first attempt) and the
-  /// global Pool still serves allocations afterwards.
+  /// The rejection contract: open() throws something catchable with the
+  /// same message on every attempt (no crash, no state consumed by an
+  /// earlier attempt, no dependence on which recovery thread reached a
+  /// bad node first) and the global Pool still serves allocations
+  /// afterwards.
+  /// Returns the message.
   template <class StoreT, class Exception>
-  void expect_stable_rejection(const std::string& path) {
-    EXPECT_THROW(
-        (void)StoreT::open(path, kCapacity, 2, 128, KeyRange{0, 4096}),
-        Exception);
-    EXPECT_THROW(
-        (void)StoreT::open(path, kCapacity, 2, 128, KeyRange{0, 4096}),
-        Exception);
+  std::string expect_stable_rejection(const std::string& path) {
+    std::string first;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      try {
+        (void)StoreT::open(path, kCapacity, 2, 128, KeyRange{0, 4096});
+        ADD_FAILURE() << "attempt " << attempt << " opened the image";
+      } catch (const Exception& e) {
+        if (attempt == 0) first = e.what();
+        EXPECT_EQ(e.what(), first) << "attempt " << attempt;
+      }
+    }
     void* p = pmem::Pool::instance().alloc(64);
-    ASSERT_NE(p, nullptr);
+    EXPECT_NE(p, nullptr);
     EXPECT_TRUE(pmem::Pool::instance().contains(p));
+    return first;
+  }
+
+  /// After a dirty shutdown of an 8-shard store, rewrite shard `rec`'s
+  /// first record pointer and shard `link`'s first interior link past the
+  /// region: the two walks fail with different errors, and open() must
+  /// report the lower shard's whichever recovery thread fails first.
+  template <class StoreT>
+  void expect_lower_shard_error(const std::string& path, std::uint32_t rec,
+                                std::uint32_t link) {
+    using Node = typename StoreT::Shard_::Node;
+    SCOPED_TRACE(std::string(StoreT::Backend_::kLayoutName) +
+                 ", record in shard " + std::to_string(rec) +
+                 ", link in shard " + std::to_string(link));
+    pmem::FileRegion::destroy(path);
+    populate<StoreT>(path, 8, KeyRange{0, 600});
+    const HeaderBits h = read_header(path);
+    const std::uint64_t past = h.base + kCapacity + 4096;
+    write_at<std::uint64_t>(path,
+                            first_interior_link<StoreT>(path, rec) -
+                                offsetof(Node, next) + offsetof(Node, value),
+                            past);
+    write_at<std::uint64_t>(path, first_interior_link<StoreT>(path, link),
+                            past);
+    clear_clean_flag(path);
+    const std::string what =
+        expect_stable_rejection<StoreT, IncompatibleStore>(path);
+    EXPECT_EQ(what.find("record pointer") != std::string::npos, rec < link)
+        << what;
   }
 };
 
@@ -277,8 +327,8 @@ TEST_F(KvHostileImageTest, OrderedLayoutTruncatedMidSlabIsRejected) {
   populate<OrderedKv>(path);
 
   // The skiplist variant is the nastier one: recovery also rebuilds the
-  // index levels from the bottom chain, and must abort BEFORE stitching
-  // (and persisting) an index over a broken chain — a half-rebuilt index
+  // volatile index levels from the bottom chain, and must reject the
+  // image instead of returning a store over a half-rebuilt index — that
   // would be a silently half-recovered store.
   const HeaderBits h = read_header(path);
   const std::uint64_t cut = h.superblock_off + 8192;
@@ -320,14 +370,28 @@ TEST_F(KvHostileImageTest, HeadWordPastTheRegionIsRejected) {
 }
 
 TEST_F(KvHostileImageTest, InteriorLinkPastTheRegionIsRejected) {
-  // One interior link rewritten past the region. Every open reads every
-  // node (the size re-count, the ordered index rebuild), so the walk must
-  // check the node a link names before reading any of its fields, and a
-  // clean open must reject the image as a dirty one does.
+  // An interior link rewritten past the region, in one shard or in two
+  // that recover on different threads. Every open reads every node (the
+  // size re-count, the ordered index rebuild), so the walk must check the
+  // node a link names before reading any of its fields, and a clean open
+  // must reject the image as a dirty one does.
   const std::string path = temp_path();
   for (const bool dirty : {false, true}) {
-    expect_interior_link_rejected<HashedKv>(path, dirty);
-    expect_interior_link_rejected<OrderedKv>(path, dirty);
+    expect_interior_link_rejected<HashedKv>(path, dirty, 2, {0});
+    expect_interior_link_rejected<OrderedKv>(path, dirty, 2, {0});
+    expect_interior_link_rejected<HashedKv>(path, dirty, 8, {1, 6});
+    expect_interior_link_rejected<OrderedKv>(path, dirty, 8, {1, 6});
+  }
+  pmem::FileRegion::destroy(path);
+}
+
+TEST_F(KvHostileImageTest, TwoBadShardsAreRejectedWithTheLowerShardsError) {
+  // Shards recover on concurrent threads, so which bad shard's walk
+  // fails first is a race; the rejection must not be.
+  const std::string path = temp_path();
+  for (const auto& [rec, link] : {std::pair{1u, 6u}, std::pair{6u, 1u}}) {
+    expect_lower_shard_error<HashedKv>(path, rec, link);
+    expect_lower_shard_error<OrderedKv>(path, rec, link);
   }
   pmem::FileRegion::destroy(path);
 }

@@ -381,48 +381,83 @@ TEST_F(KvOrderedTest, ReservedSentinelKeysAuditOnTheOrderedStore) {
   EXPECT_TRUE(kv.scan(100, 10).empty());
 }
 
+/// Recover sb with the pmem counters bracketing only the recovery: the
+/// recovered store and the p-instructions its recovery issued.
+template <class StoreT>
+std::pair<StoreT, pmem::StatsSnapshot> counted_recover(
+    typename StoreT::Superblock* sb) {
+  pmem::pfence();  // start with nothing pending
+  const pmem::StatsSnapshot before = pmem::stats_snapshot();
+  StoreT kv = StoreT::recover(sb);
+  return {std::move(kv), pmem::stats_snapshot() - before};
+}
+
 TEST_F(KvOrderedTest, RecoveryPersistCountsAreExact) {
-  // Recovery writes back the generation word and every repaired level-0
-  // tower — the head, each live node and the tail of every shard — and
-  // fences once per shard's index rebuild plus once for the generation:
-  // no tower's write-back has to reach memory before another's, only all
-  // of them before recover() returns. A hashed shard's walk writes
-  // nothing.
+  // Recovery's only p-instructions are the generation word's pwb and
+  // pfence, on both layouts: the walks read the persisted links and
+  // leave them as found, and an ordered shard's rebuilt index levels are
+  // volatile. The ordered image also holds one live node marked at level
+  // 0 but still linked — what a remover that died between its mark CAS
+  // and its unlink leaves. Recovery must leave it linked, and the store
+  // must treat it as removed until a put of its key.
   constexpr std::uint32_t kShards = 4;
   constexpr K kKeys = 10'000;
+  constexpr K kMarked = 4'001;  // live: only multiples of 4 are removed
   const std::string value(100, 'v');
-  const auto recovery_persists = [&](auto& kv) {
+  const auto load = [&](auto& kv) {
     for (K k = 0; k < kKeys; ++k) kv.put(k, value);
     for (K k = 0; k < kKeys; k += 4) kv.remove(k);
     auto* sb = kv.superblock();
     kv.close();
-    pmem::pfence();  // start with nothing pending
-    const pmem::StatsSnapshot before = pmem::stats_snapshot();
-    {
-      auto recovered = std::remove_reference_t<decltype(kv)>::recover(sb);
-      EXPECT_EQ(recovered.size(), 7'500u);
-    }
-    return std::pair(sb, pmem::stats_snapshot() - before);
+    return sb;
   };
 
   Ordered ordered(kShards, 64, KeyRange{0, kKeys});
-  const auto [sb, d] = recovery_persists(ordered);
+  Ordered::Superblock* sb = load(ordered);
   using Node = Ordered::Shard_::Node;
-  std::uint64_t lines = 0;
-  for (std::uint32_t i = 0; i < kShards; ++i) {
-    for (const Node* n = sb->shard_roots[i]->head; n != nullptr;
-         n = ds::without_mark(n->next[0].load_private())) {
-      lines += pmem::lines_spanned(reinterpret_cast<std::uintptr_t>(n),
-                                   Node::bytes_for(n->height));
+  const auto level0_links = [&](K key) -> Node* {
+    for (std::uint32_t i = 0; i < kShards; ++i) {
+      for (Node* n = sb->shard_roots[i]->head; n != nullptr;
+           n = ds::without_mark(n->next[0].load_private())) {
+        if (n->key.load_private() == key) return n;
+      }
     }
+    return nullptr;
+  };
+  Node* victim = level0_links(kMarked);
+  ASSERT_NE(victim, nullptr);
+  victim->next[0].store_private(
+      ds::with_mark(victim->next[0].load_private()));
+  std::vector<std::pair<K, std::string>> expected;
+  for (K k = 0; k < kKeys; ++k) {
+    if (k % 4 != 0 && k != kMarked) expected.emplace_back(k, value);
   }
-  EXPECT_EQ(d.pwbs, 1 + lines) << "the generation word + every tower";
-  EXPECT_EQ(d.pfences, kShards + 1u);
+  {
+    auto [kv, d] = counted_recover<Ordered>(sb);
+    EXPECT_EQ(d.pwbs, 1u) << "the generation word";
+    EXPECT_EQ(d.pfences, 1u);
+    EXPECT_EQ(level0_links(kMarked), victim)
+        << "recovery must leave level 0 as the crash left it";
+    EXPECT_TRUE(ds::is_marked(victim->next[0].load_private()));
+    EXPECT_EQ(kv.size(), expected.size());
+    EXPECT_EQ(kv.get(kMarked), std::nullopt);
+    EXPECT_EQ(kv.scan(0, 2 * kKeys), expected);
+    EXPECT_TRUE(kv.put(kMarked, "revived")) << "a fresh insert";
+  }
+  {
+    auto [kv, d] = counted_recover<Ordered>(sb);
+    EXPECT_EQ(d.pwbs, 1u);
+    EXPECT_EQ(d.pfences, 1u);
+    EXPECT_EQ(kv.size(), expected.size() + 1);
+    EXPECT_EQ(kv.get(kMarked), "revived");
+  }
 
-  Store<HashedWords, Automatic> hashed(kShards, 64);
-  const auto hd = recovery_persists(hashed).second;
+  using Hashed = Store<HashedWords, Automatic>;
+  Hashed hashed(kShards, 64);
+  const auto [kv, hd] = counted_recover<Hashed>(load(hashed));
   EXPECT_EQ(hd.pwbs, 1u) << "the generation word";
   EXPECT_EQ(hd.pfences, 1u);
+  EXPECT_EQ(kv.size(), 7'500u);
 }
 
 // --- simulated power failure -----------------------------------------------

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <map>
@@ -20,9 +21,12 @@
 #include <string>
 #include <thread>
 #include <fcntl.h>
+#include <sched.h>
 #include <unistd.h>
 #include <vector>
 
+#include "core/checked.hpp"
+#include "core/failpoint.hpp"
 #include "pmem/file_region.hpp"
 #include "support/test_common.hpp"
 
@@ -269,12 +273,13 @@ TYPED_TEST(KvCrashTest, CrashDuringOverwriteRecoversOldOrNewValue) {
 }
 
 TYPED_TEST(KvCrashTest, CrashDuringRecoveryRecovers) {
-  // Recovery repairs the image it recovers (the ordered index rebuild,
-  // the generation stamp), so a crash in the middle of it must leave an
-  // image that recovers too. Capture the persistent image at the pfences
-  // of one Store::recover — at most kImages of them, evenly spread — and
-  // recover each again: every committed key byte-exact, removed keys
-  // absent, size() exact, and an ordered scan equal to the oracle.
+  // Recovery writes the image it recovers (the generation stamp, and the
+  // ordered shards' volatile index levels in place), so a crash in the
+  // middle of it must leave an image that recovers too. Capture the
+  // persistent image at the pfences of one Store::recover — at most
+  // kImages of them, evenly spread — and recover each again: every
+  // committed key byte-exact, removed keys absent, size() exact, and an
+  // ordered scan equal to the oracle.
   constexpr K kRange = 96;
   constexpr std::uint64_t kImages = 8;
   TypeParam kv(4, 64, KeyRange{0, kRange});
@@ -649,83 +654,130 @@ TEST_F(KvFileRecoveryTest, FailedFreshOpenLeavesTheAllocatorUsable) {
   pmem::FileRegion::destroy(path);
 }
 
+/// CPUs in the calling thread's affinity mask: the most threads one
+/// recovery may run.
+unsigned affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(::sched_getaffinity(0, sizeof(set), &set), 0);
+  return static_cast<unsigned>(CPU_COUNT(&set));
+}
+
 TEST_F(KvFileRecoveryTest, DirtyShutdownDoesNotClobberCommittedRecords) {
   // The region header's bump mark is written only at checkpoint()/close()
   // (allocator metadata is not crash-consistent). A process that dies
   // without close() leaves the mark stale while durably committed records
   // sit above it; open()'s recovery sweep must rebuild the high-water
-  // mark so fresh allocations cannot overwrite them.
+  // mark so fresh allocations cannot overwrite them. The shards' walks
+  // run on up to min(shards, CPUs) threads, each raising its own mark:
+  // one shard (the opening thread alone), four, and more shards than
+  // CPUs (a capped pool) must all resume above every committed record.
   using KvStore = Store<HashedWords, Automatic>;
   const std::string path = temp_path();
-  pmem::FileRegion::destroy(path);
   constexpr std::size_t kCapacity = 32 << 20;
-  std::map<K, std::string> oracle;
+  const unsigned cpus = affinity_cpus();
+  const std::uint32_t many = std::min(64u, cpus + 1);
+  for (const std::uint32_t nshards : {4u, 1u, many}) {
+    SCOPED_TRACE(std::to_string(nshards) + " shard(s)");
+    pmem::FileRegion::destroy(path);
+    std::map<K, std::string> oracle;
 
-  // Session 1: establish a cleanly persisted bump mark.
-  {
-    KvStore kv = KvStore::open(path, kCapacity, 4, 64);
-    for (K k = 0; k < 50; ++k) {
-      std::string v = value_for(k, 1);
-      kv.put(k, v);
-      oracle[k] = std::move(v);
+    // Session 1: establish a cleanly persisted bump mark.
+    {
+      KvStore kv = KvStore::open(path, kCapacity, nshards, 64);
+      for (K k = 0; k < 50; ++k) {
+        std::string v = value_for(k, 1);
+        kv.put(k, v);
+        oracle[k] = std::move(v);
+      }
+      kv.close();
     }
-    kv.close();
-  }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
-  std::size_t clean_bump = 0;
-  {
-    pmem::FileRegion r = pmem::FileRegion::open(path, kCapacity);
-    clean_bump = r.bump();
-  }
+    pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
+    std::size_t clean_bump = 0;
+    {
+      pmem::FileRegion r = pmem::FileRegion::open(path, kCapacity);
+      clean_bump = r.bump();
+    }
 
-  // Session 2: commit far more data (well past the stale mark), close
-  // cleanly — then rewind the header's bump to session 1's value. The
-  // file now holds exactly the image a dirty shutdown mid-session-2
-  // would have left on fsdax: all records durable, allocator mark stale.
-  {
-    KvStore kv = KvStore::open(path, kCapacity, 4, 64);
-    for (K k = 1'000; k < 1'600; ++k) {
-      std::string v = value_for(k, 2);
-      kv.put(k, v);
-      oracle[k] = std::move(v);
+    // Session 2: commit far more data (well past the stale mark), close
+    // cleanly — then rewind the header's bump to session 1's value. The
+    // file now holds exactly the image a dirty shutdown mid-session-2
+    // would have left on fsdax: all records durable, allocator mark
+    // stale.
+    {
+      KvStore kv = KvStore::open(path, kCapacity, nshards, 64);
+      for (K k = 1'000; k < 1'600; ++k) {
+        std::string v = value_for(k, 2);
+        kv.put(k, v);
+        oracle[k] = std::move(v);
+      }
+      kv.close();
     }
-    kv.close();
-  }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
-  {
-    pmem::FileRegion r = pmem::FileRegion::open(path, kCapacity);
-    ASSERT_GT(r.bump(), clean_bump) << "session 2 must have allocated";
-    r.set_bump(clean_bump);
-    // A dirty shutdown also never reaches close()'s clean-flag write;
-    // clear it so open() takes the sweep path instead of trusting the
-    // (now stale) mark.
-    r.set_root(KvStore::kCleanShutdownSlot, nullptr);
-    r.sync();
-  }
+    pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
+    {
+      pmem::FileRegion r = pmem::FileRegion::open(path, kCapacity);
+      ASSERT_GT(r.bump(), clean_bump) << "session 2 must have allocated";
+      r.set_bump(clean_bump);
+      // A dirty shutdown also never reaches close()'s clean-flag write;
+      // clear it so open() takes the sweep path instead of trusting the
+      // (now stale) mark.
+      r.set_root(KvStore::kCleanShutdownSlot, nullptr);
+      r.sync();
+    }
 
-  // Session 3: recover, then allocate heavily; every committed record
-  // must survive both the recovery and the new allocations.
-  {
-    KvStore kv = KvStore::open(path, kCapacity, 4, 64);
-    for (const auto& [k, v] : oracle) {
-      const auto got = kv.get(k);
-      ASSERT_TRUE(got.has_value()) << "key " << k << " lost to stale bump";
-      ASSERT_EQ(*got, v) << "key " << k;
+    // Session 3: recover, then allocate heavily; every committed record
+    // must survive both the recovery and the new allocations. In the
+    // checked build the helper-spawn site, armed never to fire, counts
+    // the helpers the recovery started.
+    {
+      core::Failpoints& fp = core::Failpoints::instance();
+      fp.arm("kv.recover.thread", {core::FailTrigger::kProbability, 0, 0.0});
+      KvStore kv = KvStore::open(path, kCapacity, nshards, 64);
+      if constexpr (core::kChecked) {
+        EXPECT_EQ(fp.evaluations("kv.recover.thread") + 1,
+                  std::min(nshards, cpus))
+            << "helpers + the opening thread";
+      }
+      fp.disarm("kv.recover.thread");
+      EXPECT_EQ(kv.nshards(), nshards);
+      EXPECT_EQ(kv.size(), oracle.size());
+      for (const auto& [k, v] : oracle) {
+        const auto got = kv.get(k);
+        ASSERT_TRUE(got.has_value()) << "key " << k << " lost to stale bump";
+        ASSERT_EQ(*got, v) << "key " << k;
+      }
+      for (K k = 10'000; k < 11'000; ++k) {  // force fresh chunk allocations
+        std::string v = value_for(k, 3);
+        kv.put(k, v);
+        oracle[k] = std::move(v);
+      }
+      for (const auto& [k, v] : oracle) {
+        const auto got = kv.get(k);
+        ASSERT_TRUE(got.has_value())
+            << "key " << k << " clobbered by post-recovery allocation";
+        ASSERT_EQ(*got, v) << "key " << k;
+      }
+      kv.close();
     }
-    for (K k = 10'000; k < 11'000; ++k) {  // force fresh chunk allocations
-      std::string v = value_for(k, 3);
-      kv.put(k, v);
-      oracle[k] = std::move(v);
+    pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
+
+    // Session 4 (checked build): no helper can be started, so the opening
+    // thread walks every shard.
+    if constexpr (core::kChecked) {
+      core::Failpoints& fp = core::Failpoints::instance();
+      fp.arm("kv.recover.thread", {core::FailTrigger::kEveryNth, 1});
+      KvStore kv = KvStore::open(path, kCapacity, nshards, 64);
+      EXPECT_EQ(fp.hits("kv.recover.thread"),
+                std::min(nshards, cpus) > 1 ? 1u : 0u);
+      fp.disarm("kv.recover.thread");
+      EXPECT_EQ(kv.size(), oracle.size());
+      for (const auto& [k, v] : oracle) {
+        ASSERT_EQ(kv.get(k), v) << "key " << k;
+      }
+      kv.close();
+      pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
     }
-    for (const auto& [k, v] : oracle) {
-      const auto got = kv.get(k);
-      ASSERT_TRUE(got.has_value())
-          << "key " << k << " clobbered by post-recovery allocation";
-      ASSERT_EQ(*got, v) << "key " << k;
-    }
-    kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   pmem::FileRegion::destroy(path);
 }
 
