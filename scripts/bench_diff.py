@@ -14,6 +14,13 @@ predating the histogram simply print 0. Exit status is always 0 — this
 is a reporting tool, not a gate (the fence-coalescing gate lives in
 check_fence_coalescing.py).
 
+Between two ycsb_kv snapshots taken at the documented settings
+(--threads=4 --seconds=0.5), compare the pwbs/op and pfences/op columns
+only. The Mops column does not repeat there: one row of one binary read
+7.0, 14.6 and 14.8 Mops in three back-to-back runs on a 4-vCPU
+container, so a Mops delta between two snapshots says nothing about the
+change between them.
+
 Rows that cannot be compared are never dropped silently: a key present
 in only one snapshot, or appearing twice within one snapshot (later
 occurrence wins), produces a WARNING on stderr.

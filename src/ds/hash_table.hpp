@@ -135,19 +135,27 @@ class HashTable {
   /// Disown the nodes: the persisted bytes outlive this volatile handle.
   void release() noexcept { owns_ = false; }
 
-  /// recover(roots), after one walk of every bucket chain: each node is
-  /// checked against `b` before it is read and handed to f(node, live)
-  /// (see HarrisList::walk_chain); the shared tail is checked first and
-  /// visited last, as a node holding no key. Throws std::length_error on
-  /// a link outside `b`. The root block itself is the caller's to check.
+  /// recover(roots), after one walk of every bucket chain: the root
+  /// block, its bucket count and head words are checked against `b`
+  /// first, then each node is checked before it is read and handed to
+  /// f(node, live) (see HarrisList::walk_chain); the shared tail is
+  /// checked first and visited last, as a node holding no key. Throws
+  /// std::length_error on a root block or link outside `b`.
   /// Single-threaded, read-only.
   template <class F>
   static HashTable recover(Roots* roots, Bounds b, F&& f) {
+    if (!b.holds(roots)) {
+      throw std::length_error("ds::HashTable: root block outside the region");
+    }
+    const std::size_t nb = roots->nbuckets;
+    if (nb == 0 || nb > b.len / sizeof(Link) ||
+        !b.spans(roots, Roots::bytes(nb))) {
+      throw std::length_error("ds::HashTable: corrupt bucket count");
+    }
     const Node* tail = roots->tail;
     if (!b.holds(tail)) {
       throw std::length_error("ds::HashTable: tail outside the region");
     }
-    const std::size_t nb = roots->nbuckets;
     for (std::size_t i = 0; i < nb; ++i) {
       List::walk_chain(roots->heads[i], tail, b, f);
     }

@@ -33,19 +33,19 @@
 //   void release();                           // disown persisted nodes
 //   std::uintptr_t roots_extent();
 //   static std::size_t node_bytes(const Node&);
-//   static validate_roots(const Roots*, ds::Bounds);  // root block only
 //   for_each_range(Key lo, f);                // ordered backends only
 //
 // recover() rebuilds the volatile handle in one walk of the persisted
 // structure — every bucket chain, or the skiplist's level 0, over which
-// it rebuilds the volatile index levels — that checks each node against
-// the region's bounds before reading any of its fields and hands it to
-// visit(const Node&, bool live), sentinels included (as not live). The
-// walk leaves the persisted links as it found them and issues no
-// p-instruction, so shards recover on concurrent threads.
+// it rebuilds the volatile index levels — that checks the root block and
+// then each node against the region's bounds before reading any of its
+// fields and hands each node to visit(const Node&, bool live), sentinels
+// included (as not live). The walk leaves the persisted links as it
+// found them and issues no p-instruction, so shards recover on
+// concurrent threads.
 // kv::Shard::recover re-counts live keys and, after a dirty shutdown,
-// bounds the allocator mark in that visitor; a node outside the bounds
-// throws std::length_error.
+// bounds the allocator mark in that visitor; a root block or node
+// outside the bounds throws std::length_error.
 //
 // Two backends are provided: HashBackend (a hash table whose buckets are
 // Harris lists, one persistent head word each — the original store
@@ -67,6 +67,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 
 #include "ds/batch.hpp"
 #include "ds/hash_table.hpp"
@@ -117,20 +118,6 @@ class HashBackend {
     return sizeof(Node);
   }
 
-  /// Bounds-check the root block, its nbuckets head words included.
-  /// Throws IncompatibleStore on a torn or bit-rotted header. The nodes,
-  /// the shared tail among them, are checked by recover()'s walk.
-  static void validate_roots(const Roots* roots, ds::Bounds b) {
-    if (!b.spans(roots, sizeof(Roots))) {
-      throw IncompatibleStore("kv::Store: corrupt shard root");
-    }
-    const std::size_t nb = roots->nbuckets;
-    if (nb == 0 || nb > b.len / sizeof(typename Table::Link) ||
-        !b.spans(roots, Roots::bytes(nb))) {
-      throw IncompatibleStore("kv::Store: corrupt shard root array");
-    }
-  }
-
  private:
   explicit HashBackend(Table&& t) noexcept : table_(std::move(t)) {}
 
@@ -173,6 +160,9 @@ class OrderedBackend {
 
   template <class F>
   static OrderedBackend recover(Roots* roots, ds::Bounds b, F&& visit) {
+    if (!b.holds(roots)) {
+      throw std::length_error("kv: shard root block outside the region");
+    }
     return OrderedBackend(List::recover(roots->head, roots->tail, b, visit),
                           roots);
   }
@@ -206,14 +196,6 @@ class OrderedBackend {
   /// height).
   static std::size_t node_bytes(const Node& n) noexcept {
     return Node::bytes_for(n.height);
-  }
-
-  /// Bounds-check the root block; the sentinel towers it names are
-  /// checked by recover()'s walk.
-  static void validate_roots(const Roots* roots, ds::Bounds b) {
-    if (!b.spans(roots, sizeof(Roots))) {
-      throw IncompatibleStore("kv::Store: corrupt shard root");
-    }
   }
 
  private:

@@ -13,8 +13,8 @@
 //     deletes, and any put small enough to reuse recycled blocks), so it
 //     derives from std::bad_alloc and callers that already treated
 //     bad_alloc as "pool full" keep working unchanged.
-//   * StoreReadOnly — the store latched *degraded read-only* after msync
-//     failed past its retry budget (the fsyncgate lesson: once the kernel
+//   * StoreReadOnly — the store latched *degraded read-only* after a
+//     checkpoint msync failed (the fsyncgate lesson: once the kernel
 //     reports a failed writeback, dirty pages may have been dropped, so
 //     acknowledging further writes as durable would lie). A per-*store*
 //     latch: every mutation fails until the operator reopens the store;
@@ -47,9 +47,9 @@ struct OutOfSpace : std::bad_alloc {
 };
 
 /// The store is latched in degraded read-only mode: a checkpoint msync
-/// failed past its retry budget, so write acknowledgements can no longer
-/// be trusted as durable. Mutations throw this until the store is closed
-/// and reopened (reads keep serving).
+/// failed, so write acknowledgements can no longer be trusted as
+/// durable. Mutations throw this until the store is closed and reopened
+/// (reads keep serving).
 struct StoreReadOnly : std::runtime_error {
   StoreReadOnly()
       : std::runtime_error(

@@ -318,9 +318,10 @@ class Shard {
 
   /// Rebuild a non-owning shard handle from its persisted roots in one
   /// walk: the backend's recovery (every bucket chain, or the skiplist's
-  /// level 0 while it rebuilds the volatile index) checks each node
-  /// against `b` before reading it and hands it to the visitor below,
-  /// which re-counts the live keys (the O(1) size counter is volatile).
+  /// level 0 while it rebuilds the volatile index) checks the root block
+  /// and each node against `b` before reading it and hands each node to
+  /// the visitor below, which re-counts the live keys (the O(1) size
+  /// counter is volatile).
   /// After a dirty shutdown the caller passes `mark`, and the visitor
   /// also raises *mark to one past the last byte of every visited node
   /// and live record and of the root block: the allocator high-water
@@ -331,9 +332,7 @@ class Shard {
   /// way. A live record's pointer and length are checked against `b`
   /// before the mark trusts them. Throws std::length_error on anything
   /// outside `b`. Issues no p-instruction and touches only this shard's
-  /// nodes, so Store recovers its shards on concurrent threads; the
-  /// caller has already checked the root block via
-  /// Backend::validate_roots.
+  /// nodes, so Store recovers its shards on concurrent threads.
   static Shard recover(Roots* roots, ds::Bounds b, std::uintptr_t* mark) {
     std::ptrdiff_t live_keys = 0;
     Shard s(Backend::recover(roots, b, [&](const Node& n, bool live) {

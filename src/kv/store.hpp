@@ -178,9 +178,6 @@ class Store {
   /// does NOT set it: post-checkpoint allocations would sit above the
   /// checkpointed mark.)
   static constexpr std::size_t kCleanShutdownSlot = 1;
-  /// msync attempts per checkpoint before the store latches degraded
-  /// read-only (1 initial try + retries, backoff 1→2→4 ms capped at 8).
-  static constexpr int kMsyncRetryLimit = 4;
 
   /// Persistent recovery root: everything Store::recover needs.
   struct Superblock {
@@ -262,26 +259,14 @@ class Store {
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
+  /// A running kEverySec flusher holds the durability block, not the
+  /// handle, so it keeps running across the move. The moved-from handle
+  /// is left closed (its destructor is a no-op).
   Store(Store&& o) noexcept
       : shards_(std::move(o.shards_)),
         sb_(std::exchange(o.sb_, nullptr)),
-        region_(std::move(o.region_)),
-        file_backed_(std::exchange(o.file_backed_, false)),
         range_chunk_(o.range_chunk_),
-        durability_(o.durability_.load(std::memory_order_relaxed)),
-        checkpoints_(o.checkpoints_.load(std::memory_order_relaxed)),
-        health_(o.health_.load(std::memory_order_relaxed)),
-        checkpoint_pre_(std::move(o.checkpoint_pre_)),
-        checkpoint_post_(std::move(o.checkpoint_post_)),
-        durability_ctl_(std::move(o.durability_ctl_)) {
-    if (durability_ctl_) {
-      // The flusher thread targets the store through the control block;
-      // retarget it under the block's mutex so a concurrently running
-      // flush sees either the old (still-valid) or the new handle.
-      std::lock_guard<std::mutex> lk(durability_ctl_->mu);
-      durability_ctl_->store = this;
-    }
-  }
+        dur_(std::move(o.dur_)) {}
 
   ~Store() {
     // close() can throw (msync failure on the backing file); a destructor
@@ -332,8 +317,8 @@ class Store {
   /// ordered shards rebuild their volatile skiplist index levels from the
   /// durable bottom level (see SkipList::recover), and every shard
   /// re-counts its keys for the O(1) size counter. The walks run on up to
-  /// min(shards, CPUs) threads (see recover_handles). A node outside the
-  /// Pool throws std::length_error.
+  /// min(shards, CPUs) threads (see recover_handles). A superblock, root
+  /// block or node outside the Pool throws std::length_error.
   static Store recover(Superblock* sb) {
     Store s = recover_handles(sb, ds::Bounds::pool(), nullptr);
     bump_generation(sb);
@@ -363,27 +348,14 @@ class Store {
     }
     void* root = region.recovered() ? region.root(kSuperblockSlot) : nullptr;
     const ds::Bounds bounds(region.usable_base(), region.usable_capacity());
-    // Validate before the Pool adopts the region: a reject (foreign file,
-    // newer version, corrupt header) must unwind with the global allocator
-    // untouched, not leave it pointing into a mapping this frame is about
-    // to drop. The root offset and everything reached through it are
-    // bounds-checked before the first dereference — a torn or bit-rotted
-    // header must produce the clean throw, not a SIGSEGV.
-    if (root != nullptr) {
-      if (!bounds.spans(root, sizeof(Superblock))) {
-        throw IncompatibleStore("kv::Store: corrupt superblock offset");
-      }
-      auto* sb = static_cast<Superblock*>(root);
-      validate_superblock(sb);
-      validate_region_layout(bounds, sb);
-    }
     // Once the Pool has adopted the region, an exception unwinding this
     // frame would unmap the region under the adopted pool — every later
     // allocation in the process would fault. Catch, restore a fresh
     // anonymous pool at the pre-adopt capacity (its contents were already
     // discarded by the adoption), rethrow. Before adoption (the recovery
     // walk runs first — no allocation) the existing pool is healthy and
-    // must be left alone.
+    // must be left alone: a reject (foreign file, newer version, corrupt
+    // header) unwinds with the global allocator untouched.
     const std::size_t prev_capacity = pmem::Pool::instance().capacity();
     bool adopted = false;
     try {
@@ -401,10 +373,10 @@ class Store {
         // authoritative, so a clean open reads no record.
         //
         // A truncated, torn or bit-rotted image surfaces in the walk as
-        // std::length_error — a link or record outside the region, an
-        // impossible tower — and must reject the open, not escape as a
-        // generic runtime error or, worse, yield a silently
-        // half-recovered store.
+        // std::length_error — a superblock, root block, link or record
+        // outside the region, an impossible tower — and must reject the
+        // open, not escape as a generic runtime error or, worse, yield a
+        // silently half-recovered store.
         const bool dirty = region.root(kCleanShutdownSlot) == nullptr;
         std::uintptr_t hi = 0;
         Store s = [&] {
@@ -420,13 +392,13 @@ class Store {
         pmem::Pool::instance().adopt(region.usable_base(),
                                      region.usable_capacity(), resume);
         adopted = true;
-        s.attach(std::move(region));
+        pmem::FileRegion& r = s.dur_->region = std::move(region);
         // Everything that could reject this open has passed; only now
         // consume a recovery in the durable session stamp.
         bump_generation(s.sb_);
-        s.region_.set_root(kCleanShutdownSlot, nullptr);  // in use: dirty
-        s.region_.set_bump(pmem::Pool::instance().bump_used());
-        s.region_.sync();  // generation stamp + repaired bump, durable now
+        r.set_root(kCleanShutdownSlot, nullptr);  // in use: dirty
+        r.set_bump(pmem::Pool::instance().bump_used());
+        r.sync();  // generation stamp + repaired bump, durable now
         return s;
       }
       // Fresh file (or a region that died before its first superblock
@@ -436,10 +408,10 @@ class Store {
                                    region.usable_capacity(), region.bump());
       adopted = true;
       Store s(nshards, capacity_per_shard, range);
-      s.attach(std::move(region));
-      s.region_.set_root(kSuperblockSlot, s.sb_);
-      s.region_.set_bump(pmem::Pool::instance().bump_used());
-      s.region_.sync();
+      pmem::FileRegion& r = s.dur_->region = std::move(region);
+      r.set_root(kSuperblockSlot, s.sb_);
+      r.set_bump(pmem::Pool::instance().bump_used());
+      r.sync();
       return s;
     } catch (...) {
       if (adopted) {
@@ -751,7 +723,7 @@ class Store {
   }
   std::uint64_t generation() const noexcept { return sb_->generation; }
   Superblock* superblock() const noexcept { return sb_; }
-  bool file_backed() const noexcept { return file_backed_; }
+  bool file_backed() const noexcept { return dur_->region.base() != nullptr; }
   const Shard_& shard(std::size_t i) const { return shards_[i]; }
   /// Ordered stores: the persisted partition bounds.
   KeyRange key_range() const noexcept {
@@ -789,14 +761,11 @@ class Store {
   /// page cache). Stop-the-world; file-backed stores only. open()'s
   /// recovery walk protects committed records from a dirty shutdown
   /// regardless, but periodic checkpoints bound the msync exposure
-  /// window.
+  /// window. Throws kv::StoreReadOnly when the msync fails (the store
+  /// latches, see health()) or the store is already latched.
   void checkpoint() {
-    if (durability_ctl_) {
-      std::lock_guard<std::mutex> lk(durability_ctl_->mu);
-      checkpoint_impl();
-    } else {
-      checkpoint_impl();
-    }
+    std::lock_guard<std::mutex> lk(dur_->mu);
+    dur_->checkpoint();
   }
 
   // --- durability modes ------------------------------------------------------
@@ -810,43 +779,35 @@ class Store {
       DurabilityMode m,
       std::chrono::milliseconds every = std::chrono::milliseconds(1000)) {
     stop_flusher();
-    durability_.store(m, std::memory_order_relaxed);
-    if (m == DurabilityMode::kNever) return;
-    // kAlways needs the control block too: note_write_commit() arrives
-    // from many server workers at once and the block's mutex serializes
-    // the header write + msync.
-    durability_ctl_ = std::make_unique<DurabilityCtl>();
-    durability_ctl_->store = this;
-    durability_ctl_->every = every;
-    if (m == DurabilityMode::kEverySec && file_backed_) {
-      durability_ctl_->th =
-          std::thread(&Store::flusher_main, durability_ctl_.get());
+    Durability& d = *dur_;
+    d.mode.store(m, std::memory_order_relaxed);
+    d.every = every;
+    if (m == DurabilityMode::kEverySec && file_backed()) {
+      d.flusher = std::thread(&Store::flusher_main, &d);
     }
   }
 
   DurabilityMode durability_mode() const noexcept {
-    return durability_.load(std::memory_order_relaxed);
+    return dur_->mode.load(std::memory_order_relaxed);
   }
 
   /// Checkpoints executed so far (explicit, flusher, or kAlways hook) —
   /// telemetry for tests and the server's STATS.
   std::uint64_t checkpoints() const noexcept {
-    return checkpoints_.load(std::memory_order_relaxed);
+    return dur_->checkpoints.load(std::memory_order_relaxed);
   }
 
   /// Degradation state (see kv::Health and the ladder in errors.hpp).
-  /// kDegradedReadOnly latches when a checkpoint msync fails past its
-  /// retry budget, or when the process-wide pmem durability latch fired
-  /// (a close-path msync was swallowed somewhere a throw could not
-  /// reach). Once degraded, every mutation throws kv::StoreReadOnly;
-  /// reads keep serving. The latch clears only by reopening the store in
-  /// a healthy process — trusting dirty pages again after the kernel
-  /// rejected a writeback is the fsyncgate bug.
+  /// kDegradedReadOnly latches when a checkpoint msync fails, or when
+  /// the process-wide pmem durability latch fired (a close-path msync
+  /// was swallowed somewhere a throw could not reach). Once degraded,
+  /// every mutation throws kv::StoreReadOnly; reads keep serving. The
+  /// latch clears only by reopening the store in a healthy process —
+  /// trusting dirty pages again after the kernel rejected a writeback is
+  /// the fsyncgate bug.
   Health health() const noexcept {
-    if (health_.load(std::memory_order_acquire) != Health::kOk) {
-      return Health::kDegradedReadOnly;
-    }
-    if (file_backed_ && pmem::durability_degraded()) {
+    if (dur_->health.load(std::memory_order_acquire) != Health::kOk ||
+        (file_backed() && pmem::durability_degraded())) {
       return Health::kDegradedReadOnly;
     }
     return Health::kOk;
@@ -862,80 +823,119 @@ class Store {
 
   /// Observe each checkpoint's durability point: `pre` runs immediately
   /// before the msync (snapshot what is about to become durable), `post`
-  /// immediately after it returns (everything snapshotted IS durable).
-  /// Both run on whichever thread checkpoints — an explicit checkpoint()
-  /// caller, the kEverySec flusher, or a kAlways note_write_commit() —
-  /// and are serialized with the checkpoint itself (callers hold the
-  /// durability control mutex when one exists), so a pre/post pair never
-  /// interleaves with another checkpoint's. This is the ack-point surface
-  /// the crash-test harness builds its acknowledgement stream on; either
-  /// hook may be empty. Not thread-safe against concurrent checkpoints:
-  /// install hooks before the store starts taking traffic.
+  /// immediately after it succeeds (everything snapshotted IS durable; a
+  /// failed checkpoint runs no `post`). Both run on whichever thread
+  /// checkpoints — an explicit checkpoint() caller, the kEverySec
+  /// flusher, or a kAlways note_write_commit() — under the durability
+  /// mutex, as does this setter, so a pre/post pair never interleaves
+  /// with another checkpoint's and hooks may be swapped while the store
+  /// takes traffic. This is the ack-point surface the crash-test harness
+  /// builds its acknowledgement stream on; either hook may be empty. A
+  /// hook must not checkpoint or set hooks on the same store.
   void set_checkpoint_hooks(std::function<void()> pre,
                             std::function<void()> post) {
-    checkpoint_pre_ = std::move(pre);
-    checkpoint_post_ = std::move(post);
+    std::lock_guard<std::mutex> lk(dur_->mu);
+    dur_->pre = std::move(pre);
+    dur_->post = std::move(post);
   }
 
   /// Quiesce and detach. File-backed: drain reclamation, persist the
   /// allocator high-water mark, sync and unmap (see the lifetime contract
   /// above). Pool-backed: just release the volatile handles. Stop-the-
-  /// world; the store is unusable afterwards. Idempotent.
+  /// world; the store is unusable afterwards. Idempotent, and a no-op on
+  /// a moved-from handle.
   void close() {
-    stop_flusher();
     if (sb_ == nullptr) return;
+    stop_flusher();
     for (Shard_& s : shards_) s.release();
     shards_.clear();
     // Drain unconditionally: retired Records queued in EBR limbo hold
     // deleters that would otherwise run later — against pool memory a
     // reset()/reinit() may have recycled by then.
     recl::Ebr::instance().drain_all();
-    if (file_backed_) {
+    if (file_backed()) {
       // Two-phase: the bump mark must be durable *before* the clean flag
       // declares it authoritative — flag-set with a stale mark would make
       // the next open() skip the repair sweep and recycle committed
       // records. (Both live in the header line; independent 8-byte
       // persists could otherwise land in either order.)
-      region_.set_bump(pmem::Pool::instance().bump_used());
-      region_.sync();
-      region_.set_root(kCleanShutdownSlot, sb_);  // quiesced: mark clean
-      region_.sync();
-      region_.close();
-      file_backed_ = false;
+      pmem::FileRegion& r = dur_->region;
+      r.set_bump(pmem::Pool::instance().bump_used());
+      r.sync();
+      r.set_root(kCleanShutdownSlot, sb_);  // quiesced: mark clean
+      r.sync();
+      r.close();
     }
     sb_ = nullptr;
   }
 
  private:
   struct RecoverTag {};
-  explicit Store(RecoverTag) noexcept {}
+  explicit Store(RecoverTag) {}
 
-  /// Heap-allocated so the kEverySec flusher thread can hold a stable
-  /// pointer while the Store handle itself moves (open() returns by
-  /// value); the move ctor retargets `store` under `mu`.
-  struct DurabilityCtl {
+  /// Everything a checkpoint touches, in one heap block shared by the
+  /// Store handle, the checkpoint mutex and the kEverySec flusher. The
+  /// flusher holds a pointer to the block, never to the Store, so the
+  /// handle may move (open() returns by value) while it runs. `mu`
+  /// serializes every checkpoint with its hooks, and guards the hooks
+  /// and `stop`.
+  struct Durability {
+    pmem::FileRegion region;  ///< mapped iff the store is file-backed
     std::mutex mu;
     std::condition_variable cv;
     bool stop = false;
-    Store* store = nullptr;
     std::chrono::milliseconds every{1000};
-    std::thread th;  ///< joinable only in kEverySec mode
+    std::function<void()> pre, post;
+    // persist-lint: allow(volatile durability state of the Store handle)
+    // The mode, checkpoint counter and health latch are not
+    // pool-resident: a reopened store starts in kNever, counting from 0,
+    // healthy by design (new process, new page-cache state; the operator
+    // reopened deliberately).
+    std::atomic<DurabilityMode> mode{DurabilityMode::kNever};
+    std::atomic<std::uint64_t> checkpoints{0};
+    std::atomic<Health> health{Health::kOk};
+    std::thread flusher;  ///< joinable only in kEverySec mode
+
+    /// One checkpoint; the caller holds `mu`. One msync attempt: a
+    /// failure latches degraded read-only and throws StoreReadOnly
+    /// without running `post`, so a failed checkpoint acknowledges
+    /// nothing. There is no retry. Linux reports a writeback error once
+    /// and leaves the failed pages clean, so a second msync returns 0
+    /// for bytes that never reached the file (the fsyncgate lesson).
+    void checkpoint() {
+      if (region.base() == nullptr) return;
+      if (health.load(std::memory_order_acquire) != Health::kOk) {
+        throw StoreReadOnly();
+      }
+      if (pre) pre();
+      region.set_bump(pmem::Pool::instance().bump_used());
+      try {
+        region.sync();
+      } catch (const std::exception& e) {
+        health.store(Health::kDegradedReadOnly, std::memory_order_release);
+        std::fprintf(stderr,
+                     "flit: kv: checkpoint sync failed (%s); latching "
+                     "degraded read-only\n",
+                     e.what());
+        throw StoreReadOnly();
+      }
+      checkpoints.fetch_add(1, std::memory_order_relaxed);
+      if (post) post();
+    }
   };
 
-  static void flusher_main(DurabilityCtl* c) {
-    std::unique_lock<std::mutex> lk(c->mu);
-    while (!c->stop) {
-      if (c->cv.wait_for(lk, c->every, [c] { return c->stop; })) break;
-      // Still holding mu: the store pointer is stable and no concurrent
-      // checkpoint() can interleave its header write with ours. A
-      // failure must not terminate the process from a background thread.
+  static void flusher_main(Durability* d) {
+    std::unique_lock<std::mutex> lk(d->mu);
+    while (!d->cv.wait_for(lk, d->every, [d] { return d->stop; })) {
+      // Holding mu: no concurrent checkpoint() interleaves its header
+      // write with ours. A failure must not terminate the process from a
+      // background thread.
       try {
-        if (c->store != nullptr) c->store->checkpoint_impl();
+        d->checkpoint();
       } catch (const StoreReadOnly&) {
-        // The retry budget inside checkpoint_impl is spent and the store
-        // latched degraded read-only: every further periodic flush would
-        // fail identically, so stop the loop. Mutations are already
-        // rejected at the API; the latch shows in health()/STATS.
+        // The store latched degraded read-only: every further periodic
+        // flush would fail identically, so stop the loop. Mutations are
+        // already rejected at the API; the latch shows in health()/STATS.
         break;
       } catch (...) {
         // Transient (not latch-worthy — e.g. a pre/post hook threw):
@@ -944,63 +944,22 @@ class Store {
     }
   }
 
-  /// The actual checkpoint body; callers hold durability_ctl_->mu when
-  /// the control block exists. An msync failure is retried with capped
-  /// backoff (the kernel may be under transient pressure); past the
-  /// budget the store latches degraded read-only and throws — after a
-  /// rejected writeback the dirty pages can no longer be trusted as
-  /// durable, so no later "successful" msync may acknowledge them (the
-  /// fsyncgate lesson). The post hook (the ack surface) runs only on
-  /// success: a failed checkpoint acknowledges nothing.
-  void checkpoint_impl() {
-    if (!file_backed_) return;
-    if (health_.load(std::memory_order_acquire) != Health::kOk) {
-      throw StoreReadOnly();
-    }
-    if (checkpoint_pre_) checkpoint_pre_();
-    region_.set_bump(pmem::Pool::instance().bump_used());
-    std::chrono::milliseconds backoff(1);
-    for (int attempt = 1;; ++attempt) {
-      try {
-        region_.sync();
-        break;
-      } catch (const std::exception& e) {
-        if (attempt >= kMsyncRetryLimit) {
-          health_.store(Health::kDegradedReadOnly,
-                        std::memory_order_release);
-          std::fprintf(stderr,
-                       "flit: kv: checkpoint sync failed %d times (%s); "
-                       "latching degraded read-only\n",
-                       attempt, e.what());
-          throw StoreReadOnly();
-        }
-        std::this_thread::sleep_for(backoff);
-        backoff = std::min(backoff * 2, std::chrono::milliseconds(8));
-      }
-    }
-    checkpoints_.fetch_add(1, std::memory_order_relaxed);
-    if (checkpoint_post_) checkpoint_post_();
-  }
-
   /// Mutation gate: reject writes while degraded (see health()).
   void ensure_writable() const {
     if (health() != Health::kOk) throw StoreReadOnly();
   }
 
   void stop_flusher() noexcept {
-    if (!durability_ctl_) return;
+    Durability& d = *dur_;
+    if (!d.flusher.joinable()) return;
     {
-      std::lock_guard<std::mutex> lk(durability_ctl_->mu);
-      durability_ctl_->stop = true;
+      std::lock_guard<std::mutex> lk(d.mu);
+      d.stop = true;
     }
-    durability_ctl_->cv.notify_all();
-    if (durability_ctl_->th.joinable()) durability_ctl_->th.join();
-    durability_ctl_.reset();
-  }
-
-  void attach(pmem::FileRegion&& region) {
-    region_ = std::move(region);
-    file_backed_ = true;
+    d.cv.notify_all();
+    d.flusher.join();
+    std::lock_guard<std::mutex> lk(d.mu);
+    d.stop = false;  // a later flusher starts fresh
   }
 
   /// Precompute the ordered-routing chunk width. off/chunk stays < n for
@@ -1014,25 +973,17 @@ class Store {
     }
   }
 
-  /// Bounds-check everything recovery reads before the walk reaches the
-  /// nodes: the superblock extent, then each shard's root block via the
-  /// backend's own validator. This catches torn or bit-rotted headers;
-  /// the walk (Shard::recover) checks every node.
-  static void validate_region_layout(ds::Bounds b, const Superblock* sb) {
-    if (!b.spans(sb, Superblock::bytes(sb->nshards))) {
-      throw IncompatibleStore("kv::Store: superblock exceeds the region");
-    }
-    for (std::uint32_t i = 0; i < sb->nshards; ++i) {
-      Backend_::validate_roots(sb->shard_roots[i], b);
-    }
-  }
-
-  /// Validation + volatile-handle reconstruction: one walk per shard
-  /// against `b` (see Shard::recover), no persistent allocation and no
-  /// p-instruction (ordered shards do rebuild their volatile skiplist
-  /// index levels in place; recovery otherwise only reads). A non-null
-  /// `mark` is raised to one past the highest byte reachable from the
-  /// superblock: the allocator mark a dirty shutdown must resume above.
+  /// Validation + volatile-handle reconstruction, every byte checked
+  /// against `b` before it is read: the superblock's fixed part, its
+  /// header fields (validate_superblock), its full extent, then one walk
+  /// per shard (see Shard::recover), which checks the shard's root block
+  /// and every node. No persistent allocation and no p-instruction
+  /// (ordered shards do rebuild their volatile skiplist index levels in
+  /// place; recovery otherwise only reads). A byte outside `b` throws
+  /// std::length_error, a foreign or corrupt header IncompatibleStore. A
+  /// non-null `mark` is raised to one past the highest byte reachable
+  /// from the superblock: the allocator mark a dirty shutdown must resume
+  /// above.
   ///
   /// The shards are independent, so the calling thread and up to
   /// min(shards, CPUs in its affinity mask) - 1 helpers pull shard
@@ -1043,8 +994,14 @@ class Store {
   /// hostile image is rejected with the same message every time.
   static Store recover_handles(Superblock* sb, ds::Bounds b,
                                std::uintptr_t* mark) {
+    if (!b.spans(sb, sizeof(Superblock))) {
+      throw std::length_error("kv::Store: superblock outside the region");
+    }
     validate_superblock(sb);
     const std::uint32_t n = sb->nshards;
+    if (!b.spans(sb, Superblock::bytes(n))) {
+      throw std::length_error("kv::Store: superblock exceeds the region");
+    }
     std::vector<std::optional<Shard_>> shards(n);
     std::vector<std::uintptr_t> marks(n, 0);
     std::vector<std::exception_ptr> errors(n);
@@ -1121,19 +1078,8 @@ class Store {
 
   std::vector<Shard_> shards_;
   Superblock* sb_ = nullptr;
-  pmem::FileRegion region_;
-  bool file_backed_ = false;
   std::uint64_t range_chunk_ = 1;  ///< ordered routing chunk width
-  // persist-lint: allow(volatile control state in the Store handle)
-  // The durability mode, checkpoint counter and health latch are not
-  // pool-resident: recovery re-selects the mode and restarts them — a
-  // reopened store starts healthy by design (new process, new page-cache
-  // state; the operator reopened deliberately).
-  std::atomic<DurabilityMode> durability_{DurabilityMode::kNever};
-  std::atomic<std::uint64_t> checkpoints_{0};
-  std::atomic<Health> health_{Health::kOk};
-  std::function<void()> checkpoint_pre_, checkpoint_post_;
-  std::unique_ptr<DurabilityCtl> durability_ctl_;
+  std::unique_ptr<Durability> dur_ = std::make_unique<Durability>();
 };
 
 /// Range-partitioned ordered store over skiplist shards: everything Store

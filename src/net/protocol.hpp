@@ -31,30 +31,31 @@
 // connection. See ARCHITECTURE.md "Network front-end".
 #pragma once
 
-#include <algorithm>
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace flit::net {
 
-/// Parser bounds. Defaults fit the KV store (values ≤ 8 MiB through the
-/// server; Record::kMaxValueBytes is the 64 MiB hard ceiling) while
-/// keeping a hostile header from committing the server to unbounded
-/// buffering.
-struct ProtocolLimits {
-  std::size_t max_bulk_bytes = std::size_t{8} << 20;  ///< one argument
-  std::size_t max_array_elems = 1024;                 ///< argv length
-  std::size_t max_inline_bytes = std::size_t{64} << 10;  ///< inline line
-  /// A `*`/`$` header line (punctuation + digits + CRLF) is tiny; one
-  /// that runs longer than this without a newline is garbage.
-  std::size_t max_header_bytes = 32;
-};
+// Parser bounds. They fit the KV store (values ≤ 8 MiB through the
+// server; Record::kMaxValueBytes is the 64 MiB hard ceiling) while
+// keeping a hostile header from committing the server to unbounded
+// buffering.
 
+/// Longest bulk string (one argument or one bulk reply).
+inline constexpr std::size_t kMaxBulkBytes = std::size_t{8} << 20;
+/// Most elements of one request (argv length, array or inline).
+inline constexpr std::size_t kMaxArrayElems = 1024;
+/// Longest inline command line.
+inline constexpr std::size_t kMaxInlineBytes = std::size_t{64} << 10;
+/// A `*`/`$` header line (punctuation + digits + CRLF) is tiny; one that
+/// runs longer than this without a newline is garbage.
+inline constexpr std::size_t kMaxHeaderBytes = 32;
 /// Most (key, value) pairs one SCAN may ask for. The server rejects a
 /// longer count, and a reply array may hold two elements per pair.
 inline constexpr std::size_t kMaxScanPairs = 65536;
@@ -98,8 +99,6 @@ class FrameBuffer {
   std::size_t buffered() const noexcept { return buf_.size() - pos_; }
 
  protected:
-  explicit FrameBuffer(ProtocolLimits limits) : lim_(limits) {}
-
   ParseStatus fail(std::string msg) {
     failed_ = true;
     error_ = std::move(msg);
@@ -129,7 +128,6 @@ class FrameBuffer {
     return std::string_view(buf_).substr(from, end - from);
   }
 
-  ProtocolLimits lim_;
   std::string buf_;
   std::size_t pos_ = 0;
 
@@ -144,8 +142,6 @@ class FrameBuffer {
 /// a time from the fed bytes.
 class RequestParser : public detail::FrameBuffer {
  public:
-  explicit RequestParser(ProtocolLimits limits = {}) : FrameBuffer(limits) {}
-
   ParseStatus next(Request& out) {
     if (failed()) return ParseStatus::kError;
     for (;;) {
@@ -173,16 +169,16 @@ class RequestParser : public detail::FrameBuffer {
     std::size_t after = 0;
     const auto head = take_line(p, after);
     if (!head) {
-      if (buf_.size() - pos_ > lim_.max_header_bytes) {
+      if (buf_.size() - pos_ > kMaxHeaderBytes) {
         return fail("protocol: unterminated array header");
       }
       return ParseStatus::kNeedMore;
     }
     const auto n = detail::parse_i64(*head);
     if (!n || *n < 1) return fail("protocol: bad array header");
-    if (static_cast<std::uint64_t>(*n) > lim_.max_array_elems) {
+    if (static_cast<std::uint64_t>(*n) > kMaxArrayElems) {
       return fail("protocol: array exceeds " +
-                  std::to_string(lim_.max_array_elems) + " elements");
+                  std::to_string(kMaxArrayElems) + " elements");
     }
     std::vector<std::string> argv;
     argv.reserve(static_cast<std::size_t>(*n));
@@ -192,16 +188,16 @@ class RequestParser : public detail::FrameBuffer {
       if (buf_[p] != '$') return fail("protocol: expected bulk string");
       const auto blen = take_line(p + 1, after);
       if (!blen) {
-        if (buf_.size() - p > lim_.max_header_bytes) {
+        if (buf_.size() - p > kMaxHeaderBytes) {
           return fail("protocol: unterminated bulk header");
         }
         return ParseStatus::kNeedMore;
       }
       const auto len = detail::parse_i64(*blen);
       if (!len || *len < 0) return fail("protocol: bad bulk length");
-      if (static_cast<std::uint64_t>(*len) > lim_.max_bulk_bytes) {
+      if (static_cast<std::uint64_t>(*len) > kMaxBulkBytes) {
         return fail("protocol: bulk exceeds " +
-                    std::to_string(lim_.max_bulk_bytes) + " bytes");
+                    std::to_string(kMaxBulkBytes) + " bytes");
       }
       const auto need = static_cast<std::size_t>(*len);
       if (buf_.size() - after < need + 2) return ParseStatus::kNeedMore;
@@ -222,12 +218,12 @@ class RequestParser : public detail::FrameBuffer {
     std::size_t after = 0;
     const auto line = take_line(pos_, after);
     if (!line) {
-      if (buf_.size() - pos_ > lim_.max_inline_bytes) {
+      if (buf_.size() - pos_ > kMaxInlineBytes) {
         return fail("protocol: unterminated inline command");
       }
       return ParseStatus::kNeedMore;
     }
-    if (line->size() > lim_.max_inline_bytes) {
+    if (line->size() > kMaxInlineBytes) {
       return fail("protocol: inline command too long");
     }
     std::vector<std::string> argv;
@@ -242,7 +238,7 @@ class RequestParser : public detail::FrameBuffer {
         ++j;
       }
       if (j > i) {
-        if (argv.size() == lim_.max_array_elems) {
+        if (argv.size() == kMaxArrayElems) {
           return fail("protocol: too many inline tokens");
         }
         argv.emplace_back(line->substr(i, j - i));
@@ -320,8 +316,6 @@ struct Reply {
 /// poisons the stream.
 class ReplyParser : public detail::FrameBuffer {
  public:
-  explicit ReplyParser(ProtocolLimits limits = {}) : FrameBuffer(limits) {}
-
   ParseStatus next(Reply& out) {
     if (failed()) return ParseStatus::kError;
     compact();
@@ -372,7 +366,7 @@ class ReplyParser : public detail::FrameBuffer {
           p = after;
           return ParseStatus::kOk;
         }
-        if (static_cast<std::uint64_t>(*len) > lim_.max_bulk_bytes) {
+        if (static_cast<std::uint64_t>(*len) > kMaxBulkBytes) {
           return fail("protocol: bulk reply too large");
         }
         const auto need = static_cast<std::size_t>(*len);
@@ -392,10 +386,9 @@ class ReplyParser : public detail::FrameBuffer {
         const auto n = detail::parse_i64(*line);
         if (!n || *n < 0) return fail("protocol: bad array header");
         // Replies can legitimately be wide (SCAN returns 2 elements per
-        // pair; MGET one per key), so the element bound is looser than
-        // the request-side argv bound.
-        if (static_cast<std::uint64_t>(*n) >
-            std::max(2 * kMaxScanPairs, lim_.max_array_elems)) {
+        // pair; MGET one per key, at most kMaxArrayElems), so the element
+        // bound is looser than the request-side argv bound.
+        if (static_cast<std::uint64_t>(*n) > 2 * kMaxScanPairs) {
           return fail("protocol: array reply too large");
         }
         Reply arr;
@@ -419,7 +412,7 @@ class ReplyParser : public detail::FrameBuffer {
 
   /// A header line is pending: wait, unless it can no longer terminate.
   ParseStatus need_line(std::size_t from) {
-    if (buf_.size() - from > lim_.max_header_bytes + lim_.max_bulk_bytes) {
+    if (buf_.size() - from > kMaxHeaderBytes + kMaxBulkBytes) {
       return fail("protocol: unterminated reply");
     }
     return ParseStatus::kNeedMore;

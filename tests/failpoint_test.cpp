@@ -9,10 +9,11 @@
 //
 //   2. Injection regressions — armed sites actually steering the store
 //      and the socket layer into their degraded paths: pool exhaustion
-//      becomes a clean kv::OutOfSpace, a failed msync latches degraded
-//      read-only after the retry budget (the fsyncgate lesson), a
-//      swallowed close()-path msync failure latches the process-wide
-//      durability health, accept failures surface as transient errnos.
+//      becomes a clean kv::OutOfSpace, one failed checkpoint msync
+//      latches degraded read-only with no retry and no ack (the
+//      fsyncgate lesson), a swallowed close()-path msync failure latches
+//      the process-wide durability health, accept failures surface as
+//      transient errnos.
 //      These only bite in FLIT_CHECKED builds (the `checked` preset)
 //      and GTEST_SKIP elsewhere.
 #include "core/failpoint.hpp"
@@ -287,43 +288,54 @@ TEST_F(FailpointInjectionTest, MultiPutEveryNthAllocLeavesCleanPrefix) {
   }
 }
 
-// The fsyncgate regression: a checkpoint whose msync keeps failing must
-// retry with backoff, then latch degraded read-only — not ack, not loop.
+// The fsyncgate regression: a checkpoint whose msync fails must latch
+// degraded read-only at once and acknowledge nothing — not retry, not
+// loop. Linux reports a writeback error once and leaves the failed pages
+// clean, so a retried msync (`once`) would return 0 for bytes that never
+// reached the file; a medium that stays broken (`every:1`) must end the
+// same way.
 TEST_F(FailpointInjectionTest, MsyncFailureLatchesDegradedReadOnly) {
   if (!core::kChecked) {
     GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   const std::string path = temp_path();
-  pmem::FileRegion::destroy(path);
-  {
-    KvStore kv = KvStore::open(path, 8 << 20, 2, 64);
-    kv.put(1, "durable");
-    kv.checkpoint();  // healthy baseline
+  for (const char* spec : {"pmem.msync=once@EIO", "pmem.msync=every:1@EIO"}) {
+    SCOPED_TRACE(spec);
+    pmem::FileRegion::destroy(path);
+    {
+      KvStore kv = KvStore::open(path, 8 << 20, 2, 64);
+      int acks = 0;  // hooks run on this thread: explicit checkpoints only
+      kv.set_checkpoint_hooks({}, [&acks] { ++acks; });
+      kv.put(1, "durable");
+      kv.checkpoint();  // healthy baseline
+      EXPECT_EQ(acks, 1);
 
-    arm("pmem.msync=every:1@EIO");  // every attempt, retries included
-    EXPECT_THROW(kv.checkpoint(), kv::StoreReadOnly);
-    // The capped-backoff retry loop burned its whole budget first.
-    EXPECT_EQ(Failpoints::instance().hits("pmem.msync"),
-              static_cast<std::uint64_t>(KvStore::kMsyncRetryLimit));
-    Failpoints::instance().disarm_all();
+      arm(spec);
+      EXPECT_THROW(kv.checkpoint(), kv::StoreReadOnly);
+      // One attempt, and the failed checkpoint acknowledged nothing.
+      EXPECT_EQ(Failpoints::instance().hits("pmem.msync"), 1u);
+      EXPECT_EQ(acks, 1) << "a failed checkpoint ran the post hook";
+      Failpoints::instance().disarm_all();
 
-    // Latched: every mutation refused up front, reads still served.
-    EXPECT_EQ(kv.health(), kv::Health::kDegradedReadOnly);
-    EXPECT_THROW(kv.put(2, "x"), kv::StoreReadOnly);
-    EXPECT_THROW(kv.remove(1), kv::StoreReadOnly);
-    EXPECT_THROW(kv.checkpoint(), kv::StoreReadOnly);
-    EXPECT_EQ(kv.get(1), "durable");
-    kv.close();
-  }
-  // Reopening is the deliberate operator action that clears the latch
-  // (new process/page-cache state); the data survived.
-  {
-    KvStore kv = KvStore::open(path, 8 << 20, 2, 64);
-    EXPECT_EQ(kv.health(), kv::Health::kOk);
-    EXPECT_EQ(kv.get(1), "durable");
-    kv.put(2, "writable again");
-    EXPECT_EQ(kv.get(2), "writable again");
-    kv.close();
+      // Latched: every mutation refused up front, reads still served.
+      EXPECT_EQ(kv.health(), kv::Health::kDegradedReadOnly);
+      EXPECT_THROW(kv.put(2, "x"), kv::StoreReadOnly);
+      EXPECT_THROW(kv.remove(1), kv::StoreReadOnly);
+      EXPECT_THROW(kv.checkpoint(), kv::StoreReadOnly);
+      EXPECT_EQ(acks, 1);
+      EXPECT_EQ(kv.get(1), "durable");
+      kv.close();
+    }
+    // Reopening is the deliberate operator action that clears the latch
+    // (new process/page-cache state); the data survived.
+    {
+      KvStore kv = KvStore::open(path, 8 << 20, 2, 64);
+      EXPECT_EQ(kv.health(), kv::Health::kOk);
+      EXPECT_EQ(kv.get(1), "durable");
+      kv.put(2, "writable again");
+      EXPECT_EQ(kv.get(2), "writable again");
+      kv.close();
+    }
   }
   pmem::FileRegion::destroy(path);
 }

@@ -1,13 +1,14 @@
 // Durability-mode tests for kv::Store (never / everysec / always):
 // mode selection and parsing, the kAlways note_write_commit() hook
 // checkpointing per acknowledged write batch, the kEverySec background
-// flusher running on its interval and stopping on mode change / close,
-// pool-backed stores treating every mode as a no-op, and data written
-// under each mode surviving a reopen.
+// flusher running on its interval (hooks swapped under it) and stopping
+// on mode change / close, pool-backed stores treating every mode as a
+// no-op, and data written under each mode surviving a reopen.
 #include "kv/store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -109,6 +110,18 @@ TEST_F(KvDurabilityTest, EverySecFlusherRunsAndStops) {
   }
   EXPECT_GE(kv.checkpoints(), 2u) << "flusher never ran";
 
+  // Hooks may be swapped while the flusher checkpoints: the setter takes
+  // the same mutex as every checkpoint.
+  std::atomic<int> fired{0};
+  for (int i = 0; i < 4; ++i) {
+    kv.set_checkpoint_hooks({}, [&fired] { fired.fetch_add(1); });
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  while (fired.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(2));
+  }
+  EXPECT_GE(fired.load(), 2) << "re-installed hook never ran";
+
   // Switching back to kNever stops the flusher: the counter freezes.
   kv.set_durability_mode(DurabilityMode::kNever);
   const std::uint64_t frozen = kv.checkpoints();
@@ -151,8 +164,9 @@ TEST_F(KvDurabilityTest, ModeSurvivesAMove) {
   pmem::FileRegion::destroy(temp_path());
   KvStore kv = open_file_store();
   kv.set_durability_mode(DurabilityMode::kEverySec, milliseconds(5));
-  // Moving the handle (open() itself returns by value) must retarget the
-  // flusher, not leave it flushing a dead store.
+  // Moving the handle (open() itself returns by value) moves the
+  // durability block the flusher runs on, so it keeps checkpointing the
+  // moved-to store.
   KvStore moved = std::move(kv);
   EXPECT_EQ(moved.durability_mode(), DurabilityMode::kEverySec);
   moved.put(3, "moved");

@@ -1,8 +1,9 @@
 // Hostile-image recovery tests: Store::open() against files that were
 // truncated at the worst possible byte — mid-header, mid-superblock and
 // mid-slab (both with and without the clean-shutdown flag, and on both
-// layouts), or with words rewritten (a bucket head word, interior
-// level-0 links or record pointers in one or two shards, the superblock
+// layouts), or with words rewritten (the superblock root slot, a shard
+// root pointer, a bucket count, a bucket head word, interior level-0
+// links or record pointers in one or two shards, the superblock
 // version). Every case must end in a clean rejection the caller can
 // catch (kv::IncompatibleStore / std::runtime_error), with the same
 // message on every attempt, never a SIGSEGV from walking zeroed or
@@ -179,6 +180,50 @@ class KvHostileImageTest : public PmemTest {
     for (const std::uint32_t shard : shards) {
       write_at<std::uint64_t>(path, first_interior_link<StoreT>(path, shard),
                               h.base + kCapacity + 4096);
+    }
+    if (dirty) clear_clean_flag(path);
+    const std::string image = file_bytes(path);
+    expect_stable_rejection<StoreT, IncompatibleStore>(path);
+    EXPECT_EQ(file_bytes(path), image) << "a rejecting open wrote the file";
+  }
+
+  /// A word recovery reads before any node.
+  enum class RootWord { kSuperblock, kShardRoot1, kBucketCount };
+
+  /// Rewrite `w` in a populated 2-shard store (after a dirty shutdown
+  /// too, when `dirty`): the header's root slot 0 or `shard_roots[1]`
+  /// past the region, or shard 0's hashed `nbuckets` to 2^40. open()
+  /// must reject the image with the same message on every attempt and
+  /// leave the file byte-identical.
+  template <class StoreT>
+  void expect_root_word_rejected(const std::string& path, bool dirty,
+                                 RootWord w) {
+    static constexpr const char* kNames[] = {"root slot 0", "shard_roots[1]",
+                                             "shard 0 nbuckets"};
+    SCOPED_TRACE(std::string(StoreT::Backend_::kLayoutName) +
+                 (dirty ? ", dirty, " : ", clean, ") +
+                 kNames[static_cast<int>(w)]);
+    pmem::FileRegion::destroy(path);
+    populate<StoreT>(path);
+    const HeaderBits h = read_header(path);
+    const std::uint64_t past = kCapacity + 4096;  // region-relative
+    if (w == RootWord::kSuperblock) {
+      write_at<std::uint64_t>(path, offsetof(pmem::FileRegion::Header, roots),
+                              past);
+    } else if (w == RootWord::kShardRoot1) {
+      write_at<std::uint64_t>(
+          path,
+          h.superblock_off + offsetof(typename StoreT::Superblock,
+                                      shard_roots) +
+              sizeof(std::uint64_t),
+          h.base + past);
+    } else if constexpr (!StoreT::kOrdered) {
+      using Roots = typename StoreT::Backend_::Roots;
+      write_at<std::uint64_t>(
+          path, shard_roots<StoreT>(path, h, 0) + offsetof(Roots, nbuckets),
+          std::uint64_t{1} << 40);
+    } else {
+      FAIL() << "the ordered layout has no bucket count";
     }
     if (dirty) clear_clean_flag(path);
     const std::string image = file_bytes(path);
@@ -381,6 +426,22 @@ TEST_F(KvHostileImageTest, InteriorLinkPastTheRegionIsRejected) {
     expect_interior_link_rejected<OrderedKv>(path, dirty, 2, {0});
     expect_interior_link_rejected<HashedKv>(path, dirty, 8, {1, 6});
     expect_interior_link_rejected<OrderedKv>(path, dirty, 8, {1, 6});
+  }
+  pmem::FileRegion::destroy(path);
+}
+
+TEST_F(KvHostileImageTest, RootWordsPastTheRegionAreRejected) {
+  // Recovery reaches the superblock through the header's root slot 0,
+  // each shard's root block through the superblock, and a hashed shard's
+  // head words through its bucket count. Each word is checked by the
+  // code that reads it, before the read, on clean and dirty opens alike.
+  const std::string path = temp_path();
+  for (const bool dirty : {false, true}) {
+    for (const RootWord w : {RootWord::kSuperblock, RootWord::kShardRoot1}) {
+      expect_root_word_rejected<HashedKv>(path, dirty, w);
+      expect_root_word_rejected<OrderedKv>(path, dirty, w);
+    }
+    expect_root_word_rejected<HashedKv>(path, dirty, RootWord::kBucketCount);
   }
   pmem::FileRegion::destroy(path);
 }

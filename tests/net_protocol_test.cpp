@@ -176,8 +176,7 @@ TEST(RequestParser, UnterminatedHeaderRejected) {
 
 TEST(RequestParser, UnterminatedInlineRejected) {
   RequestParser p;
-  ProtocolLimits lim;
-  std::string noisy(lim.max_inline_bytes + 2, 'a');  // no newline ever
+  std::string noisy(kMaxInlineBytes + 2, 'a');  // no newline ever
   p.feed(noisy);
   Request r;
   EXPECT_EQ(p.next(r), ParseStatus::kError);
@@ -195,17 +194,21 @@ TEST(RequestParser, IncompleteFrameJustWaits) {
   EXPECT_EQ(r.argv[2], "value");
 }
 
-TEST(RequestParser, CustomLimits) {
-  ProtocolLimits lim;
-  lim.max_bulk_bytes = 8;
-  lim.max_array_elems = 2;
-  RequestParser p(lim);
-  p.feed(frame({"SET", "1", "12345678"}));  // exactly at the bound: fine
-  Request r;
-  EXPECT_EQ(p.next(r), ParseStatus::kError);  // 3 elems > 2
-  RequestParser q(lim);
-  q.feed(frame({"A", "123456789"}));  // 9 > 8 bulk bytes
-  EXPECT_EQ(q.next(r), ParseStatus::kError);
+TEST(RequestParser, ExactBoundsFromHeaders) {
+  // Each bound is checked on its header: at the bound the parser waits
+  // for the body, one past it fails the stream.
+  const auto status = [](std::string_view wire) {
+    RequestParser p;
+    p.feed(wire);
+    Request r;
+    return p.next(r);
+  };
+  EXPECT_EQ(kMaxArrayElems, 1024u);
+  EXPECT_EQ(kMaxBulkBytes, 8388608u);
+  EXPECT_EQ(status("*1024\r\n"), ParseStatus::kNeedMore);
+  EXPECT_EQ(status("*1025\r\n"), ParseStatus::kError);
+  EXPECT_EQ(status("*1\r\n$8388608\r\n"), ParseStatus::kNeedMore);
+  EXPECT_EQ(status("*1\r\n$8388609\r\n"), ParseStatus::kError);
 }
 
 // --- reply side -------------------------------------------------------------
