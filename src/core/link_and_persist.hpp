@@ -143,7 +143,7 @@ class lap_word {
       const std::uintptr_t des = pflag ? (des_clean | kDirty) : des_clean;
       if (val_.compare_exchange_strong(e, des, std::memory_order_seq_cst,
                                        std::memory_order_acquire)) {
-        pmem::pc_store(&val_, sizeof(val_));
+        pmem::pc_deferred_store(&val_);
         if (pflag) pmem::pwb(&val_);
         return true;  // dirty flag stays up until complete_deferred()
       }

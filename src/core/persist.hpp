@@ -207,7 +207,7 @@ class persist {
       untag();
       return false;
     }
-    pmem::pc_store(&val_, sizeof(val_));
+    pmem::pc_deferred_store(&val_);
     pmem::pwb(&val_);
     return true;  // still tagged: readers flush until complete_deferred()
   }

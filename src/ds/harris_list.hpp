@@ -297,14 +297,19 @@ class HarrisList {
   /// throws std::length_error — that includes a chain that dead-ends at
   /// null before the tail sentinel (a truncated image re-extended with
   /// zeros), which would otherwise miscount silently or dereference null.
-  /// Single-threaded (recovery) use only.
+  /// A chain longer than `b` can hold throws too: each node takes
+  /// sizeof(Node) bytes of it, so only a link back into the chain walks
+  /// that far. Single-threaded (recovery) use only.
   template <class F>
   static void walk_chain(const Link& head, const Node* tail, Bounds b,
                          F&& f) {
     const Node* c = without_mark(head.load_private());
-    while (c != tail) {
+    for (std::size_t room = b.len / sizeof(Node); c != tail; --room) {
       if (!b.holds(c)) {
         throw std::length_error("ds::HarrisList: link outside the region");
+      }
+      if (room == 0) {
+        throw std::length_error("ds::HarrisList: chain loops back on itself");
       }
       const Node* succ = c->next.load_private();
       f(*c, !is_marked(succ));

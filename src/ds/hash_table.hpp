@@ -41,6 +41,9 @@ class HashTable {
   using Node = typename List::Node;
   using Link = typename List::Link;
 
+  /// Unordered: no range visit.
+  static constexpr bool kOrdered = false;
+
   /// Persistent root block: everything recovery needs.
   struct Roots {
     std::size_t nbuckets;
@@ -168,6 +171,8 @@ class HashTable {
     return reinterpret_cast<std::uintptr_t>(roots_) +
            Roots::bytes(roots_->nbuckets);
   }
+
+  static std::size_t node_bytes(const Node&) noexcept { return sizeof(Node); }
 
  private:
   struct RecoverTag {};

@@ -19,10 +19,12 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "check/lincheck.hpp"
 #include "core/modes.hpp"
@@ -47,6 +49,9 @@ class SkipList {
   static constexpr K kMinKey = std::numeric_limits<K>::min();
   static constexpr K kMaxKey = std::numeric_limits<K>::max();
 
+  /// Ordered: for_each_range visits keys in ascending order.
+  static constexpr bool kOrdered = true;
+
   struct Node {
     W<K> key;
     W<V> value;
@@ -58,6 +63,14 @@ class SkipList {
     }
   };
 
+  /// Persistent root block: the two sentinel towers fully determine the
+  /// structure (recover() rebuilds the index levels from the durable
+  /// bottom level).
+  struct Roots {
+    Node* head;
+    Node* tail;
+  };
+
   SkipList() {
     tail_ = alloc_node(kMaxKey, V{}, kMaxLevel);
     head_ = alloc_node(kMinKey, V{}, kMaxLevel);
@@ -67,6 +80,12 @@ class SkipList {
     }
     persist_node(tail_);
     persist_node(head_);
+    roots_ = static_cast<Roots*>(pmem::Pool::instance().alloc(sizeof(Roots)));
+    roots_->head = head_;
+    roots_->tail = tail_;
+    if constexpr (Words::persistent) {
+      pmem::persist_range(roots_, sizeof(Roots));
+    }
   }
 
   ~SkipList() {
@@ -77,15 +96,16 @@ class SkipList {
       free_node_now(n);
       n = nxt;
     }
+    pmem::Pool::instance().dealloc(roots_, sizeof(Roots));
   }
 
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
   SkipList(SkipList&& o) noexcept
-      : head_(o.head_), tail_(o.tail_), owns_(o.owns_) {
-    o.owns_ = false;
-    o.head_ = o.tail_ = nullptr;
-  }
+      : head_(std::exchange(o.head_, nullptr)),
+        tail_(std::exchange(o.tail_, nullptr)),
+        roots_(std::exchange(o.roots_, nullptr)),
+        owns_(std::exchange(o.owns_, false)) {}
 
   bool insert(K k, V v) {
     recl::Ebr::Guard g;
@@ -307,8 +327,17 @@ class SkipList {
 
   // --- crash recovery ------------------------------------------------------
 
-  Node* head() const noexcept { return head_; }
-  Node* tail() const noexcept { return tail_; }
+  Roots* roots() const noexcept { return roots_; }
+
+  /// One past the last byte of the persisted root block.
+  std::uintptr_t roots_extent() const noexcept {
+    return reinterpret_cast<std::uintptr_t>(roots_) + sizeof(Roots);
+  }
+
+  /// A node's tower size (recover()'s walk has checked its height).
+  static std::size_t node_bytes(const Node& n) noexcept {
+    return Node::bytes_for(n.height);
+  }
 
   /// Disown the nodes: the destructor will no longer free them. Used when
   /// the structure's bytes outlive this handle (e.g. a file-backed region
@@ -323,28 +352,34 @@ class SkipList {
   /// literature, recovery therefore rebuilds the index from the bottom
   /// level instead of trusting it. The index is volatile state: the
   /// rebuild writes it with v-instructions only, and leaves level 0 as
-  /// the crash left it. Checks every tower against the Pool (see the form
+  /// the crash left it. Returns a non-owning handle onto the persisted
+  /// root block; checks it and every tower against the Pool (see the form
   /// below).
-  static SkipList recover(Node* head, Node* tail) {
-    return recover(head, tail, Bounds::pool(), [](const Node&, bool) {});
+  static SkipList recover(Roots* roots) {
+    return recover(roots, Bounds::pool(), [](const Node&, bool) {});
   }
 
-  /// recover(head, tail) whose one walk of the bottom level checks each
-  /// tower — the sentinels first — against `b` before reading it (see
-  /// check_tower) and hands it to f(node, live); the sentinels are
-  /// visited as nodes holding no key, a marked node as not live. Throws
-  /// std::length_error on a tower outside `b`. Issues no p-instruction,
-  /// so lists on disjoint nodes may recover on concurrent threads.
+  /// recover(roots) whose one walk of the bottom level checks the root
+  /// block, then each tower — the sentinels first — against `b` before
+  /// reading it (see check_tower) and hands it to f(node, live); the
+  /// sentinels are visited as nodes holding no key, a marked node as not
+  /// live. Throws std::length_error on a root block or tower outside `b`,
+  /// or on a level 0 out of key order (a link back into its own chain).
+  /// Issues no p-instruction, so lists on disjoint nodes may recover on
+  /// concurrent threads.
   template <class F>
-  static SkipList recover(Node* head, Node* tail, Bounds b, F&& f) {
-    SkipList s(head, tail);
+  static SkipList recover(Roots* roots, Bounds b, F&& f) {
+    if (!b.holds(roots)) {
+      throw std::length_error("ds::SkipList: root block outside the region");
+    }
+    SkipList s(roots);
     s.rebuild_index(b, f);
     return s;
   }
 
  private:
-  SkipList(Node* head, Node* tail) noexcept
-      : head_(head), tail_(tail), owns_(false) {}
+  explicit SkipList(Roots* roots) noexcept
+      : head_(roots->head), tail_(roots->tail), roots_(roots), owns_(false) {}
 
   /// One insertion attempt against the (pred, succ) neighborhood `find`
   /// just computed: build the tower, link at the bottom level (the
@@ -433,12 +468,21 @@ class SkipList {
     Node* prev_at[kMaxLevel];
     for (int i = 0; i < kMaxLevel; ++i) prev_at[i] = head_;
 
+    K last = kMinKey;
     Node* c = without_mark(head_->next[0].load_private());
     while (c != tail_) {
       // A link outside the region — a chain that dead-ends at null in a
       // truncated image included — throws before the node is read: the
       // caller rejects the whole store instead of half-recovering it.
       check_tower(c, b);
+      // Level 0 ascends strictly in key, so a link back into it throws at
+      // the first node it revisits, before that tower is stitched into
+      // the index a second time (which would write a rejected image).
+      const K key = c->key.load_private();
+      if (key <= last) {
+        throw std::length_error("ds::SkipList: level 0 loops back on itself");
+      }
+      last = key;
       Node* nxt = c->next[0].load_private();
       const bool live = !is_marked(nxt);
       visit(*c, live);
@@ -549,6 +593,7 @@ class SkipList {
 
   Node* head_ = nullptr;
   Node* tail_ = nullptr;
+  Roots* roots_ = nullptr;
   bool owns_ = true;
 };
 

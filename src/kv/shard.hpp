@@ -1,6 +1,6 @@
 // shard.hpp — one shard of the durable key-value store: a FliT set
 // structure mapping int64 keys to variable-length persistent value
-// records, generic over the backing structure (see backend.hpp).
+// records, run straight on ds::HashTable or ds::SkipList.
 //
 // The paper's motivating use case is persistent in-memory indexes and KV
 // stores (§1). The set structures in src/ds/ carry fixed-width trivially
@@ -11,7 +11,7 @@
 //     pool, fully written and published with a persist_range (one pwb per
 //     cache line + pfence) *before* the structure ever points at them, so
 //     a record reachable from a persisted link is always intact;
-//   * the backend structure stores Record* and provides durable
+//   * the set structure stores Record* and provides durable
 //     linearizability of the key→record mapping via the Words×Method
 //     grid, exactly like the paper's evaluated structures;
 //   * a superseded or removed record is retired through EBR by whichever
@@ -19,7 +19,7 @@
 //     the record's bytes under an Ebr::Guard never see freed memory.
 //
 // Overwrite semantics: put over an existing key is a single durable CAS
-// on the node's value word (the backend's upsert), installing the new
+// on the node's value word (the structure's upsert), installing the new
 // record in place of the old one. A concurrent get or scan observes the
 // old or the new complete value — never absence, never a torn mix — and
 // a crash recovers one of the two. Retirement stays unique because the
@@ -96,7 +96,7 @@ struct Record {
   }
 
   /// Hand an unlinked record to EBR; freed once no reader can reach it.
-  /// `persistent` matches the creating Backend::kPersistent: volatile
+  /// `persistent` matches the creating Shard::kPersistent: volatile
   /// configurations never flush records, so only persistent ones owe
   /// PersistCheck a fully-Clean range at retirement.
   template <bool persistent = true>
@@ -123,32 +123,45 @@ struct Record {
   static constexpr std::size_t kMaxValueBytes = std::size_t{1} << 26;
 };
 
-/// One shard of the store: a FliT set structure (the Backend — see
-/// backend.hpp for the contract) over a value-record slab. Thread-safe
-/// for put/get/remove/contains/scan; the recovery members run at
+/// One shard of the store: a FliT set structure — SetT is ds::HashTable
+/// or ds::SkipList, instantiated over Record* values — over a
+/// value-record slab. Both structures show the same face: upsert,
+/// remove_get, find_batched, contains, release, and the recovery members
+/// Roots, roots(), roots_extent(), node_bytes() and recover(); the
+/// skiplist adds for_each_range. Thread-safe for
+/// put/get/remove/contains/scan; the recovery members run at
 /// open/recover time, before the shard is shared (Store recovers
 /// different shards on concurrent threads).
-template <class Backend>
+template <class Words, class Method,
+          template <class, class, class, class> class SetT>
 class Shard {
  public:
   using Key = std::int64_t;
-  using Backend_ = Backend;
-  using Node = typename Backend::Node;
+  using Set = SetT<Key, Record*, Words, Method>;
+  using Node = typename Set::Node;
   /// Persistent recovery root of a shard (stored in the Store superblock).
-  using Roots = typename Backend::Roots;
+  using Roots = typename Set::Roots;
 
-  static constexpr bool kOrdered = Backend::kOrdered;
+  static constexpr bool kOrdered = Set::kOrdered;
+  static constexpr bool kPersistent = Words::persistent;
 
-  /// Fresh shard. `capacity_hint` sizes the backend (bucket count for the
-  /// hashed backend; ignored by the skiplist).
-  explicit Shard(std::size_t capacity_hint) : backend_(capacity_hint) {}
+  /// Fresh shard. `capacity_hint` is the hash table's bucket count; a
+  /// skiplist needs no sizing.
+  explicit Shard(std::size_t capacity_hint)
+      : set_([capacity_hint] {
+          if constexpr (kOrdered) {
+            return Set();
+          } else {
+            return Set(capacity_hint);
+          }
+        }()) {}
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
   Shard(Shard&& o) noexcept
-      : backend_(std::move(o.backend_)),
+      : set_(std::move(o.set_)),
         approx_size_(o.approx_size_.load(std::memory_order_relaxed)) {
-    // The count moved with the backend; a populated counter left behind
+    // The count moved with the set; a populated counter left behind
     // would double-count the keys if the moved-from husk were ever
     // summed (Store::size walks every shard it still holds).
     o.approx_size_.store(0, std::memory_order_relaxed);
@@ -184,7 +197,7 @@ class Shard {
         // Seeded bug: compute the fresh-insert flag but never apply the
         // write — a later get misses this update and the checker must
         // report kLostUpdate.
-        return !backend_.contains(k);
+        return !set_.contains(k);
       }
       if (core::fp_inject("bug.stale_read") != 0) {
         // Seeded bug: park the real application until the next write
@@ -192,17 +205,17 @@ class Shard {
         // that flush observes the superseded value — the checker must
         // report kStaleRead.
         check::unsafe_apply_pending();
-        Record* rec = Record::create<Backend::kPersistent>(value);
-        const bool fresh = !backend_.contains(k);
+        Record* rec = Record::create<kPersistent>(value);
+        const bool fresh = !set_.contains(k);
         check::unsafe_defer([this, k, rec] { apply_put(k, rec); });
         return fresh;
       }
     }
     // No guard here: the record is thread-private until upsert publishes
-    // it, the backend operations pin their own epochs, and pinning across
-    // a large value's copy + per-line flush would stall reclamation
+    // it, the set operations pin their own epochs, and pinning across a
+    // large value's copy + per-line flush would stall reclamation
     // everywhere else.
-    return apply_put(k, Record::create<Backend::kPersistent>(value));
+    return apply_put(k, Record::create<kPersistent>(value));
   }
 
   /// Copy out the value for k (nullopt if absent), without the completion
@@ -212,33 +225,37 @@ class Shard {
   /// the record under it, so the record cannot be freed while we read it.
   std::optional<std::string> get(Key k) const {
     if (reserved_key(k)) return std::nullopt;
-    const std::optional<Record*> rec = backend_.find(k);
+    const std::optional<Record*> rec = set_.find_batched(k);
     if (!rec) return std::nullopt;
     check::lc_deref(*rec, "kv::Shard::get");
     return std::string((*rec)->view());
   }
 
   /// Remove k. Returns true if it was present; the removal is durably
-  /// linearized at the backend's mark CAS and the record is retired
+  /// linearized at the structure's mark CAS and the record is retired
   /// through EBR by this (unique) winner.
   bool remove(Key k) {
     if (reserved_key(k)) return false;
-    if (std::optional<Record*> old = backend_.remove_get(k)) {
+    if (std::optional<Record*> old = set_.remove_get(k)) {
       approx_size_.fetch_sub(1, std::memory_order_relaxed);
-      Record::retire<Backend::kPersistent>(*old);
+      Record::retire<kPersistent>(*old);
       return true;
     }
     return false;
   }
 
   bool contains(Key k) const {
-    return !reserved_key(k) && backend_.contains(k);
+    return !reserved_key(k) && set_.contains(k);
   }
 
-  /// Prefetch the backend's probe entry for an upcoming operation on k —
-  /// called for key i+1 while key i's cache misses are outstanding.
+  /// Prefetch the hash table's probe entry for an upcoming operation on
+  /// k — called for key i+1 while key i's cache misses are outstanding.
+  /// No prefetch on a skiplist: every probe starts at the head tower,
+  /// whichever the key, and every operation keeps those lines cached.
   void prepare(Key k) const noexcept {
-    if (!reserved_key(k)) backend_.prepare(k);
+    if constexpr (!kOrdered) {
+      if (!reserved_key(k)) set_.prepare(k);
+    }
   }
 
   // --- the publish path: put is a batch of one, Store::multi_put a batch --
@@ -250,10 +267,10 @@ class Shard {
   /// commit(). Returns true on a fresh insert.
   bool publish(Key k, Record* rec, ds::PublishBatch& batch,
                std::vector<Record*>& superseded) {
-    if constexpr (Backend::kPersistent) {
+    if constexpr (kPersistent) {
       pmem::pc_publish(rec, Record::bytes(rec->len), "kv::Shard::put");
     }
-    if (std::optional<Record*> old = backend_.upsert(k, rec, batch)) {
+    if (std::optional<Record*> old = set_.upsert(k, rec, batch)) {
       // We won the value-word CAS that superseded *old: unique retirement
       // ownership. The counter is untouched — an overwrite changes no
       // key's presence, so size() does not dip during overwrites.
@@ -271,9 +288,9 @@ class Shard {
   /// holds the old link to it.
   static void commit(ds::PublishBatch& batch,
                      std::vector<Record*>& superseded) {
-    if constexpr (Backend::kPersistent) pmem::pfence();
+    if constexpr (kPersistent) pmem::pfence();
     batch.complete_all();
-    for (Record* r : superseded) Record::retire<Backend::kPersistent>(r);
+    for (Record* r : superseded) Record::retire<kPersistent>(r);
     superseded.clear();
   }
 
@@ -290,7 +307,7 @@ class Shard {
     return n > 0 ? static_cast<std::size_t>(n) : 0;
   }
 
-  /// Ordered backends only: append up to `limit` live pairs with key >=
+  /// Ordered shards only: append up to `limit` live pairs with key >=
   /// lo to `out`, in ascending key order; returns how many were added.
   /// One Ebr::Guard spans the whole walk, so every copied record is safe
   /// from reclamation. Not an atomic snapshot: concurrent inserts/removes
@@ -299,12 +316,12 @@ class Shard {
   /// (payload matches key, per the record immutability argument of get).
   std::size_t scan(Key lo, std::size_t limit,
                    std::vector<std::pair<Key, std::string>>& out) const
-    requires(Backend::kOrdered)
+    requires(kOrdered)
   {
     if (limit == 0) return 0;
     recl::Ebr::Guard g;
     std::size_t added = 0;
-    backend_.for_each_range(lo, [&](Key k, Record* r) {
+    set_.for_each_range(lo, [&](Key k, Record* r) {
       check::lc_deref(r, "kv::Shard::scan");
       out.emplace_back(k, std::string(r->view()));
       return ++added < limit;
@@ -314,14 +331,14 @@ class Shard {
 
   // --- crash recovery ------------------------------------------------------
 
-  Roots* roots() const noexcept { return backend_.roots(); }
+  Roots* roots() const noexcept { return set_.roots(); }
 
   /// Rebuild a non-owning shard handle from its persisted roots in one
-  /// walk: the backend's recovery (every bucket chain, or the skiplist's
-  /// level 0 while it rebuilds the volatile index) checks the root block
-  /// and each node against `b` before reading it and hands each node to
-  /// the visitor below, which re-counts the live keys (the O(1) size
-  /// counter is volatile).
+  /// walk: the structure's recovery (every bucket chain, or the
+  /// skiplist's level 0 while it rebuilds the volatile index) checks the
+  /// root block and each node against `b` before reading it and hands
+  /// each node, sentinels included as not live, to the visitor below,
+  /// which re-counts the live keys (the O(1) size counter is volatile).
   /// After a dirty shutdown the caller passes `mark`, and the visitor
   /// also raises *mark to one past the last byte of every visited node
   /// and live record and of the root block: the allocator high-water
@@ -335,11 +352,11 @@ class Shard {
   /// nodes, so Store recovers its shards on concurrent threads.
   static Shard recover(Roots* roots, ds::Bounds b, std::uintptr_t* mark) {
     std::ptrdiff_t live_keys = 0;
-    Shard s(Backend::recover(roots, b, [&](const Node& n, bool live) {
+    Shard s(Set::recover(roots, b, [&](const Node& n, bool live) {
       live_keys += live;
       if (mark == nullptr) return;
       const auto na = reinterpret_cast<std::uintptr_t>(&n);
-      *mark = std::max(*mark, na + Backend::node_bytes(n));
+      *mark = std::max(*mark, na + Set::node_bytes(n));
       if (!live) return;
       const Record* r = n.value.load_private();
       // A claimed (bit-0-marked) value only ever appears on a marked
@@ -360,15 +377,15 @@ class Shard {
       *mark = std::max(*mark, reinterpret_cast<std::uintptr_t>(end));
     }));
     s.approx_size_.store(live_keys, std::memory_order_relaxed);
-    if (mark != nullptr) *mark = std::max(*mark, s.backend_.roots_extent());
+    if (mark != nullptr) *mark = std::max(*mark, s.set_.roots_extent());
     return s;
   }
 
   /// Disown the persisted nodes (file-backed stores closing the region).
-  void release() noexcept { backend_.release(); }
+  void release() noexcept { set_.release(); }
 
  private:
-  explicit Shard(Backend&& b) noexcept : backend_(std::move(b)) {}
+  explicit Shard(Set&& s) noexcept : set_(std::move(s)) {}
 
   /// The publish half of put(), a batch of one. Split out so the seeded
   /// stale_read bug can defer exactly this step.
@@ -396,11 +413,11 @@ class Shard {
     return fresh;
   }
 
-  Backend backend_;
+  Set set_;
   /// Linearized inserts minus removes; see size(). Cache-line aligned:
   /// shards live contiguously in Store's vector, and without the
   /// alignment two neighboring shards' hot counters (or a counter and the
-  /// neighbor's backend state) can share a line — the same false-sharing
+  /// neighbor's set handle) can share a line — the same false-sharing
   /// collapse the paper demonstrates in §6 for flit counters packed into
   /// one cache line.
   // persist-lint: allow(volatile statistic; recomputed by recovery scan)

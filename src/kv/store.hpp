@@ -1,13 +1,13 @@
 // store.hpp — the sharded durable key-value store.
 //
 // N kv::Shards (each a FliT set structure + value-record slab, see
-// shard.hpp / backend.hpp) behind one get/put/remove API. The store is
-// generic over the backing structure via the backend concept:
+// shard.hpp) behind one get/put/remove API. The store's third template
+// argument is the set structure every shard runs on:
 //
 //   * Store<Words, Method>                  — hash-partitioned shards over
-//     FliT hash tables (HashBackend); keys route by a splitmix64 hash.
+//     FliT hash tables (ds::HashTable); keys route by a splitmix64 hash.
 //   * OrderedStore<Words, Method>           — range-partitioned shards
-//     over lock-free skiplists (OrderedBackend); keys route by position
+//     over lock-free skiplists (ds::SkipList); keys route by position
 //     in a persisted key range, which keeps shard ranges disjoint and
 //     ordered, so Store::scan(start, n) can merge an ordered range scan
 //     across shard boundaries by simple concatenation.
@@ -19,7 +19,7 @@
 //                key_lo, key_hi, shard_roots[] }
 //
 // allocated in the persistent pool and persisted before use. The
-// layout_tag (a hash of the backend's layout name) is what rejects a
+// layout_tag (a hash of the layout's name) is what rejects a
 // cross-layout open: a file written by an ordered store cannot be
 // misread by a hashed one, and vice versa. The store runs in two
 // placements:
@@ -48,8 +48,8 @@
 // Consistency contract: get/put/remove on a single key are atomic and
 // durably linearizable per the Words×Method configuration — including
 // put over an *existing* key, which is a single durable CAS installing
-// the new value record in place of the old one (the backend upsert; see
-// shard.hpp). A concurrent get or scan observes the old or the new
+// the new value record in place of the old one (the structure's upsert;
+// see shard.hpp). A concurrent get or scan observes the old or the new
 // complete value, never absence and never a torn mix, and a crash
 // mid-overwrite recovers exactly one of the two. No *returned* operation
 // is ever lost. scan() is ordered but not an atomic snapshot (see the
@@ -94,7 +94,8 @@
 #include "check/lincheck.hpp"
 #include "core/checked.hpp"
 #include "core/failpoint.hpp"
-#include "kv/backend.hpp"
+#include "ds/hash_table.hpp"
+#include "ds/skiplist.hpp"
 #include "kv/errors.hpp"
 #include "kv/shard.hpp"
 #include "pmem/file_region.hpp"
@@ -152,15 +153,14 @@ inline std::optional<DurabilityMode> parse_durability_mode(
 }
 
 template <class Words = HashedWords, class Method = Automatic,
-          template <class, class> class BackendT = HashBackend>
+          template <class, class, class, class> class SetT = ds::HashTable>
 class Store {
  public:
   using Key = std::int64_t;
-  using Backend_ = BackendT<Words, Method>;
-  using Shard_ = Shard<Backend_>;
+  using Shard_ = Shard<Words, Method, SetT>;
 
   /// True for OrderedStore: range-partitioned shards with scan() support.
-  static constexpr bool kOrdered = Backend_::kOrdered;
+  static constexpr bool kOrdered = Shard_::kOrdered;
 
   static constexpr std::uint64_t kMagic = 0xF117'4B56'0000'0001ull;
   /// Bumped when the persisted layout changes; v2 added the backend
@@ -186,8 +186,8 @@ class Store {
     std::uint32_t nshards;
     std::uint64_t generation;  ///< sessions: 1 at creation, +1 per recovery
     std::uint32_t words_tag;   ///< hash of Words::name (layout guard)
-    std::uint32_t layout_tag;  ///< hash of Backend::kLayoutName (ditto)
-    std::uint32_t node_bytes;  ///< sizeof(Backend::Node) (layout guard)
+    std::uint32_t layout_tag;  ///< hash of the layout name (ditto)
+    std::uint32_t node_bytes;  ///< sizeof(Shard_::Node) (layout guard)
     std::uint32_t reserved;    ///< alignment; zero
     std::int64_t key_lo;       ///< ordered partition bounds [key_lo,
     std::int64_t key_hi;       ///<   key_hi); full range when hashed
@@ -201,8 +201,8 @@ class Store {
 
   /// FNV-1a of a configuration name; different Words change the persisted
   /// node layout (e.g. adjacent counters pad every word) and different
-  /// backends change the node type entirely, so a file must be reopened
-  /// with the configuration that wrote it.
+  /// set structures change the node type entirely, so a file must be
+  /// reopened with the configuration that wrote it.
   static constexpr std::uint32_t fnv1a(const char* s) noexcept {
     std::uint32_t h = 2166136261u;
     for (const char* p = s; *p != '\0'; ++p) {
@@ -214,12 +214,12 @@ class Store {
     return fnv1a(Words::name);
   }
   static constexpr std::uint32_t layout_tag() noexcept {
-    return fnv1a(Backend_::kLayoutName);
+    return fnv1a(kOrdered ? "ordered-skiplist" : "hashed");
   }
 
   /// Pool-backed store: build `nshards` fresh shards and a persisted
-  /// superblock in the process-global Pool. `capacity_per_shard` sizes
-  /// each backend (buckets for hashed shards; ignored by ordered ones).
+  /// superblock in the process-global Pool. `capacity_per_shard` is each
+  /// hashed shard's bucket count (ordered shards ignore it).
   /// `range` sets an ordered store's persisted partition bounds (see
   /// KeyRange); hashed stores ignore it.
   Store(std::uint32_t nshards, std::size_t capacity_per_shard,
@@ -279,7 +279,7 @@ class Store {
   }
 
   /// Throw IncompatibleStore unless `sb` is a superblock this Store
-  /// instantiation can recover: right magic/version, same backend layout
+  /// instantiation can recover: right magic/version, same layout
   /// (hashed vs ordered — the layout tag), same Words configuration (node
   /// byte layout), sane shard count and partition bounds.
   static void validate_superblock(const Superblock* sb) {
@@ -582,7 +582,7 @@ class Store {
     try {
       for (; created < n; ++created) {
         recs[created] =
-            Record::create<Backend_::kPersistent, /*fence=*/false>(
+            Record::create<Words::persistent, /*fence=*/false>(
                 kvs[created].second);
       }
     } catch (...) {
@@ -591,7 +591,7 @@ class Store {
       }
       throw;
     }
-    if constexpr (Backend_::kPersistent) pmem::pfence();
+    if constexpr (Words::persistent) pmem::pfence();
 
     // Phase 2: publish in batch order with deferred fences, prefetching
     // the next element's probe entry while the current one is in flight.
@@ -1086,6 +1086,6 @@ class Store {
 /// offers plus scan(start, n) — the YCSB E workload class. Pass a
 /// KeyRange matching the workload's keyspace for even shard load.
 template <class Words = HashedWords, class Method = Automatic>
-using OrderedStore = Store<Words, Method, OrderedBackend>;
+using OrderedStore = Store<Words, Method, ds::SkipList>;
 
 }  // namespace flit::kv

@@ -63,13 +63,15 @@ struct DeferredPub {
   const char* site = nullptr;
 };
 
-// Per-thread flushed-but-unfenced words and in-flight deferred
-// publications; `epoch` lazily invalidates both after a crash/reset, the
-// same scheme SimMemory::ThreadPending uses.
+// Per-thread flushed-but-unfenced words, in-flight deferred publications
+// and the word (and sequence) of the last cas_deferred's own store;
+// `epoch` lazily invalidates them after a crash/reset, the same scheme
+// SimMemory::ThreadPending uses.
 struct Tls {
   std::uint64_t epoch = 0;
   std::vector<PendingWord> pending;
   std::vector<DeferredPub> deferred;
+  PendingWord published;
 };
 
 Tls& tls() {
@@ -122,6 +124,7 @@ struct PersistCheck::Impl {
     if (t.epoch != e) {
       t.pending.clear();
       t.deferred.clear();
+      t.published = {};
       t.epoch = e;
     }
     return t;
@@ -145,15 +148,19 @@ struct PersistCheck::Impl {
     const std::uintptr_t last = (a + len - 1) & ~(kWordBytes - 1);
     for (std::uintptr_t w = first; w <= last; w += kWordBytes) {
       std::atomic<std::uint32_t>* st = find_word(w);
-      if (st == nullptr) continue;
-      std::uint32_t cur = st->load(std::memory_order_relaxed);
-      std::uint32_t next;
-      do {
-        next = pack(seq_of(cur) + 1, kDirty);
-      } while (!st->compare_exchange_weak(cur, next,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed));
+      if (st != nullptr) mark_word(*st);
     }
+  }
+
+  /// One word's store: Dirty with a bumped sequence number, returned.
+  static std::uint32_t mark_word(std::atomic<std::uint32_t>& st) {
+    std::uint32_t cur = st.load(std::memory_order_relaxed);
+    std::uint32_t next;
+    do {
+      next = pack(seq_of(cur) + 1, kDirty);
+    } while (!st.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
+                                       std::memory_order_relaxed));
+    return seq_of(next);
   }
 
   /// True if every word of [a, a+len) is Clean; else sets *bad_word.
@@ -271,6 +278,15 @@ void PersistCheck::on_store(const void* p, std::size_t len) noexcept {
   im.mark_store(reinterpret_cast<std::uintptr_t>(p), len);
 }
 
+void PersistCheck::on_deferred_store(const void* addr) noexcept {
+  Impl& im = impl();
+  if (im.region_count.load(std::memory_order_acquire) == 0) return;
+  const auto a = reinterpret_cast<std::uintptr_t>(addr) & ~(kWordBytes - 1);
+  std::atomic<std::uint32_t>* st = im.find_word(a);
+  if (st == nullptr) return;
+  im.valid_tls().published = {a, Impl::mark_word(*st)};
+}
+
 void PersistCheck::on_pwb(const void* addr) noexcept {
   Impl& im = impl();
   if (im.region_count.load(std::memory_order_acquire) == 0) return;
@@ -370,11 +386,13 @@ void PersistCheck::on_deferred_publish(const void* addr,
   Impl& im = impl();
   if (im.region_count.load(std::memory_order_acquire) == 0) return;
   const auto a = reinterpret_cast<std::uintptr_t>(addr) & ~(kWordBytes - 1);
-  std::atomic<std::uint32_t>* st = im.find_word(a);
-  if (st == nullptr) return;
   Tls& t = im.valid_tls();
-  t.deferred.push_back(
-      {a, seq_of(st->load(std::memory_order_acquire)), site});
+  // The publication's own store, not the word's latest: another thread
+  // may have stored to the word since the CAS (a volatile cleanup CAS,
+  // or a p-CAS between its store and its fence), and this publisher's
+  // fence does not answer for that store.
+  if (t.published.addr != a) return;  // not in a registered region
+  t.deferred.push_back({a, t.published.seq, site});
 }
 
 void PersistCheck::on_complete_deferred(const void* addr) noexcept {

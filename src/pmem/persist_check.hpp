@@ -42,6 +42,9 @@
 //      cas_deferred-published word completed (untagged / dirty-bit
 //      cleared) while its publish pwb was never covered by a pfence —
 //      readers would stop flush-on-read before the value is durable.
+//      The publication is judged by the store its own CAS made, not by
+//      a store another thread made to the word before the publisher
+//      enlisted it.
 //
 // A fifth, non-fatal output is the redundant-persistence lint: pwbs
 // issued on lines whose words are all Clean are counted through
@@ -102,6 +105,11 @@ class PersistCheck {
   /// bumped sequence number.
   void on_store(const void* p, std::size_t len) noexcept;
 
+  /// on_store of the word a cas_deferred just wrote, which also keeps the
+  /// store's sequence number for the calling thread's next
+  /// on_deferred_publish.
+  void on_deferred_store(const void* addr) noexcept;
+
   /// A pwb snapshotted the line containing addr: Dirty words become
   /// FlushedPending and (with Pending ones re-flushed by readers) join
   /// the calling thread's pending list. A pwb on an all-Clean line bumps
@@ -124,7 +132,8 @@ class PersistCheck {
   void on_retire(const void* p, std::size_t len, const char* site) noexcept;
 
   /// A cas_deferred publication succeeded on the word at `addr`: record
-  /// (addr, seq) against the calling thread until its completion.
+  /// (addr, seq of the calling thread's on_deferred_store of it) against
+  /// the calling thread until its completion.
   void on_deferred_publish(const void* addr, const char* site) noexcept;
 
   /// complete_deferred about to clear the word's tag/dirty bit: report
@@ -174,6 +183,9 @@ inline void pc_retire(const void* p, std::size_t len,
                       const char* site) noexcept {
   PersistCheck::instance().on_retire(p, len, site);
 }
+inline void pc_deferred_store(const void* addr) noexcept {
+  PersistCheck::instance().on_deferred_store(addr);
+}
 inline void pc_deferred_publish(const void* addr, const char* site) noexcept {
   PersistCheck::instance().on_deferred_publish(addr, site);
 }
@@ -184,6 +196,7 @@ inline void pc_complete_deferred(const void* addr) noexcept {
 inline void pc_store(const void*, std::size_t) noexcept {}
 inline void pc_publish(const void*, std::size_t, const char*) noexcept {}
 inline void pc_retire(const void*, std::size_t, const char*) noexcept {}
+inline void pc_deferred_store(const void*) noexcept {}
 inline void pc_deferred_publish(const void*, const char*) noexcept {}
 inline void pc_complete_deferred(const void*) noexcept {}
 #endif

@@ -76,10 +76,10 @@ struct Adapter<HarrisList<K, K, W, M>> {
 template <class W, class M>
 struct Adapter<SkipList<K, K, W, M>> {
   using Set = SkipList<K, K, W, M>;
-  using Handle = std::pair<typename Set::Node*, typename Set::Node*>;
+  using Handle = typename Set::Roots*;
   static Set make() { return Set(); }
-  static Handle save(const Set& s) { return {s.head(), s.tail()}; }
-  static Set recover(Handle h) { return Set::recover(h.first, h.second); }
+  static Handle save(const Set& s) { return s.roots(); }
+  static Set recover(Handle h) { return Set::recover(h); }
 };
 template <class W, class M>
 struct Adapter<NatarajanBst<K, K, W, M>> {

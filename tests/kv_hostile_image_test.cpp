@@ -138,7 +138,7 @@ class KvHostileImageTest : public PmemTest {
   template <class StoreT>
   static std::uint64_t first_interior_link(const std::string& path,
                                            std::uint32_t shard = 0) {
-    using Roots = typename StoreT::Backend_::Roots;
+    using Roots = typename StoreT::Shard_::Roots;
     using Node = typename StoreT::Shard_::Node;
     const HeaderBits h = read_header(path);
     const std::uint64_t roots = shard_roots<StoreT>(path, h, shard);
@@ -162,24 +162,34 @@ class KvHostileImageTest : public PmemTest {
     return node - h.base + offsetof(Node, next);
   }
 
+  /// Where expect_interior_link_rejected points a link.
+  enum class LinkTo { kPastTheRegion, kOwnNode };
+
   /// Rewrite the first interior link of each of `shards` past the region
-  /// (after a dirty shutdown too, when `dirty`) in a store of `nshards`
-  /// shards whose keys fill every shard: open() must reject the image
-  /// with the same message on every attempt and leave the file
-  /// byte-identical.
+  /// or to the link's own node (after a dirty shutdown too, when `dirty`)
+  /// in a store of `nshards` shards whose keys fill every shard: open()
+  /// must reject the image with the same message on every attempt and
+  /// leave the file byte-identical.
   template <class StoreT>
   void expect_interior_link_rejected(
       const std::string& path, bool dirty, std::uint32_t nshards,
-      std::initializer_list<std::uint32_t> shards) {
-    SCOPED_TRACE(std::string(StoreT::Backend_::kLayoutName) +
+      std::initializer_list<std::uint32_t> shards,
+      LinkTo to = LinkTo::kPastTheRegion) {
+    using Node = typename StoreT::Shard_::Node;
+    SCOPED_TRACE(std::string(StoreT::kOrdered ? "ordered" : "hashed") +
                  (dirty ? ", dirty, " : ", clean, ") +
-                 std::to_string(shards.size()) + " shard(s) corrupted");
+                 std::to_string(shards.size()) + " shard(s) linked " +
+                 (to == LinkTo::kOwnNode ? "to their own node"
+                                         : "past the region"));
     pmem::FileRegion::destroy(path);
     populate<StoreT>(path, nshards, KeyRange{0, 600});
     const HeaderBits h = read_header(path);
     for (const std::uint32_t shard : shards) {
-      write_at<std::uint64_t>(path, first_interior_link<StoreT>(path, shard),
-                              h.base + kCapacity + 4096);
+      const std::uint64_t link = first_interior_link<StoreT>(path, shard);
+      write_at<std::uint64_t>(path, link,
+                              to == LinkTo::kOwnNode
+                                  ? h.base + link - offsetof(Node, next)
+                                  : h.base + kCapacity + 4096);
     }
     if (dirty) clear_clean_flag(path);
     const std::string image = file_bytes(path);
@@ -200,7 +210,7 @@ class KvHostileImageTest : public PmemTest {
                                  RootWord w) {
     static constexpr const char* kNames[] = {"root slot 0", "shard_roots[1]",
                                              "shard 0 nbuckets"};
-    SCOPED_TRACE(std::string(StoreT::Backend_::kLayoutName) +
+    SCOPED_TRACE(std::string(StoreT::kOrdered ? "ordered" : "hashed") +
                  (dirty ? ", dirty, " : ", clean, ") +
                  kNames[static_cast<int>(w)]);
     pmem::FileRegion::destroy(path);
@@ -218,7 +228,7 @@ class KvHostileImageTest : public PmemTest {
               sizeof(std::uint64_t),
           h.base + past);
     } else if constexpr (!StoreT::kOrdered) {
-      using Roots = typename StoreT::Backend_::Roots;
+      using Roots = typename StoreT::Shard_::Roots;
       write_at<std::uint64_t>(
           path, shard_roots<StoreT>(path, h, 0) + offsetof(Roots, nbuckets),
           std::uint64_t{1} << 40);
@@ -276,7 +286,7 @@ class KvHostileImageTest : public PmemTest {
   void expect_lower_shard_error(const std::string& path, std::uint32_t rec,
                                 std::uint32_t link) {
     using Node = typename StoreT::Shard_::Node;
-    SCOPED_TRACE(std::string(StoreT::Backend_::kLayoutName) +
+    SCOPED_TRACE(std::string(StoreT::kOrdered ? "ordered" : "hashed") +
                  ", record in shard " + std::to_string(rec) +
                  ", link in shard " + std::to_string(link));
     pmem::FileRegion::destroy(path);
@@ -399,7 +409,7 @@ TEST_F(KvHostileImageTest, HeadWordPastTheRegionIsRejected) {
   // Point one bucket head word of shard 0 past the region. Recovery's
   // walk visits every chain from its head word, so it must check the node
   // a head word names before dereferencing it.
-  using Roots = HashedKv::Backend_::Roots;
+  using Roots = HashedKv::Shard_::Roots;
   const HeaderBits h = read_header(path);
   const std::uint64_t roots =
       read_word(path, h.superblock_off +
@@ -426,6 +436,27 @@ TEST_F(KvHostileImageTest, InteriorLinkPastTheRegionIsRejected) {
     expect_interior_link_rejected<OrderedKv>(path, dirty, 2, {0});
     expect_interior_link_rejected<HashedKv>(path, dirty, 8, {1, 6});
     expect_interior_link_rejected<OrderedKv>(path, dirty, 8, {1, 6});
+  }
+  pmem::FileRegion::destroy(path);
+}
+
+TEST_F(KvHostileImageTest, InteriorLinkCycleIsRejected) {
+  // An interior link rewritten to its own node stays inside the region,
+  // so no bounds check fires and the walk would loop forever. A legal
+  // bucket chain holds no more nodes than the region has room for, and a
+  // legal skiplist level 0 ascends strictly in key: the hashed walk stops
+  // at that length, the ordered one at the first node it revisits,
+  // before stitching that tower's index links again.
+  const std::string path = temp_path();
+  for (const bool dirty : {false, true}) {
+    expect_interior_link_rejected<HashedKv>(path, dirty, 2, {0},
+                                            LinkTo::kOwnNode);
+    expect_interior_link_rejected<OrderedKv>(path, dirty, 2, {0},
+                                             LinkTo::kOwnNode);
+    expect_interior_link_rejected<HashedKv>(path, dirty, 8, {1, 6},
+                                            LinkTo::kOwnNode);
+    expect_interior_link_rejected<OrderedKv>(path, dirty, 8, {1, 6},
+                                             LinkTo::kOwnNode);
   }
   pmem::FileRegion::destroy(path);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstring>
 #include <random>
 #include <string>
@@ -147,6 +148,21 @@ TEST_F(KvStoreTest, FreshStoreHasGenerationOne) {
   EXPECT_EQ(kv.superblock()->magic, KvStore::kMagic);
 }
 
+TEST_F(KvStoreTest, PersistedLayoutIsPinned) {
+  // Every file on disk carries these: a renamed layout string, a bumped
+  // version or a moved root word makes every existing file fail to open
+  // with IncompatibleStore.
+  using Ordered = OrderedStore<HashedWords, Automatic>;
+  EXPECT_EQ(KvStore::layout_tag(), 0x6d71a828u);  // FNV-1a of "hashed"
+  EXPECT_EQ(Ordered::layout_tag(), 0xe663be3au);  // of "ordered-skiplist"
+  EXPECT_EQ(KvStore::kVersion, 3u);
+  EXPECT_EQ(Ordered::kVersion, 3u);
+  using Roots = Ordered::Shard_::Roots;
+  EXPECT_EQ(sizeof(Roots), 16u);
+  EXPECT_EQ(offsetof(Roots, head), 0u);
+  EXPECT_EQ(offsetof(Roots, tail), 8u);
+}
+
 TEST_F(KvStoreTest, RecoverRejectsCorruptSuperblock) {
   KvStore kv(2, 64);
   auto* sb = kv.superblock();
@@ -160,11 +176,11 @@ TEST_F(KvStoreTest, ShardMoveResetsTheSourceCounter) {
   // Regression: the move constructor used to copy approx_size_ and leave
   // the moved-from shard's counter populated — a husk summed by anything
   // still holding it would double-count every key.
-  Shard<HashBackend<HashedWords, Automatic>> a(16);
+  Shard<HashedWords, Automatic, ds::HashTable> a(16);
   ASSERT_TRUE(a.put(1, "one"));
   ASSERT_TRUE(a.put(2, "two"));
   ASSERT_EQ(a.size(), 2u);
-  Shard<HashBackend<HashedWords, Automatic>> b(std::move(a));
+  Shard<HashedWords, Automatic, ds::HashTable> b(std::move(a));
   EXPECT_EQ(b.size(), 2u);
   EXPECT_EQ(a.size(), 0u) << "moved-from counter must be zeroed";
   EXPECT_EQ(b.get(1), "one");
@@ -565,7 +581,7 @@ template <class Words>
 void expect_footprint(const char* config, std::size_t pool_bytes) {
   SCOPED_TRACE(config);
   using KV = Store<Words, Automatic>;
-  using Link = typename KV::Backend_::Table::Link;
+  using Link = typename KV::Shard_::Set::Link;
   constexpr std::uint32_t kShards = 4;
   constexpr std::size_t kBuckets = 16'384;
   constexpr std::size_t kKeys = kShards * kBuckets;

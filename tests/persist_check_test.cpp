@@ -15,6 +15,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,7 +32,6 @@ namespace flit::pmem {
 namespace {
 
 using flit::test::PmemTest;
-using kv::HashBackend;
 using kv::Record;
 using kv::Shard;
 
@@ -55,7 +55,7 @@ class PersistCheckTest : public PmemTest {
   static void arm() { Pool::instance().register_with_sim(); }
 };
 
-using HashedShard = Shard<HashBackend<HashedWords, Automatic>>;
+using HashedShard = Shard<HashedWords, Automatic, ds::HashTable>;
 
 std::uint64_t count(PersistViolation v) {
   return PersistCheck::instance().violations(v);
@@ -220,6 +220,42 @@ TEST_F(PersistCheckTest, CompleteWithoutFenceFiresDeferredDangling) {
   superseded.clear();
   EXPECT_EQ(PersistCheck::instance().total_violations(), 1u);
   PersistCheck::instance().reset_violations();
+}
+
+/// This thread publishes `mine` over `old` in a pool word with a deferred
+/// fence; before it enlists the word, another thread (then joined) CASes
+/// `theirs` over it with no fence, as a Manual cleanup unlink does. This
+/// thread then enlists, fences and completes: its own publish was fenced,
+/// and the unflushed store is the other thread's to answer for.
+template <class Words>
+void foreign_store_before_enlist() {
+  using Word = typename Words::template word<Record*>;
+  Record* const old = Record::create<true>("old");
+  Record* const mine = Record::create<true>("mine");
+  Record* const theirs = Record::create<true>("theirs");
+  Word* word = pnew<Word>(old);
+  persist_range(word, sizeof(Word));
+
+  Record* expected = old;
+  ASSERT_TRUE(word->cas_deferred(expected, mine, kPersist));
+  std::thread([&] {
+    Record* e = mine;
+    EXPECT_TRUE(word->cas(e, theirs, kVolatile));
+  }).join();
+  ds::PublishBatch batch;
+  batch.reserve(1);
+  batch.enlist(*word, mine);
+  pfence();
+  batch.complete_all();
+}
+
+TEST_F(PersistCheckTest, ForeignStoreBeforeEnlistIsNotBlamedOnThePublisher) {
+  if (!core::kChecked) GTEST_SKIP() << "FLIT_CHECKED is off";
+  BackendScope scope(Backend::kSimCrash);
+  arm();
+  foreign_store_before_enlist<HashedWords>();
+  foreign_store_before_enlist<LapWords>();
+  EXPECT_EQ(count(PersistViolation::kDeferredDangling), 0u);
 }
 
 TEST_F(PersistCheckTest, RedundantPwbLintCountsCleanLineFlushes) {

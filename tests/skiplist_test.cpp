@@ -71,7 +71,8 @@ TEST_F(SkipListTest, TowersEventuallySpanLevels) {
   // checking head's level-1 pointer moved off the tail.
   Skip s;
   for (std::int64_t k = 0; k < 4'096; ++k) s.insert(k, k);
-  EXPECT_NE(without_mark(s.head()->next[1].load_private()), s.tail());
+  EXPECT_NE(without_mark(s.roots()->head->next[1].load_private()),
+            s.roots()->tail);
 }
 
 TEST_F(SkipListTest, ConcurrentDisjointInserts) {
@@ -144,7 +145,7 @@ TEST_F(SkipListTest, HighContentionSingleKey) {
 TEST_F(SkipListTest, RecoverHandleSeesSameContent) {
   Skip s;
   for (std::int64_t k = 0; k < 100; ++k) s.insert(k, k + 5);
-  Skip view = Skip::recover(s.head(), s.tail());
+  Skip view = Skip::recover(s.roots());
   EXPECT_EQ(view.size(), 100u);
   for (std::int64_t k = 0; k < 100; ++k) EXPECT_TRUE(view.contains(k));
 }
