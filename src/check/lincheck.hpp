@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -163,18 +164,6 @@ inline void lc_end_write(std::uint64_t inv, Op op, std::int64_t key,
   }
 }
 
-/// Completed get: `found` + the returned bytes (ignored when !found).
-inline void lc_end_read(std::uint64_t inv, std::int64_t key, bool found,
-                        std::string_view payload) {
-  if constexpr (core::kChecked) {
-    if (inv == kNoTick) return;
-    const std::uint64_t v = found ? value_id(payload) : 0;
-    Recorder::instance().end(inv, Op::kGet, key, v, found);
-  } else {
-    (void)inv; (void)key; (void)found; (void)payload;
-  }
-}
-
 /// Completed contains.
 inline void lc_end_contains(std::uint64_t inv, std::int64_t key, bool hit) {
   if constexpr (core::kChecked) {
@@ -185,23 +174,46 @@ inline void lc_end_contains(std::uint64_t inv, std::int64_t key, bool hit) {
   }
 }
 
-/// Completed scan over (key, string-like value) pairs.
-template <class Pairs>
-inline void lc_end_scan(std::uint64_t inv, std::int64_t start,
-                        std::size_t limit, const Pairs& pairs) {
-  if constexpr (core::kChecked) {
-    if (inv == kNoTick) return;
-    std::vector<std::pair<std::int64_t, std::uint64_t>> out;
-    out.reserve(pairs.size());
-    for (const auto& p : pairs) {
-      out.emplace_back(static_cast<std::int64_t>(p.first),
-                       value_id(std::string_view(p.second)));
+/// What one read op (a multi_get or a scan) observed: a (key, value id)
+/// pair per element, id 0 for an absent key. The op takes each id while
+/// its visitor sees the value, under the op's EBR guard where the bytes
+/// are safe, and ends its events after its completion fence. Keeps
+/// nothing outside checked builds or while the recorder is disarmed.
+class ReadLog {
+ public:
+  explicit ReadLog(std::uint64_t inv) noexcept : inv_(inv) {}
+
+  void add(std::int64_t key, std::optional<std::string_view> v) {
+    if constexpr (core::kChecked) {
+      if (inv_ != kNoTick) seen_.emplace_back(key, v ? value_id(*v) : 0);
+    } else {
+      (void)key; (void)v;
     }
-    Recorder::instance().end_scan(inv, start, limit, std::move(out));
-  } else {
-    (void)inv; (void)start; (void)limit; (void)pairs;
   }
-}
+
+  /// One get event per element; the elements share the op's inv tick
+  /// (each lookup could have linearized any time after the op began).
+  void end_gets() {
+    if constexpr (core::kChecked) {
+      for (const auto& [key, id] : seen_) {
+        Recorder::instance().end(inv_, Op::kGet, key, id, id != 0);
+      }
+    }
+  }
+
+  /// One scan event over every element, in visit order.
+  void end_scan(std::int64_t start, std::size_t limit) {
+    if constexpr (core::kChecked) {
+      Recorder::instance().end_scan(inv_, start, limit, std::move(seen_));
+    } else {
+      (void)start; (void)limit;
+    }
+  }
+
+ private:
+  std::uint64_t inv_;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> seen_;
+};
 
 inline void lc_alloc(const void* p, std::size_t len) {
   if constexpr (core::kChecked) {

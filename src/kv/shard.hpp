@@ -15,8 +15,8 @@
 //     linearizability of the key→record mapping via the Words×Method
 //     grid, exactly like the paper's evaluated structures;
 //   * a superseded or removed record is retired through EBR by whichever
-//     operation uniquely superseded it, so concurrent readers copying
-//     the record's bytes under an Ebr::Guard never see freed memory.
+//     operation uniquely superseded it, so a concurrent reader holding
+//     an Ebr::Guard never reads freed bytes.
 //
 // Overwrite semantics: put over an existing key is a single durable CAS
 // on the node's value word (the structure's upsert), installing the new
@@ -37,7 +37,6 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -129,7 +128,7 @@ struct Record {
 /// remove_get, find_batched, contains, release, and the recovery members
 /// Roots, roots(), roots_extent(), node_bytes() and recover(); the
 /// skiplist adds for_each_range. Thread-safe for
-/// put/get/remove/contains/scan; the recovery members run at
+/// put/find/remove/contains/scan; the recovery members run at
 /// open/recover time, before the shard is shared (Store recovers
 /// different shards on concurrent threads).
 template <class Words, class Method,
@@ -168,7 +167,7 @@ class Shard {
   }
 
   /// Keys the underlying structures reserve for their sentinel nodes.
-  /// put() rejects them; get/contains/remove treat them as always absent
+  /// put() rejects them; find/contains/remove treat them as always absent
   /// (they can never have been stored).
   static constexpr bool reserved_key(Key k) noexcept {
     return k == std::numeric_limits<Key>::min() ||
@@ -218,17 +217,17 @@ class Shard {
     return apply_put(k, Record::create<kPersistent>(value));
   }
 
-  /// Copy out the value for k (nullopt if absent), without the completion
+  /// The record k maps to (nullptr if absent), without the completion
   /// fence: the caller issues it once for however many lookups it runs
-  /// (Store::get one, Store::multi_get a batch). The caller's
-  /// Ebr::Guard must span the call — the returned string is copied from
-  /// the record under it, so the record cannot be freed while we read it.
-  std::optional<std::string> get(Key k) const {
-    if (reserved_key(k)) return std::nullopt;
+  /// (Store::multi_get). The caller's Ebr::Guard must span the call and
+  /// every read of the record: a published record never changes, and the
+  /// guard keeps it from being freed while the caller reads it.
+  const Record* find(Key k) const {
+    if (reserved_key(k)) return nullptr;
     const std::optional<Record*> rec = set_.find_batched(k);
-    if (!rec) return std::nullopt;
-    check::lc_deref(*rec, "kv::Shard::get");
-    return std::string((*rec)->view());
+    if (!rec) return nullptr;
+    check::lc_deref(*rec, "kv::Shard::find");
+    return *rec;
   }
 
   /// Remove k. Returns true if it was present; the removal is durably
@@ -307,26 +306,26 @@ class Shard {
     return n > 0 ? static_cast<std::size_t>(n) : 0;
   }
 
-  /// Ordered shards only: append up to `limit` live pairs with key >=
-  /// lo to `out`, in ascending key order; returns how many were added.
-  /// One Ebr::Guard spans the whole walk, so every copied record is safe
-  /// from reclamation. Not an atomic snapshot: concurrent inserts/removes
-  /// may or may not appear, but keys present for the whole call are
-  /// always returned, and returned pairs are individually consistent
-  /// (payload matches key, per the record immutability argument of get).
-  std::size_t scan(Key lo, std::size_t limit,
-                   std::vector<std::pair<Key, std::string>>& out) const
+  /// Ordered shards only: hand up to `limit` live pairs with key >= lo to
+  /// fn(key, value), in ascending key order; returns how many it saw.
+  /// The caller's Ebr::Guard must span the call, and fn runs inside the
+  /// walk, before its completion fence; the value view dies with the
+  /// guard. Not an atomic snapshot: concurrent inserts/removes may or may
+  /// not appear, but keys present for the whole call are always seen,
+  /// and each pair is individually consistent (payload matches key, per
+  /// the record immutability argument of find).
+  template <class Fn>
+  std::size_t scan(Key lo, std::size_t limit, Fn&& fn) const
     requires(kOrdered)
   {
     if (limit == 0) return 0;
-    recl::Ebr::Guard g;
-    std::size_t added = 0;
+    std::size_t seen = 0;
     set_.for_each_range(lo, [&](Key k, Record* r) {
       check::lc_deref(r, "kv::Shard::scan");
-      out.emplace_back(k, std::string(r->view()));
-      return ++added < limit;
+      fn(k, r->view());
+      return ++seen < limit;
     });
-    return added;
+    return seen;
   }
 
   // --- crash recovery ------------------------------------------------------

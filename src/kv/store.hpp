@@ -72,6 +72,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <concepts>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -449,19 +450,15 @@ class Store {
     return fresh;
   }
 
-  /// Copy out the value for k (nullopt if absent). The returned string is
-  /// a private copy taken under an EBR guard — always intact, never torn,
-  /// even against concurrent overwrites of k.
+  /// Copy out the value for k (nullopt if absent): the multi_get of one.
+  /// The returned string is a private copy taken under an EBR guard —
+  /// always intact, never torn, even against concurrent overwrites of k.
   std::optional<std::string> get(Key k) const {
-    const std::uint64_t inv = check::lc_begin();
     std::optional<std::string> out;
-    {
-      recl::Ebr::Guard g;  // spans the lookup + record copy
-      out = shard_for(k).get(k);
-    }
-    Words::operation_completion();
-    check::lc_end_read(inv, k, out.has_value(),
-                       out ? std::string_view(*out) : std::string_view{});
+    multi_get(std::span<const Key>(&k, 1),
+              [&](std::size_t, std::optional<std::string_view> v) {
+                if (v) out.emplace(*v);
+              });
     return out;
   }
 
@@ -496,34 +493,45 @@ class Store {
   // — see ARCHITECTURE.md ("Batched multi-op path") for the full argument.
   // A scalar get or put is the batch of one: the same shard lookup or
   // publish step, and the same closing fence.
+  //
+  // Reads hand each record to a visitor instead of copying it: fn sees
+  // the value in place, under the op's EBR guard and before its
+  // completion fence, so what fn sees must not leave the thread (reach a
+  // socket, another thread, or outlive the call) before the call
+  // returns. The copying forms are thin wrappers over the visitors.
 
-  /// Batched get: out[i] corresponds to keys[i] (nullopt if absent; a
-  /// reserved sentinel key is simply absent, as in get()). Duplicate keys
-  /// are looked up independently. Each returned value is a private,
-  /// never-torn copy; one completion fence covers the whole batch.
-  std::vector<std::optional<std::string>> multi_get(
-      std::span<const Key> keys) const {
+  /// Batched get, visitor form: fn(i, value) once per keys[i], in order;
+  /// the value is nullopt when absent (a reserved sentinel key is simply
+  /// absent, as in get()). Duplicate keys are looked up independently.
+  /// One completion fence covers the whole batch, after the last fn.
+  template <class Fn>
+    requires std::invocable<Fn&, std::size_t, std::optional<std::string_view>>
+  void multi_get(std::span<const Key> keys, Fn&& fn) const {
     const std::size_t n = keys.size();
-    std::vector<std::optional<std::string>> out(n);
-    if (n == 0) return out;
-    const std::uint64_t lc_inv = check::lc_begin();
+    if (n == 0) return;
+    check::ReadLog log(check::lc_begin());
     {
-      recl::Ebr::Guard g;  // spans every lookup + record copy
+      recl::Ebr::Guard g;  // spans every lookup and every fn call
       for (std::size_t i = 0; i < n; ++i) {
         if (i + 1 < n) shard_for(keys[i + 1]).prepare(keys[i + 1]);
-        out[i] = shard_for(keys[i]).get(keys[i]);
+        std::optional<std::string_view> v;
+        if (const Record* r = shard_for(keys[i]).find(keys[i])) v = r->view();
+        log.add(keys[i], v);
+        fn(i, v);
       }
     }
     Words::operation_completion();  // one fence for the whole batch
-    if constexpr (core::kChecked) {
-      // Every element shares the batch's inv tick (its lookup could have
-      // linearized any time after the call began); resp ticks are per
-      // element, taken now, after all lookups completed.
-      for (std::size_t i = 0; i < n; ++i) {
-        check::lc_end_read(lc_inv, keys[i], out[i].has_value(),
-                           out[i] ? *out[i] : std::string_view{});
-      }
-    }
+    log.end_gets();
+  }
+
+  /// Batched get: out[i] corresponds to keys[i], each a private,
+  /// never-torn copy (nullopt if absent).
+  std::vector<std::optional<std::string>> multi_get(
+      std::span<const Key> keys) const {
+    std::vector<std::optional<std::string>> out(keys.size());
+    multi_get(keys, [&](std::size_t i, std::optional<std::string_view> v) {
+      if (v) out[i].emplace(*v);
+    });
     return out;
   }
 
@@ -665,18 +673,44 @@ class Store {
     return out;
   }
 
-  /// Ordered stores only: up to `n` pairs with key >= start, in ascending
-  /// key order, merged across shard boundaries (range partitioning keeps
-  /// shard ranges disjoint and ordered, so the merge is concatenation).
-  /// Each returned pair is individually consistent (the payload is the
-  /// full value some put committed for that key), but the scan as a whole
-  /// is not an atomic snapshot: keys inserted or removed concurrently may
-  /// or may not appear. Keys present for the whole call are always
-  /// returned. After recovery, a scan observes every committed key in
-  /// order. The reserved sentinel keys are safe starts: scan(INT64_MIN,
-  /// n) returns the n smallest keys and scan(INT64_MAX, n) is empty
+  /// Ordered stores only, visitor form: fn(key, value) for up to `n`
+  /// pairs with key >= start, in ascending key order, merged across shard
+  /// boundaries (range partitioning keeps shard ranges disjoint and
+  /// ordered, so the merge is concatenation); returns how many fn saw.
+  /// One EBR guard spans every fn call, each made before its shard
+  /// walk's completion fence. Each pair is individually consistent (the
+  /// payload is the full value some put committed for that key), but the
+  /// scan as a whole is not an atomic snapshot: keys inserted or removed
+  /// concurrently may or may not appear. Keys present for the whole call
+  /// are always seen. After recovery, a scan observes every committed key
+  /// in order. The reserved sentinel keys are safe starts: scan(INT64_MIN,
+  /// n) sees the n smallest keys and scan(INT64_MAX, n) sees none
   /// (neither sentinel is storable, and the structures' sentinel nodes
   /// are never emitted) — audited in kv_ordered_test.
+  template <class Fn>
+  std::size_t scan(Key start, std::size_t n, Fn&& fn) const
+    requires(kOrdered && std::invocable<Fn&, Key, std::string_view>)
+  {
+    if (n == 0) return 0;
+    check::ReadLog log(check::lc_begin());
+    std::size_t got = 0;
+    {
+      recl::Ebr::Guard g;  // spans every shard's walk and every fn call
+      const std::size_t first = shard_index(start);
+      for (std::size_t i = first; i < shards_.size() && got < n; ++i) {
+        // Later shards hold strictly larger keys; scan them from the start.
+        const Key lo = i == first ? start : std::numeric_limits<Key>::min();
+        got += shards_[i].scan(lo, n - got, [&](Key k, std::string_view v) {
+          log.add(k, v);
+          fn(k, v);
+        });
+      }
+    }
+    log.end_scan(start, n);
+    return got;
+  }
+
+  /// The pairs scan(start, n, fn) sees, copied out.
   std::vector<std::pair<Key, std::string>> scan(Key start, std::size_t n)
       const
     requires(kOrdered)
@@ -686,23 +720,26 @@ class Store {
     return out;
   }
 
-  /// Allocation-friendly overload: append up to `n` pairs to `out`
-  /// (cleared first); returns how many were appended.
+  /// Allocation-friendly overload: `out` ends up holding exactly the
+  /// pairs seen; returns how many. The pairs `out` already holds are
+  /// overwritten in place (their strings keep their capacity), pairs
+  /// past them are appended, and any surplus is trimmed, so an `out`
+  /// reused across scans of similar length allocates nothing.
   std::size_t scan(Key start, std::size_t n,
                    std::vector<std::pair<Key, std::string>>& out) const
     requires(kOrdered)
   {
-    out.clear();
-    if (n == 0) return 0;
-    const std::uint64_t lc_inv = check::lc_begin();
     std::size_t got = 0;
-    const std::size_t first = shard_index(start);
-    for (std::size_t i = first; i < shards_.size() && got < n; ++i) {
-      // Later shards hold strictly larger keys; scan them from the start.
-      const Key lo = i == first ? start : std::numeric_limits<Key>::min();
-      got += shards_[i].scan(lo, n - got, out);
-    }
-    check::lc_end_scan(lc_inv, start, n, out);
+    scan(start, n, [&](Key k, std::string_view v) {
+      if (got < out.size()) {
+        out[got].first = k;
+        out[got].second.assign(v);
+      } else {
+        out.emplace_back(k, v);
+      }
+      ++got;
+    });
+    out.resize(got);
     return got;
   }
 

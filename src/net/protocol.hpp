@@ -61,9 +61,12 @@ inline constexpr std::size_t kMaxHeaderBytes = 32;
 inline constexpr std::size_t kMaxScanPairs = 65536;
 
 /// One parsed request: argv[0] is the command word (case-insensitive),
-/// the rest its arguments, all binary-safe.
+/// the rest its arguments, all binary-safe. The views point into the
+/// RequestParser's buffer and stay valid until its next feed(), so a
+/// reader parses every buffered request, uses them, and only then feeds
+/// more. A reused Request keeps its argv capacity.
 struct Request {
-  std::vector<std::string> argv;
+  std::vector<std::string_view> argv;
 };
 
 enum class ParseStatus {
@@ -91,7 +94,15 @@ inline std::optional<std::int64_t> parse_i64(std::string_view s) noexcept {
 /// holds the diagnostic for the final -ERR reply.
 class FrameBuffer {
  public:
-  void feed(std::string_view bytes) { buf_.append(bytes); }
+  /// Drop the consumed prefix, then append `bytes`. Only feed() moves
+  /// buffered bytes, so the views next() hands out stay valid until the
+  /// next feed. The move copies only the unconsumed tail (a partial
+  /// frame), and a frame that arrives over many feeds moves at most once.
+  void feed(std::string_view bytes) {
+    buf_.erase(0, pos_);
+    pos_ = 0;
+    buf_.append(bytes);
+  }
 
   const std::string& error() const noexcept { return error_; }
   bool failed() const noexcept { return failed_; }
@@ -103,17 +114,6 @@ class FrameBuffer {
     failed_ = true;
     error_ = std::move(msg);
     return ParseStatus::kError;
-  }
-
-  /// Reclaim the consumed prefix once it dominates the buffer.
-  void compact() {
-    if (pos_ == buf_.size()) {
-      buf_.clear();
-      pos_ = 0;
-    } else if (pos_ > (std::size_t{64} << 10) && pos_ > buf_.size() / 2) {
-      buf_.erase(0, pos_);
-      pos_ = 0;
-    }
   }
 
   /// Find the '\n' ending the line starting at `from`; the returned view
@@ -139,13 +139,13 @@ class FrameBuffer {
 }  // namespace detail
 
 /// Incremental request parser: next() extracts complete requests one at
-/// a time from the fed bytes.
+/// a time from the fed bytes, as views into its buffer (see Request).
 class RequestParser : public detail::FrameBuffer {
  public:
+  /// On kOk `out` holds the next request; otherwise its argv is garbage.
   ParseStatus next(Request& out) {
     if (failed()) return ParseStatus::kError;
     for (;;) {
-      compact();
       if (pos_ >= buf_.size()) return ParseStatus::kNeedMore;
       const char c = buf_[pos_];
       if (c == '\r' || c == '\n') {  // stray blank line: skip it
@@ -180,7 +180,8 @@ class RequestParser : public detail::FrameBuffer {
       return fail("protocol: array exceeds " +
                   std::to_string(kMaxArrayElems) + " elements");
     }
-    std::vector<std::string> argv;
+    std::vector<std::string_view>& argv = out.argv;
+    argv.clear();
     argv.reserve(static_cast<std::size_t>(*n));
     p = after;
     for (std::int64_t i = 0; i < *n; ++i) {
@@ -204,10 +205,9 @@ class RequestParser : public detail::FrameBuffer {
       if (buf_[after + need] != '\r' || buf_[after + need + 1] != '\n') {
         return fail("protocol: bulk payload not CRLF-terminated");
       }
-      argv.emplace_back(buf_, after, need);
+      argv.push_back(std::string_view(buf_).substr(after, need));
       p = after + need + 2;
     }
-    out.argv = std::move(argv);
     pos_ = p;
     return ParseStatus::kOk;
   }
@@ -226,7 +226,8 @@ class RequestParser : public detail::FrameBuffer {
     if (line->size() > kMaxInlineBytes) {
       return fail("protocol: inline command too long");
     }
-    std::vector<std::string> argv;
+    std::vector<std::string_view>& argv = out.argv;
+    argv.clear();
     std::size_t i = 0;
     while (i < line->size()) {
       while (i < line->size() &&
@@ -241,17 +242,32 @@ class RequestParser : public detail::FrameBuffer {
         if (argv.size() == kMaxArrayElems) {
           return fail("protocol: too many inline tokens");
         }
-        argv.emplace_back(line->substr(i, j - i));
+        argv.push_back(line->substr(i, j - i));
       }
       i = j;
     }
     pos_ = after;
-    out.argv = std::move(argv);
     return ParseStatus::kOk;
   }
 };
 
 // --- reply serialization ----------------------------------------------------
+
+namespace detail {
+
+/// Append `tag`, the decimal `v` and CRLF: a RESP header line, formatted
+/// on the stack.
+template <class Int>
+void append_header(std::string& out, char tag, Int v) {
+  char line[24];  // tag, sign and 19 digits (or 20 unsigned), CRLF
+  line[0] = tag;
+  char* end = std::to_chars(line + 1, line + sizeof(line) - 2, v).ptr;
+  *end++ = '\r';
+  *end++ = '\n';
+  out.append(line, end);
+}
+
+}  // namespace detail
 
 inline void append_simple(std::string& out, std::string_view s) {
   out += '+';
@@ -267,15 +283,11 @@ inline void append_error(std::string& out, std::string_view msg) {
 }
 
 inline void append_integer(std::string& out, std::int64_t v) {
-  out += ':';
-  out += std::to_string(v);
-  out += "\r\n";
+  detail::append_header(out, ':', v);
 }
 
 inline void append_bulk(std::string& out, std::string_view v) {
-  out += '$';
-  out += std::to_string(v.size());
-  out += "\r\n";
+  detail::append_header(out, '$', v.size());
   out += v;
   out += "\r\n";
 }
@@ -283,9 +295,7 @@ inline void append_bulk(std::string& out, std::string_view v) {
 inline void append_null(std::string& out) { out += "$-1\r\n"; }
 
 inline void append_array_header(std::string& out, std::size_t n) {
-  out += '*';
-  out += std::to_string(n);
-  out += "\r\n";
+  detail::append_header(out, '*', n);
 }
 
 /// Serialize a request in the array framing (what the client and loadgen
@@ -318,7 +328,6 @@ class ReplyParser : public detail::FrameBuffer {
  public:
   ParseStatus next(Reply& out) {
     if (failed()) return ParseStatus::kError;
-    compact();
     std::size_t p = pos_;
     const ParseStatus st = parse_one(out, p, /*depth=*/0);
     if (st == ParseStatus::kOk) pos_ = p;

@@ -45,6 +45,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -223,6 +224,20 @@ class Server {
   /// flushing, so the close is the last rung, not the first.
   static constexpr std::size_t kMaxOutBuffer = std::size_t{64} << 20;
 
+  enum class Cmd {
+    kGet,
+    kSet,
+    kDel,
+    kMget,
+    kMset,
+    kMdel,
+    kScan,
+    kPing,
+    kStats,
+    kShutdown,
+    kUnknown,
+  };
+
   // --- per-worker event loop ------------------------------------------------
 
   struct Conn {
@@ -282,6 +297,19 @@ class Server {
     std::mutex mu;
     std::vector<int> pending;  // adopted fds, guarded by mu
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
+
+    // Scratch reused across readiness events, so a warm worker serves
+    // GET, MGET and SCAN without a heap allocation: the request slots the
+    // parser fills (their argv views into one connection's parser buffer
+    // die at its next feed, which comes only after the event executes),
+    // each request's command, a run's per-request errors, keys and SET
+    // pairs, and SCAN's pairs, whose strings keep their capacity.
+    std::vector<Request> reqs;
+    std::vector<Cmd> cmds;
+    std::vector<const char*> errs;
+    std::vector<std::int64_t> keys;
+    std::vector<std::pair<std::int64_t, std::string_view>> kvs;
+    std::vector<std::pair<std::int64_t, std::string>> scan_pairs;
   };
 
   void join_workers() {
@@ -300,7 +328,6 @@ class Server {
 
   void worker_loop(Worker& w) {
     epoll_event events[64];
-    std::vector<Request> reqs;
     const bool reap_idle = cfg_.idle_timeout_ms > 0;
     const auto tick = std::chrono::milliseconds(tick_ms());
     auto last_scan = std::chrono::steady_clock::now();
@@ -327,7 +354,7 @@ class Server {
         }
         bool alive = true;
         if (events[i].events & EPOLLIN) {
-          alive = handle_readable(w, c, reqs);
+          alive = handle_readable(w, c);
         }
         if (alive && (events[i].events & EPOLLOUT)) {
           alive = flush(w, c);
@@ -406,7 +433,7 @@ class Server {
 
   /// Drain the socket, execute every complete request, flush replies.
   /// Returns false when the connection should be closed.
-  bool handle_readable(Worker& w, Conn& c, std::vector<Request>& reqs) {
+  bool handle_readable(Worker& w, Conn& c) {
     char buf[64 << 10];
     bool saw_eof = false;
     for (;;) {
@@ -422,14 +449,15 @@ class Server {
       break;
     }
 
-    reqs.clear();
-    Request req;
+    std::size_t n = 0;  // requests parsed into w.reqs[0, n)
     ParseStatus st;
-    while ((st = c.parser.next(req)) == ParseStatus::kOk) {
-      reqs.push_back(std::move(req));
+    for (;;) {
+      if (n == w.reqs.size()) w.reqs.emplace_back();
+      if ((st = c.parser.next(w.reqs[n])) != ParseStatus::kOk) break;
+      ++n;
     }
     bool shutdown_after = false;
-    if (!reqs.empty()) execute_batch(c, reqs, shutdown_after);
+    if (n > 0) execute_batch(w, c, {w.reqs.data(), n}, shutdown_after);
     if (st == ParseStatus::kError) {
       // Framing is lost: one final diagnostic, then close after flushing.
       stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
@@ -491,40 +519,28 @@ class Server {
 
   // --- command execution ----------------------------------------------------
 
-  enum class Cmd {
-    kGet,
-    kSet,
-    kDel,
-    kMget,
-    kMset,
-    kMdel,
-    kScan,
-    kPing,
-    kStats,
-    kShutdown,
-    kUnknown,
-  };
-
+  /// The command word, matched case-insensitively.
   static Cmd classify(const Request& r) noexcept {
-    std::string up = r.argv[0];
-    for (char& ch : up) {
-      if (ch >= 'a' && ch <= 'z') ch = static_cast<char>(ch - 'a' + 'A');
+    static constexpr std::pair<std::string_view, Cmd> kWords[] = {
+        {"GET", Cmd::kGet},   {"SET", Cmd::kSet},   {"DEL", Cmd::kDel},
+        {"MGET", Cmd::kMget}, {"MSET", Cmd::kMset}, {"MDEL", Cmd::kMdel},
+        {"SCAN", Cmd::kScan}, {"PING", Cmd::kPing}, {"STATS", Cmd::kStats},
+        {"SHUTDOWN", Cmd::kShutdown}};
+    const std::string_view name = r.argv[0];
+    for (const auto& [word, cmd] : kWords) {
+      if (name.size() == word.size() &&
+          std::equal(name.begin(), name.end(), word.begin(),
+                     [](char a, char b) {
+                       return (a >= 'a' && a <= 'z' ? a - 'a' + 'A' : a) == b;
+                     })) {
+        return cmd;
+      }
     }
-    if (up == "GET") return Cmd::kGet;
-    if (up == "SET") return Cmd::kSet;
-    if (up == "DEL") return Cmd::kDel;
-    if (up == "MGET") return Cmd::kMget;
-    if (up == "MSET") return Cmd::kMset;
-    if (up == "MDEL") return Cmd::kMdel;
-    if (up == "SCAN") return Cmd::kScan;
-    if (up == "PING") return Cmd::kPing;
-    if (up == "STATS") return Cmd::kStats;
-    if (up == "SHUTDOWN") return Cmd::kShutdown;
     return Cmd::kUnknown;
   }
 
   /// Validate one key argument; on failure `err` points at the reply.
-  static std::optional<std::int64_t> parse_key(const std::string& s,
+  static std::optional<std::int64_t> parse_key(std::string_view s,
                                                const char*& err) {
     const auto k = detail::parse_i64(s);
     if (!k) {
@@ -544,11 +560,11 @@ class Server {
   static bool parse_keys(const Request& r, std::size_t stride,
                          const char* usage, std::vector<std::int64_t>& keys,
                          const char*& err) {
+    keys.clear();
     if (r.argv.size() < 1 + stride || (r.argv.size() - 1) % stride != 0) {
       err = usage;
       return false;
     }
-    keys.reserve((r.argv.size() - 1) / stride);
     for (std::size_t i = 1; i < r.argv.size(); i += stride) {
       const auto k = parse_key(r.argv[i], err);
       if (!k) return false;
@@ -557,21 +573,12 @@ class Server {
     return true;
   }
 
-  static void append_value(std::string& out,
-                           const std::optional<std::string>& v) {
-    if (v) {
-      append_bulk(out, *v);
-    } else {
-      append_null(out);
-    }
-  }
-
   /// Execute every request of one readiness event: adjacent same-command
   /// runs of GET/SET/DEL collapse into one multi-op (a lone request is a
   /// run of one), everything else executes one by one. Replies are
   /// appended in request order. The durability hook runs once, after all
   /// of the event's writes and before the caller flushes replies.
-  void execute_batch(Conn& c, std::vector<Request>& reqs,
+  void execute_batch(Worker& w, Conn& c, std::span<const Request> reqs,
                      bool& shutdown_after) {
     stats_.requests.fetch_add(reqs.size(), std::memory_order_relaxed);
     // Replies appended past this mark are withdrawn if the commit-point
@@ -579,17 +586,19 @@ class Server {
     // when msync stops cooperating.
     const std::size_t out_mark = c.out.size();
     bool wrote = false;
+    w.cmds.clear();
+    for (const Request& r : reqs) w.cmds.push_back(classify(r));
     std::size_t i = 0;
     while (i < reqs.size()) {
-      const Cmd cmd = classify(reqs[i]);
+      const Cmd cmd = w.cmds[i];
       if (cmd == Cmd::kGet || cmd == Cmd::kSet || cmd == Cmd::kDel) {
         std::size_t j = i + 1;
-        while (j < reqs.size() && classify(reqs[j]) == cmd) ++j;
-        execute_run(c, cmd, std::span<const Request>(&reqs[i], j - i), wrote);
+        while (j < reqs.size() && w.cmds[j] == cmd) ++j;
+        execute_run(w, c, cmd, reqs.subspan(i, j - i), wrote);
         i = j;
         continue;
       }
-      execute_single(c, reqs[i], cmd, wrote, shutdown_after);
+      execute_single(w, c, reqs[i], cmd, wrote, shutdown_after);
       ++i;
     }
     if (wrote) {
@@ -616,38 +625,61 @@ class Server {
   /// multi_remove, and the replies follow in request order. A request
   /// that fails validation gets its error in place and costs its
   /// neighbours nothing; a run with no valid request makes no store call.
-  void execute_run(Conn& c, Cmd cmd, std::span<const Request> run,
+  /// A GET run's values go from each record straight into the reply.
+  void execute_run(Worker& w, Conn& c, Cmd cmd, std::span<const Request> run,
                    bool& wrote) {
     const std::size_t arity = cmd == Cmd::kSet ? 3 : 2;
     const char* usage = cmd == Cmd::kGet   ? "ERR GET expects: GET key"
                         : cmd == Cmd::kSet ? "ERR SET expects: SET key value"
                                            : "ERR DEL expects: DEL key";
-    std::vector<const char*> errs(run.size(), nullptr);  // nullptr: valid
-    std::vector<std::int64_t> keys;
-    std::vector<std::pair<std::int64_t, std::string_view>> kvs;  // SET
-    keys.reserve(run.size());
+    std::vector<const char*>& errs = w.errs;  // nullptr: valid
+    errs.assign(run.size(), nullptr);
+    w.keys.clear();
+    w.kvs.clear();
     for (std::size_t i = 0; i < run.size(); ++i) {
       if (run[i].argv.size() != arity) {
         errs[i] = usage;
       } else if (const auto k = parse_key(run[i].argv[1], errs[i])) {
-        keys.push_back(*k);
-        if (cmd == Cmd::kSet) kvs.emplace_back(*k, run[i].argv[2]);
+        w.keys.push_back(*k);
+        if (cmd == Cmd::kSet) w.kvs.emplace_back(*k, run[i].argv[2]);
       }
     }
     // STATS: a run of one is a scalar op; a longer run's keys are batched.
     (run.size() == 1 ? stats_.scalar_ops : stats_.batched_keys)
-        .fetch_add(keys.size(), std::memory_order_relaxed);
-    std::vector<std::optional<std::string>> vals;
+        .fetch_add(w.keys.size(), std::memory_order_relaxed);
+    if (cmd == Cmd::kGet) {
+      // The replies are written while the multi_get runs, so the -ERRs of
+      // the invalid requests ahead of each valid one go out first: `e` is
+      // the first request not yet answered.
+      std::size_t e = 0;
+      const auto answer_errors = [&] {
+        for (; e < errs.size() && errs[e] != nullptr; ++e) {
+          append_error(c.out, errs[e]);
+        }
+      };
+      if (!w.keys.empty()) {
+        store_.multi_get(
+            w.keys, [&](std::size_t, std::optional<std::string_view> v) {
+              answer_errors();
+              if (v) {
+                append_bulk(c.out, *v);
+              } else {
+                append_null(c.out);
+              }
+              ++e;
+            });
+      }
+      answer_errors();
+      return;
+    }
     std::vector<bool> removed;
     std::optional<std::string> store_err;  // shared by every valid request
-    if (!keys.empty()) {
-      if (cmd == Cmd::kGet) {
-        vals = store_.multi_get(keys);
-      } else if (cmd == Cmd::kSet) {
-        store_err = apply_store([&] { store_.multi_put(kvs); }, wrote);
+    if (!w.keys.empty()) {
+      if (cmd == Cmd::kSet) {
+        store_err = apply_store([&] { store_.multi_put(w.kvs); }, wrote);
       } else {
-        store_err =
-            apply_store([&] { removed = store_.multi_remove(keys); }, wrote);
+        store_err = apply_store(
+            [&] { removed = store_.multi_remove(w.keys); }, wrote);
       }
     }
     std::size_t v = 0;  // the next valid request's result
@@ -656,8 +688,6 @@ class Server {
         append_error(c.out, err);
       } else if (store_err) {
         append_error(c.out, *store_err);
-      } else if (cmd == Cmd::kGet) {
-        append_value(c.out, vals[v++]);
       } else if (cmd == Cmd::kSet) {
         append_simple(c.out, "OK");
       } else {
@@ -666,39 +696,44 @@ class Server {
     }
   }
 
-  void execute_single(Conn& c, const Request& r, Cmd cmd, bool& wrote,
-                      bool& shutdown_after) {
+  void execute_single(Worker& w, Conn& c, const Request& r, Cmd cmd,
+                      bool& wrote, bool& shutdown_after) {
     const char* err = nullptr;
-    std::vector<std::int64_t> keys;
     switch (cmd) {
       case Cmd::kPing:
         append_simple(c.out, "PONG");
         return;
       case Cmd::kMget: {
-        if (!parse_keys(r, 1, "ERR MGET expects: MGET key [key ...]", keys,
+        if (!parse_keys(r, 1, "ERR MGET expects: MGET key [key ...]", w.keys,
                         err)) {
           break;
         }
-        stats_.batched_keys.fetch_add(keys.size(),
+        stats_.batched_keys.fetch_add(w.keys.size(),
                                       std::memory_order_relaxed);
-        const auto vals = store_.multi_get(keys);
-        append_array_header(c.out, vals.size());
-        for (const auto& v : vals) append_value(c.out, v);
+        append_array_header(c.out, w.keys.size());
+        store_.multi_get(
+            w.keys, [&](std::size_t, std::optional<std::string_view> v) {
+              if (v) {
+                append_bulk(c.out, *v);
+              } else {
+                append_null(c.out);
+              }
+            });
         return;
       }
       case Cmd::kMset: {
         if (!parse_keys(r, 2, "ERR MSET expects: MSET key value [k v ...]",
-                        keys, err)) {
+                        w.keys, err)) {
           break;
         }
-        std::vector<std::pair<std::int64_t, std::string_view>> kvs;
-        kvs.reserve(keys.size());
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-          kvs.emplace_back(keys[i], r.argv[2 * i + 2]);
+        w.kvs.clear();
+        for (std::size_t i = 0; i < w.keys.size(); ++i) {
+          w.kvs.emplace_back(w.keys[i], r.argv[2 * i + 2]);
         }
-        stats_.batched_keys.fetch_add(kvs.size(), std::memory_order_relaxed);
+        stats_.batched_keys.fetch_add(w.kvs.size(),
+                                      std::memory_order_relaxed);
         const auto store_err =
-            apply_store([&] { store_.multi_put(kvs); }, wrote);
+            apply_store([&] { store_.multi_put(w.kvs); }, wrote);
         if (store_err) {
           append_error(c.out, *store_err);
         } else {
@@ -707,15 +742,15 @@ class Server {
         return;
       }
       case Cmd::kMdel: {
-        if (!parse_keys(r, 1, "ERR MDEL expects: MDEL key [key ...]", keys,
+        if (!parse_keys(r, 1, "ERR MDEL expects: MDEL key [key ...]", w.keys,
                         err)) {
           break;
         }
-        stats_.batched_keys.fetch_add(keys.size(),
+        stats_.batched_keys.fetch_add(w.keys.size(),
                                       std::memory_order_relaxed);
         std::vector<bool> removed;
-        const auto store_err =
-            apply_store([&] { removed = store_.multi_remove(keys); }, wrote);
+        const auto store_err = apply_store(
+            [&] { removed = store_.multi_remove(w.keys); }, wrote);
         if (store_err) {
           append_error(c.out, *store_err);
         } else {
@@ -742,13 +777,17 @@ class Server {
             append_error(c.out, "ERR SCAN count too large");
             return;
           }
-          scan_buf_.clear();
-          store_.scan(*start, static_cast<std::size_t>(*count), scan_buf_);
-          stats_.batched_keys.fetch_add(scan_buf_.size(),
+          // scan() overwrites the worker's pairs in place, so their
+          // strings' capacity carries over from the last SCAN.
+          store_.scan(*start, static_cast<std::size_t>(*count),
+                      w.scan_pairs);
+          stats_.batched_keys.fetch_add(w.scan_pairs.size(),
                                         std::memory_order_relaxed);
-          append_array_header(c.out, 2 * scan_buf_.size());
-          for (const auto& [k, v] : scan_buf_) {
-            append_bulk(c.out, std::to_string(k));
+          append_array_header(c.out, 2 * w.scan_pairs.size());
+          for (const auto& [k, v] : w.scan_pairs) {
+            char key[20];  // sign and 19 digits
+            const char* end = std::to_chars(key, key + sizeof(key), k).ptr;
+            append_bulk(c.out, std::string_view(key, end));
             append_bulk(c.out, v);
           }
         } else {
@@ -861,14 +900,6 @@ class Server {
   std::atomic<bool> stop_{false};
   std::vector<std::unique_ptr<Worker>> workers_;
   ServerStats stats_;
-  /// SCAN scratch: per-thread because every worker runs SCANs for its
-  /// own connections concurrently with the others.
-  static thread_local std::vector<std::pair<std::int64_t, std::string>>
-      scan_buf_;
 };
-
-template <class KV>
-thread_local std::vector<std::pair<std::int64_t, std::string>>
-    Server<KV>::scan_buf_;
 
 }  // namespace flit::net

@@ -108,6 +108,32 @@ TEST_F(KvOrderedTest, ScanSkipsRemovedAndSeesOverwrites) {
   EXPECT_EQ(out.size(), 100u - 34u);  // 34 multiples of 3 in [0, 100)
 }
 
+TEST_F(KvOrderedTest, ReusedScanBufferMatchesAFreshScan) {
+  // scan(start, n, out) overwrites the pairs `out` already holds, appends
+  // past them and trims the rest. Reuse one `out` across scans that
+  // shrink, empty and grow again, each crossing a shard boundary (shard i
+  // owns [101 i, 101 (i + 1))), over removed keys and overwrites of other
+  // lengths: every result must equal a scan into a fresh vector.
+  Ordered kv(4, 64, KeyRange{0, 400});
+  for (K k = 0; k < 400; ++k) kv.put(k, value_for(k));
+  for (K k = 0; k < 400; k += 7) kv.remove(k);
+  for (K k = 1; k < 400; k += 5) kv.put(k, value_for(k, /*salt=*/1));
+  std::vector<std::pair<K, std::string>> out;
+  const std::pair<K, std::size_t> scans[] = {
+      {95, 100}, {200, 3}, {250, 0}, {290, 57}, {150, 100}};
+  for (const auto& [start, n] : scans) {
+    SCOPED_TRACE(testing::Message() << "scan(" << start << ", " << n << ")");
+    const std::size_t got = kv.scan(start, n, out);
+    EXPECT_EQ(got, out.size());
+    EXPECT_EQ(out, kv.scan(start, n));
+    EXPECT_EQ(out.size(), n);
+    if (n > 0) {
+      EXPECT_LT(kv.shard_index(out.front().first),
+                kv.shard_index(out.back().first));
+    }
+  }
+}
+
 TEST_F(KvOrderedTest, OutOfRangeKeysClampButStaySorted) {
   // Keys outside the declared range route to the edge shards; scans must
   // still be globally sorted and complete.

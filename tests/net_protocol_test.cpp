@@ -6,6 +6,7 @@
 #include "net/protocol.hpp"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,11 +20,20 @@ std::string frame(std::initializer_list<std::string_view> argv) {
   return out;
 }
 
+/// Every request parsed from the bytes fed so far. Their argv views
+/// point into the parser's buffer and die at its next feed().
 std::vector<Request> drain(RequestParser& p) {
   std::vector<Request> reqs;
   Request r;
   while (p.next(r) == ParseStatus::kOk) reqs.push_back(std::move(r));
   return reqs;
+}
+
+using Args = std::vector<std::string_view>;
+
+/// A request's arguments as strings, to outlive the parser's next feed.
+std::vector<std::string> owned(const Request& r) {
+  return {r.argv.begin(), r.argv.end()};
 }
 
 TEST(RequestParser, ParsesSingleArrayFrame) {
@@ -45,14 +55,14 @@ TEST(RequestParser, TornByteAtATimeFeed) {
   const std::string wire =
       frame({"SET", "1", "alpha"}) + frame({"GET", "1"});
   RequestParser p;
-  std::vector<Request> got;
+  std::vector<std::vector<std::string>> got;
   for (const char c : wire) {
     p.feed(std::string_view(&c, 1));
-    for (Request& r : drain(p)) got.push_back(std::move(r));
+    for (const Request& r : drain(p)) got.push_back(owned(r));
   }
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].argv, (std::vector<std::string>{"SET", "1", "alpha"}));
-  EXPECT_EQ(got[1].argv, (std::vector<std::string>{"GET", "1"}));
+  EXPECT_EQ(got[0], (std::vector<std::string>{"SET", "1", "alpha"}));
+  EXPECT_EQ(got[1], (std::vector<std::string>{"GET", "1"}));
 }
 
 TEST(RequestParser, PipelinedRunInOneBuffer) {
@@ -72,6 +82,38 @@ TEST(RequestParser, PipelinedRunInOneBuffer) {
   EXPECT_EQ(p.buffered(), 0u);
 }
 
+TEST(RequestParser, ViewsStayValidUntilTheNextFeed) {
+  // Well past 64 KiB of pipelined SETs in one feed — where next() used
+  // to compact its buffer mid-parse, moving the bytes under the views of
+  // requests it had already returned — plus half of one more frame.
+  std::vector<std::string> values;
+  std::string wire;
+  for (int i = 0; wire.size() <= (std::size_t{160} << 10); ++i) {
+    values.emplace_back(static_cast<std::size_t>(100 + i % 64),
+                        static_cast<char>('a' + i % 26));
+    wire += frame({"SET", std::to_string(i), values.back()});
+  }
+  const std::string last = frame({"SET", "-1", "the frame fed in two"});
+  const std::size_t half = last.size() / 2;
+  RequestParser p;
+  p.feed(wire + last.substr(0, half));
+  const std::vector<Request> reqs = drain(p);
+  ASSERT_EQ(reqs.size(), values.size());
+  // Every request parsed first, then every view checked.
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const std::string key = std::to_string(i);
+    EXPECT_EQ(reqs[i].argv, (Args{"SET", key, values[i]})) << i;
+  }
+  EXPECT_EQ(p.buffered(), half);
+  // The next feed drops the consumed prefix and keeps the partial frame.
+  p.feed(std::string_view(last).substr(half));
+  EXPECT_EQ(p.buffered(), last.size());
+  Request r;
+  ASSERT_EQ(p.next(r), ParseStatus::kOk);
+  EXPECT_EQ(r.argv, (Args{"SET", "-1", "the frame fed in two"}));
+  EXPECT_EQ(p.buffered(), 0u);
+}
+
 TEST(RequestParser, BinarySafeValues) {
   std::string payload;
   for (int i = 0; i < 256; ++i) payload += static_cast<char>(i);
@@ -88,9 +130,9 @@ TEST(RequestParser, InlineCommands) {
   p.feed("PING\r\n  GET   17  \n\r\nSET 3 abc\n");
   const auto reqs = drain(p);
   ASSERT_EQ(reqs.size(), 3u);
-  EXPECT_EQ(reqs[0].argv, (std::vector<std::string>{"PING"}));
-  EXPECT_EQ(reqs[1].argv, (std::vector<std::string>{"GET", "17"}));
-  EXPECT_EQ(reqs[2].argv, (std::vector<std::string>{"SET", "3", "abc"}));
+  EXPECT_EQ(reqs[0].argv, (Args{"PING"}));
+  EXPECT_EQ(reqs[1].argv, (Args{"GET", "17"}));
+  EXPECT_EQ(reqs[2].argv, (Args{"SET", "3", "abc"}));
 
   // A flood of whitespace-only lines is skipped without growing the
   // stack: one frame per line used to crash the server.
@@ -100,20 +142,19 @@ TEST(RequestParser, InlineCommands) {
   flooded.feed(blanks + "PING\r\n");
   const auto after_blanks = drain(flooded);
   ASSERT_EQ(after_blanks.size(), 1u);
-  EXPECT_EQ(after_blanks[0].argv, (std::vector<std::string>{"PING"}));
+  EXPECT_EQ(after_blanks[0].argv, (Args{"PING"}));
 }
 
 TEST(RequestParser, InlineTornFeed) {
   RequestParser p;
   const std::string wire = "SET 5 torn-inline\n";
-  std::vector<Request> got;
+  std::vector<std::vector<std::string>> got;
   for (const char c : wire) {
     p.feed(std::string_view(&c, 1));
-    for (Request& r : drain(p)) got.push_back(std::move(r));
+    for (const Request& r : drain(p)) got.push_back(owned(r));
   }
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].argv,
-            (std::vector<std::string>{"SET", "5", "torn-inline"}));
+  EXPECT_EQ(got[0], (std::vector<std::string>{"SET", "5", "torn-inline"}));
 }
 
 TEST(RequestParser, OversizedBulkRejectedFromHeader) {

@@ -137,14 +137,28 @@ TEST_F(NetServerTest, CommandErrorsAreRecoverable) {
   EXPECT_TRUE(c.command({"SET", "5", "fine"}).ok());
   EXPECT_EQ(c.command({"GET", "5"}).str, "fine");
   // In a pipelined GET run, an invalid element gets its error in place
-  // while the valid neighbours still batch and answer correctly.
-  c.enqueue({"GET", "5"});
-  c.enqueue({"GET", "bogus"});
-  c.enqueue({"GET", "5"});
+  // while the valid neighbours still batch and answer correctly — at the
+  // run's start and end too, and two in a row. The replies are written
+  // while the multi_get runs, so each error must precede the next valid
+  // key's reply.
+  const std::vector<std::string> run = {"bogus", "5",     "bogus", "5",
+                                        "bogus", "bogus", "5",     "bogus"};
+  for (const std::string& k : run) c.enqueue({"GET", k});
   c.flush();
-  EXPECT_EQ(c.read_reply().str, "fine");
+  for (const std::string& k : run) {
+    const Reply r = c.read_reply();
+    if (k == "bogus") {
+      EXPECT_TRUE(r.is_error()) << r.str;
+    } else {
+      EXPECT_EQ(r.str, "fine");
+    }
+  }
+  // A run with no valid request answers every one with its error.
+  c.enqueue({"GET", "bogus"});
+  c.enqueue({"GET"});
+  c.flush();
   EXPECT_TRUE(c.read_reply().is_error());
-  EXPECT_EQ(c.read_reply().str, "fine");
+  EXPECT_TRUE(c.read_reply().is_error());
 }
 
 TEST_F(NetServerTest, MultiKeyCommandsAreAllOrNothing) {

@@ -131,7 +131,12 @@ TEST_F(PersistCheckTest, SkipPwbBugFiresPublishUnpersisted) {
                "kv::Shard::put");
   // Exactly one diagnostic: the range was force-cleaned after the report,
   // so the store keeps working and later checks don't cascade.
-  EXPECT_EQ(shard.get(1), "hello");
+  {
+    recl::Ebr::Guard g;
+    const Record* r = shard.find(1);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->view(), "hello");
+  }
   PersistCheck::instance().reset_violations();
 }
 
