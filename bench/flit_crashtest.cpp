@@ -504,7 +504,6 @@ int verify_mark(const Options& o, std::optional<StoreT>& store,
     fresh.emplace(k, std::move(v));
   }
   store.reset();  // close()
-  pmem::Pool::instance().reinit(pmem::Pool::kDefaultCapacity);
   try {
     store.emplace(open_store<StoreT>(o));
   } catch (const std::exception& e) {

@@ -53,6 +53,10 @@ LISTEN_RE = re.compile(r"flit-server: listening on ([0-9.]+):(\d+)")
 # better, so 0.6 is a loose-but-meaningful gate that tolerates CI noise.
 COALESCE_RATIO = 0.6
 
+# Every server this run starts. Whatever way the run ends, stop_servers()
+# kills the ones still running and prints what they wrote.
+SERVERS = []
+
 
 def start_server(args, extra, env=None):
     cmd = [args.server, "--port=0"] + extra
@@ -60,6 +64,7 @@ def start_server(args, extra, env=None):
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True,
                             env=child_env)
+    SERVERS.append(proc)
     deadline = time.time() + 30
     while time.time() < deadline:
         line = proc.stdout.readline()
@@ -69,8 +74,23 @@ def start_server(args, extra, env=None):
         m = LISTEN_RE.search(line)
         if m:
             return proc, m.group(1), int(m.group(2))
-    proc.kill()
     raise SystemExit("server_smoke: server never reported its port")
+
+
+def stop_servers():
+    """Kill every server still running and print the output no round
+    read: a failed round's server log is what diagnoses it."""
+    for proc in SERVERS:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+            print(f"server_smoke: killed server pid {proc.pid}", flush=True)
+        rest = proc.stdout.read()
+        if rest:
+            print(f"server_smoke: remaining output of server pid {proc.pid}:")
+            sys.stdout.write(rest)
+        proc.stdout.close()
+    sys.stdout.flush()
 
 
 def run_loadgen(args, host, port, extra):
@@ -142,7 +162,6 @@ def wait_exit(proc, what):
     try:
         code = proc.wait(timeout=30)
     except subprocess.TimeoutExpired:
-        proc.kill()
         raise SystemExit(f"server_smoke: {what} did not exit after SHUTDOWN")
     for line in proc.stdout:
         sys.stdout.write(line)
@@ -331,4 +350,7 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        stop_servers()

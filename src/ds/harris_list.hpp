@@ -24,7 +24,9 @@
 // a head and a tail sentinel and runs each operation from the head
 // sentinel's `next`; ds::HashTable runs the same static functions from
 // its per-bucket head words, whose chains all end at one shared tail
-// sentinel (see hash_table.hpp).
+// sentinel (see hash_table.hpp). The static functions take the pool the
+// chain's nodes come from: fresh nodes are allocated there, and unlinked
+// ones retire back to it.
 //
 // Template parameters:
 //   K, V    — integral key (numeric_limits min/max are reserved for the
@@ -73,31 +75,33 @@ class HarrisList {
   static constexpr K kMinKey = std::numeric_limits<K>::min();
   static constexpr K kMaxKey = std::numeric_limits<K>::max();
 
-  HarrisList() {
-    tail_ = pmem::pnew<Node>(kMaxKey, V{}, nullptr);
-    head_ = pmem::pnew<Node>(kMinKey, V{}, tail_);
+  /// An empty list whose nodes live in `pool`.
+  explicit HarrisList(pmem::Pool& pool = pmem::Pool::instance())
+      : pool_(&pool) {
+    tail_ = pool.make<Node>(kMaxKey, V{}, nullptr);
+    head_ = pool.make<Node>(kMinKey, V{}, tail_);
     Words::persist_obj(tail_);
     Words::persist_obj(head_);
   }
 
   ~HarrisList() {
     if (!owns_) return;
-    free_chain(head_->next, tail_);
-    pmem::pdelete(head_);
-    pmem::pdelete(tail_);
+    free_chain(*pool_, head_->next, tail_);
+    pool_->destroy(head_);
+    pool_->destroy(tail_);
   }
 
   HarrisList(const HarrisList&) = delete;
   HarrisList& operator=(const HarrisList&) = delete;
 
   HarrisList(HarrisList&& o) noexcept
-      : head_(o.head_), tail_(o.tail_), owns_(o.owns_) {
+      : pool_(o.pool_), head_(o.head_), tail_(o.tail_), owns_(o.owns_) {
     o.owns_ = false;
     o.head_ = o.tail_ = nullptr;
   }
 
   /// Insert (k, v). Returns false if k is already present.
-  bool insert(K k, V v) { return insert(head_->next, k, v); }
+  bool insert(K k, V v) { return insert(*pool_, head_->next, k, v); }
 
   /// Insert-or-replace. Returns the superseded value when k was present
   /// (the caller owns cleanup of whatever it referenced — see the file
@@ -115,7 +119,7 @@ class HarrisList {
   std::optional<V> upsert(K k, V v, PublishBatch& batch)
     requires std::is_pointer_v<V>
   {
-    return upsert(head_->next, k, v, batch);
+    return upsert(*pool_, head_->next, k, v, batch);
   }
 
   /// Remove k. Returns false if k is absent.
@@ -128,27 +132,29 @@ class HarrisList {
   /// values the winner *claims* it by marking the value word — the CAS
   /// that ends the word's upsert chain; for other value types values are
   /// immutable after publication and a plain read suffices.
-  std::optional<V> remove_get(K k) { return remove_get(head_->next, k); }
+  std::optional<V> remove_get(K k) {
+    return remove_get(*pool_, head_->next, k);
+  }
 
   /// Membership test.
-  bool contains(K k) const { return contains(head_->next, k); }
+  bool contains(K k) const { return contains(*pool_, head_->next, k); }
 
   /// Lookup returning the value. A claimed (marked) pointer value means
   /// the node's removal linearized before our read: absent.
-  std::optional<V> find(K k) const { return find(head_->next, k); }
+  std::optional<V> find(K k) const { return find(*pool_, head_->next, k); }
 
   /// find() minus the per-op completion fence: a batch of lookups shares
   /// one completion fence, issued by the caller after the last lookup
   /// (flush-if-tagged pwbs from the searches stay pending until then, so
   /// nothing the batch observed escapes to the outside unpersisted).
   std::optional<V> find_batched(K k) const {
-    return find_batched(head_->next, k);
+    return find_batched(*pool_, head_->next, k);
   }
 
   /// Number of reachable (unmarked) keys; single-threaded use only.
   /// Throws std::length_error on a chain that dead-ends before the tail
   /// sentinel (see the link form below).
-  std::size_t size() const { return size(head_->next, tail_); }
+  std::size_t size() const { return size(*pool_, head_->next, tail_); }
 
   // --- crash recovery ------------------------------------------------------
 
@@ -158,9 +164,10 @@ class HarrisList {
   Node* tail() const noexcept { return tail_; }
 
   /// Rebuild a (non-owning) handle onto a structure whose nodes survived a
-  /// crash in the persistent pool. Recovery is read-only, per the model.
-  static HarrisList recover(Node* head, Node* tail) {
-    return HarrisList(head, tail);
+  /// crash in `pool`. Recovery is read-only, per the model.
+  static HarrisList recover(Node* head, Node* tail,
+                            pmem::Pool& pool = pmem::Pool::instance()) {
+    return HarrisList(pool, head, tail);
   }
 
   /// Disown the nodes: the destructor will no longer free them. Used when
@@ -174,27 +181,28 @@ class HarrisList {
   // tail sentinel (key kMaxKey, next null). The operations above pass the
   // head sentinel's `next`; ds::HashTable passes a bucket's head word.
 
-  static bool insert(Link& head, K k, V v) {
+  static bool insert(pmem::Pool& pool, Link& head, K k, V v) {
     recl::Ebr::Guard g;
     for (;;) {
-      auto [prev, curr] = search(head, k);
+      auto [prev, curr] = search(pool, head, k);
       if (curr->key.load(Method::critical_load) == k) {
         Words::operation_completion();
         return false;
       }
-      if (try_link(k, v, *prev, curr)) {
+      if (try_link(pool, k, v, *prev, curr)) {
         Words::operation_completion();
         return true;
       }
     }
   }
 
-  static std::optional<V> upsert(Link& head, K k, V v, PublishBatch& batch)
+  static std::optional<V> upsert(pmem::Pool& pool, Link& head, K k, V v,
+                                 PublishBatch& batch)
     requires std::is_pointer_v<V>
   {
     recl::Ebr::Guard g;
     for (;;) {
-      auto [prev, curr] = search(head, k);
+      auto [prev, curr] = search(pool, head, k);
       if (curr->key.load(Method::critical_load) == k) {
         // In-place replace. A marked value means the removal that won
         // this node's mark CAS already claimed it: the key is logically
@@ -211,14 +219,14 @@ class HarrisList {
         }
         continue;
       }
-      if (try_link(k, v, *prev, curr, &batch)) return std::nullopt;
+      if (try_link(pool, k, v, *prev, curr, &batch)) return std::nullopt;
     }
   }
 
-  static std::optional<V> remove_get(Link& head, K k) {
+  static std::optional<V> remove_get(pmem::Pool& pool, Link& head, K k) {
     recl::Ebr::Guard g;
     for (;;) {
-      auto [prev, curr] = search(head, k);
+      auto [prev, curr] = search(pool, head, k);
       if (curr->key.load(Method::critical_load) != k) {
         Words::operation_completion();
         return std::nullopt;
@@ -236,32 +244,32 @@ class HarrisList {
       // Physical deletion: unlink; on failure, search() will help.
       Node* e = curr;
       if (prev->cas(e, succ, Method::cleanup_store)) {
-        recl::Ebr::instance().retire_pmem(curr);
+        pool.retire(curr);
       } else {
-        search(head, k);  // unlinks curr (the helper retires it)
+        search(pool, head, k);  // unlinks curr (the helper retires it)
       }
       Words::operation_completion();
       return removed;
     }
   }
 
-  static bool contains(Link& head, K k) {
+  static bool contains(pmem::Pool& pool, Link& head, K k) {
     recl::Ebr::Guard g;
-    Node* curr = search(head, k).second;
+    Node* curr = search(pool, head, k).second;
     const bool found = curr->key.load(Method::transition_load) == k;
     Words::operation_completion();
     return found;
   }
 
-  static std::optional<V> find(Link& head, K k) {
-    std::optional<V> out = find_batched(head, k);
+  static std::optional<V> find(pmem::Pool& pool, Link& head, K k) {
+    std::optional<V> out = find_batched(pool, head, k);
     Words::operation_completion();
     return out;
   }
 
-  static std::optional<V> find_batched(Link& head, K k) {
+  static std::optional<V> find_batched(pmem::Pool& pool, Link& head, K k) {
     recl::Ebr::Guard g;
-    Node* curr = search(head, k).second;
+    Node* curr = search(pool, head, k).second;
     std::optional<V> out;
     if (curr->key.load(Method::transition_load) == k) {
       const V v = curr->value.load(Method::transition_load);
@@ -281,11 +289,12 @@ class HarrisList {
   }
 
   /// Reachable (unmarked) keys between `head` and `tail`; single-threaded
-  /// use only. Throws std::length_error on a link outside the Pool (see
+  /// use only. Throws std::length_error on a link outside `pool` (see
   /// walk_chain).
-  static std::size_t size(const Link& head, const Node* tail) {
+  static std::size_t size(const pmem::Pool& pool, const Link& head,
+                          const Node* tail) {
     std::size_t n = 0;
-    walk_chain(head, tail, Bounds::pool(),
+    walk_chain(head, tail, Bounds(pool),
                [&n](const Node&, bool live) { n += live; });
     return n;
   }
@@ -319,18 +328,19 @@ class HarrisList {
 
   /// Free every node linked between `head` and `tail` (exclusive), marked
   /// ones included; single-threaded teardown of an owning handle.
-  static void free_chain(const Link& head, const Node* tail) noexcept {
+  static void free_chain(pmem::Pool& pool, const Link& head,
+                         const Node* tail) noexcept {
     Node* n = without_mark(head.load_private());
     while (n != tail && n != nullptr) {
       Node* nxt = without_mark(n->next.load_private());
-      pmem::pdelete(n);
+      pool.destroy(n);
       n = nxt;
     }
   }
 
  private:
-  HarrisList(Node* head, Node* tail) noexcept
-      : head_(head), tail_(tail), owns_(false) {}
+  HarrisList(pmem::Pool& pool, Node* head, Node* tail) noexcept
+      : pool_(&pool), head_(head), tail_(tail), owns_(false) {}
 
   /// One insertion attempt at the (prev, curr) position search() just
   /// computed: build the node, persist it, publish it with the critical
@@ -342,9 +352,9 @@ class HarrisList {
   /// fence either way: the node's bytes must be durable before the link
   /// can be observed, and they were flushed after the batch's record
   /// fence).
-  static bool try_link(K k, V v, Link& prev, Node* curr,
+  static bool try_link(pmem::Pool& pool, K k, V v, Link& prev, Node* curr,
                        PublishBatch* batch = nullptr) {
-    Node* node = pmem::pnew<Node>(k, v, curr);
+    Node* node = pool.make<Node>(k, v, curr);
     if (Method::persist_node_init) Words::persist_obj(node);
     if constexpr (Words::persistent) {
       pmem::pc_publish(node, sizeof(Node), "ds::HarrisList::try_link");
@@ -358,7 +368,7 @@ class HarrisList {
     } else if (prev.cas(expected, node, Method::critical_store)) {
       return true;
     }
-    pmem::pdelete(node);  // never published; immediate free is safe
+    pool.destroy(node);  // never published; immediate free is safe
     return false;
   }
 
@@ -366,7 +376,7 @@ class HarrisList {
   /// first unmarked node with key >= k and prev is the link word pointing
   /// at it (`head` itself, or its unmarked predecessor's `next`). Helps
   /// unlink marked nodes along the way.
-  static std::pair<Link*, Node*> search(Link& head, K k) {
+  static std::pair<Link*, Node*> search(pmem::Pool& pool, Link& head, K k) {
   retry:
     for (;;) {
       Link* prev = &head;
@@ -381,7 +391,7 @@ class HarrisList {
                          Method::cleanup_store)) {
             goto retry;
           }
-          recl::Ebr::instance().retire_pmem(curr);
+          pool.retire(curr);
           curr = without_mark(succ);
           check::lc_deref(curr, "ds::HarrisList::search");
           succ = curr->next.load(Method::traversal_load);
@@ -401,6 +411,7 @@ class HarrisList {
     }
   }
 
+  pmem::Pool* pool_;
   Node* head_ = nullptr;
   Node* tail_ = nullptr;
   bool owns_ = true;

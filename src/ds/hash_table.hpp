@@ -55,14 +55,17 @@ class HashTable {
     }
   };
 
-  /// Fresh table of `nbuckets` empty buckets; std::invalid_argument on 0.
-  explicit HashTable(std::size_t nbuckets) {
+  /// Fresh table of `nbuckets` empty buckets in `pool`;
+  /// std::invalid_argument on 0.
+  explicit HashTable(std::size_t nbuckets,
+                     pmem::Pool& pool = pmem::Pool::instance())
+      : pool_(&pool) {
     if (nbuckets == 0) {
       throw std::invalid_argument("ds::HashTable: 0 buckets");
     }
     const std::size_t bytes = Roots::bytes(nbuckets);
-    roots_ = static_cast<Roots*>(pmem::Pool::instance().alloc(bytes));
-    Node* tail = pmem::pnew<Node>(List::kMaxKey, V{}, nullptr);
+    roots_ = static_cast<Roots*>(pool.alloc(bytes));
+    Node* tail = pool.make<Node>(List::kMaxKey, V{}, nullptr);
     Words::persist_obj(tail);
     roots_->nbuckets = nbuckets;
     roots_->tail = tail;
@@ -75,19 +78,20 @@ class HashTable {
   ~HashTable() {
     if (!owns_) return;
     for (std::size_t i = 0; i < roots_->nbuckets; ++i) {
-      List::free_chain(roots_->heads[i], roots_->tail);
+      List::free_chain(*pool_, roots_->heads[i], roots_->tail);
     }
-    pmem::pdelete(roots_->tail);
-    pmem::Pool::instance().dealloc(roots_, Roots::bytes(roots_->nbuckets));
+    pool_->destroy(roots_->tail);
+    pool_->dealloc(roots_, Roots::bytes(roots_->nbuckets));
   }
 
   HashTable(const HashTable&) = delete;
   HashTable& operator=(const HashTable&) = delete;
   HashTable(HashTable&& o) noexcept
-      : roots_(std::exchange(o.roots_, nullptr)),
+      : pool_(o.pool_),
+        roots_(std::exchange(o.roots_, nullptr)),
         owns_(std::exchange(o.owns_, false)) {}
 
-  bool insert(K k, V v) { return List::insert(head(k), k, v); }
+  bool insert(K k, V v) { return List::insert(*pool_, head(k), k, v); }
   /// Insert-or-replace with an atomic in-place value CAS whose publish
   /// defers its fence to `batch` (pointer values only; see
   /// HarrisList::upsert). Returns the superseded value when k was
@@ -95,13 +99,15 @@ class HashTable {
   std::optional<V> upsert(K k, V v, PublishBatch& batch)
     requires std::is_pointer_v<V>
   {
-    return List::upsert(head(k), k, v, batch);
+    return List::upsert(*pool_, head(k), k, v, batch);
   }
   bool remove(K k) { return remove_get(k).has_value(); }
   /// Remove k, returning the removed value (see HarrisList::remove_get).
-  std::optional<V> remove_get(K k) { return List::remove_get(head(k), k); }
-  bool contains(K k) const { return List::contains(head(k), k); }
-  std::optional<V> find(K k) const { return List::find(head(k), k); }
+  std::optional<V> remove_get(K k) {
+    return List::remove_get(*pool_, head(k), k);
+  }
+  bool contains(K k) const { return List::contains(*pool_, head(k), k); }
+  std::optional<V> find(K k) const { return List::find(*pool_, head(k), k); }
 
   // --- KV store hooks (see HarrisList) ------------------------------------
 
@@ -111,17 +117,19 @@ class HashTable {
   /// Lookup without the per-op completion fence; the caller fences once
   /// per batch (one lookup for a scalar get).
   std::optional<V> find_batched(K k) const {
-    return List::find_batched(head(k), k);
+    return List::find_batched(*pool_, head(k), k);
   }
 
   std::size_t bucket_count() const noexcept { return roots_->nbuckets; }
+  /// The pool the table's nodes come from.
+  pmem::Pool& pool() const noexcept { return *pool_; }
 
   /// Total reachable keys; single-threaded use only. Throws
   /// std::length_error on a chain that breaks before the shared tail.
   std::size_t size() const {
     std::size_t n = 0;
     for (std::size_t i = 0; i < roots_->nbuckets; ++i) {
-      n += List::size(roots_->heads[i], roots_->tail);
+      n += List::size(*pool_, roots_->heads[i], roots_->tail);
     }
     return n;
   }
@@ -130,9 +138,11 @@ class HashTable {
 
   Roots* roots() const noexcept { return roots_; }
 
-  /// A non-owning handle onto a persisted root block: O(1), read-only.
-  static HashTable recover(Roots* roots) noexcept {
-    return HashTable(RecoverTag{}, roots);
+  /// A non-owning handle onto a root block persisted in `pool`: O(1),
+  /// read-only.
+  static HashTable recover(Roots* roots,
+                           pmem::Pool& pool = pmem::Pool::instance()) noexcept {
+    return HashTable(pool, roots);
   }
 
   /// Disown the nodes: the persisted bytes outlive this volatile handle.
@@ -146,7 +156,8 @@ class HashTable {
   /// std::length_error on a root block or link outside `b`.
   /// Single-threaded, read-only.
   template <class F>
-  static HashTable recover(Roots* roots, Bounds b, F&& f) {
+  static HashTable recover(Roots* roots, Bounds b, F&& f,
+                           pmem::Pool& pool = pmem::Pool::instance()) {
     if (!b.holds(roots)) {
       throw std::length_error("ds::HashTable: root block outside the region");
     }
@@ -163,7 +174,7 @@ class HashTable {
       List::walk_chain(roots->heads[i], tail, b, f);
     }
     f(*tail, false);
-    return recover(roots);
+    return recover(roots, pool);
   }
 
   /// One past the last byte of the persisted root block.
@@ -175,15 +186,15 @@ class HashTable {
   static std::size_t node_bytes(const Node&) noexcept { return sizeof(Node); }
 
  private:
-  struct RecoverTag {};
-  HashTable(RecoverTag, Roots* roots) noexcept
-      : roots_(roots), owns_(false) {}
+  HashTable(pmem::Pool& pool, Roots* roots) noexcept
+      : pool_(&pool), roots_(roots), owns_(false) {}
 
   Link& head(K k) const noexcept {
     const auto h = static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ull;
     return roots_->heads[h % roots_->nbuckets];
   }
 
+  pmem::Pool* pool_;
   Roots* roots_ = nullptr;
   bool owns_ = true;
 };

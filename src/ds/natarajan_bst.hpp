@@ -304,8 +304,8 @@ class NatarajanBst {
   }
 
   void retire_removed(Node* leaf, Node* parent) {
-    recl::Ebr::instance().retire_pmem(leaf);
-    recl::Ebr::instance().retire_pmem(parent);
+    pmem::Pool::instance().retire(leaf);
+    pmem::Pool::instance().retire(parent);
   }
 
   std::size_t count_rec(const Node* n, bool leaves_only) const {

@@ -71,7 +71,9 @@ class SkipList {
     Node* tail;
   };
 
-  SkipList() {
+  /// An empty skiplist whose nodes live in `pool`.
+  explicit SkipList(pmem::Pool& pool = pmem::Pool::instance())
+      : pool_(&pool) {
     tail_ = alloc_node(kMaxKey, V{}, kMaxLevel);
     head_ = alloc_node(kMinKey, V{}, kMaxLevel);
     for (int i = 0; i < kMaxLevel; ++i) {
@@ -80,7 +82,7 @@ class SkipList {
     }
     persist_node(tail_);
     persist_node(head_);
-    roots_ = static_cast<Roots*>(pmem::Pool::instance().alloc(sizeof(Roots)));
+    roots_ = static_cast<Roots*>(pool.alloc(sizeof(Roots)));
     roots_->head = head_;
     roots_->tail = tail_;
     if constexpr (Words::persistent) {
@@ -96,13 +98,14 @@ class SkipList {
       free_node_now(n);
       n = nxt;
     }
-    pmem::Pool::instance().dealloc(roots_, sizeof(Roots));
+    pool_->dealloc(roots_, sizeof(Roots));
   }
 
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
   SkipList(SkipList&& o) noexcept
-      : head_(std::exchange(o.head_, nullptr)),
+      : pool_(o.pool_),
+        head_(std::exchange(o.head_, nullptr)),
         tail_(std::exchange(o.tail_, nullptr)),
         roots_(std::exchange(o.roots_, nullptr)),
         owns_(std::exchange(o.owns_, false)) {}
@@ -198,7 +201,7 @@ class SkipList {
                                       Method::cleanup_store);
         // Physically unlink at every level, then reclaim.
         find(k, preds, succs);
-        recl::Ebr::instance().retire(victim, &retire_deleter);
+        recl::Ebr::instance().retire(victim, &retire_deleter, pool_);
         Words::operation_completion();
         return removed;
       }
@@ -328,6 +331,8 @@ class SkipList {
   // --- crash recovery ------------------------------------------------------
 
   Roots* roots() const noexcept { return roots_; }
+  /// The pool the skiplist's nodes come from.
+  pmem::Pool& pool() const noexcept { return *pool_; }
 
   /// One past the last byte of the persisted root block.
   std::uintptr_t roots_extent() const noexcept {
@@ -352,11 +357,12 @@ class SkipList {
   /// literature, recovery therefore rebuilds the index from the bottom
   /// level instead of trusting it. The index is volatile state: the
   /// rebuild writes it with v-instructions only, and leaves level 0 as
-  /// the crash left it. Returns a non-owning handle onto the persisted
-  /// root block; checks it and every tower against the Pool (see the form
-  /// below).
-  static SkipList recover(Roots* roots) {
-    return recover(roots, Bounds::pool(), [](const Node&, bool) {});
+  /// the crash left it. Returns a non-owning handle onto the root block
+  /// persisted in `pool`; checks it and every tower against the pool's
+  /// region (see the form below).
+  static SkipList recover(Roots* roots,
+                          pmem::Pool& pool = pmem::Pool::instance()) {
+    return recover(roots, Bounds(pool), [](const Node&, bool) {}, pool);
   }
 
   /// recover(roots) whose one walk of the bottom level checks the root
@@ -368,18 +374,20 @@ class SkipList {
   /// Issues no p-instruction, so lists on disjoint nodes may recover on
   /// concurrent threads.
   template <class F>
-  static SkipList recover(Roots* roots, Bounds b, F&& f) {
+  static SkipList recover(Roots* roots, Bounds b, F&& f,
+                          pmem::Pool& pool = pmem::Pool::instance()) {
     if (!b.holds(roots)) {
       throw std::length_error("ds::SkipList: root block outside the region");
     }
-    SkipList s(roots);
+    SkipList s(pool, roots);
     s.rebuild_index(b, f);
     return s;
   }
 
  private:
-  explicit SkipList(Roots* roots) noexcept
-      : head_(roots->head), tail_(roots->tail), roots_(roots), owns_(false) {}
+  SkipList(pmem::Pool& pool, Roots* roots) noexcept
+      : pool_(&pool), head_(roots->head), tail_(roots->tail), roots_(roots),
+        owns_(false) {}
 
   /// One insertion attempt against the (pred, succ) neighborhood `find`
   /// just computed: build the tower, link at the bottom level (the
@@ -556,8 +564,8 @@ class SkipList {
     }
   }
 
-  static Node* alloc_node(K k, V v, int h) {
-    void* mem = pmem::Pool::instance().alloc(Node::bytes_for(h));
+  Node* alloc_node(K k, V v, int h) {
+    void* mem = pool_->alloc(Node::bytes_for(h));
     Node* n = static_cast<Node*>(mem);
     new (&n->key) W<K>(k);
     new (&n->value) W<V>(v);
@@ -566,13 +574,14 @@ class SkipList {
     return n;
   }
 
-  static void free_node_now(Node* n) noexcept {
+  void free_node_now(Node* n) noexcept {
     // W<> wrappers are trivially destructible; release the raw block.
-    pmem::Pool::instance().dealloc(n, Node::bytes_for(n->height));
+    pool_->dealloc(n, Node::bytes_for(n->height));
   }
 
-  static void retire_deleter(void* p) {
-    free_node_now(static_cast<Node*>(p));
+  static void retire_deleter(void* p, void* pool) {
+    auto* n = static_cast<Node*>(p);
+    static_cast<pmem::Pool*>(pool)->dealloc(n, Node::bytes_for(n->height));
   }
 
   static int random_height() noexcept {
@@ -591,6 +600,7 @@ class SkipList {
     return h;
   }
 
+  pmem::Pool* pool_;
   Node* head_ = nullptr;
   Node* tail_ = nullptr;
   Roots* roots_ = nullptr;

@@ -127,12 +127,10 @@ struct Bounds {
   Bounds(const void* b, std::size_t n) noexcept
       : base(reinterpret_cast<std::uintptr_t>(b)), len(n) {}
 
-  /// The process-global Pool every structure allocates from: the bounds
-  /// of a simulated-crash (pool-backed) recovery.
-  static Bounds pool() noexcept {
-    const pmem::Pool& p = pmem::Pool::instance();
-    return {p.base(), p.capacity()};
-  }
+  /// The region `p` allocates from: the bounds of a structure that lives
+  /// in it, e.g. of a simulated-crash recovery in the default pool.
+  explicit Bounds(const pmem::Pool& p) noexcept
+      : Bounds(p.base(), p.capacity()) {}
 
   /// True iff [p, p + n) lies inside, for any n.
   bool spans(const void* p, std::size_t n) const noexcept {

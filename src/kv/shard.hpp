@@ -68,20 +68,20 @@ struct Record {
     return sizeof(Record) + payload;
   }
 
-  /// Allocate a record in the persistent pool and, when `persistent`, make
-  /// its bytes durable before the caller publishes a pointer to it. With
+  /// Allocate a record in `pool` and, when `persistent`, make its bytes
+  /// durable before the caller publishes a pointer to it. With
   /// `fence = false` the bytes are flushed (one pwb per line) but the
   /// pfence is left to the caller, who batches many records and fences
   /// ONCE before publishing any of them (see Store::multi_put) —
   /// persist-before-publish per record is preserved while the fence cost
   /// drops from O(batch) to O(1).
   template <bool persistent, bool fence = true>
-  static Record* create(std::string_view value) {
+  static Record* create(std::string_view value,
+                        pmem::Pool& pool = pmem::Pool::instance()) {
     if (value.size() > kMaxValueBytes) {
       throw std::length_error("kv::Record: value too large");
     }
-    auto* r = static_cast<Record*>(
-        pmem::Pool::instance().alloc(bytes(value.size())));
+    auto* r = static_cast<Record*>(pool.alloc(bytes(value.size())));
     r->len = static_cast<std::uint32_t>(value.size());
     if (!value.empty()) std::memcpy(r->data(), value.data(), value.size());
     if constexpr (persistent) {
@@ -94,12 +94,13 @@ struct Record {
     return r;
   }
 
-  /// Hand an unlinked record to EBR; freed once no reader can reach it.
-  /// `persistent` matches the creating Shard::kPersistent: volatile
-  /// configurations never flush records, so only persistent ones owe
-  /// PersistCheck a fully-Clean range at retirement.
+  /// Hand an unlinked record to EBR; freed back to `pool`, the pool it
+  /// came from, once no reader can reach it. `persistent` matches the
+  /// creating Shard::kPersistent: volatile configurations never flush
+  /// records, so only persistent ones owe PersistCheck a fully-Clean range
+  /// at retirement.
   template <bool persistent = true>
-  static void retire(Record* r) {
+  static void retire(Record* r, pmem::Pool& pool = pmem::Pool::instance()) {
     if (core::fp_inject("bug.early_retire") != 0) {
       // Seeded bug: free the record immediately instead of through EBR
       // limbo — no grace period, so the lifetime analyzer must flag an
@@ -107,16 +108,16 @@ struct Record {
       const std::uint64_t e = recl::Ebr::instance().epoch();
       check::lc_retire(r, e, "kv::Record::retire[early_retire]");
       check::lc_free(r, e, /*quiescent=*/false);
-      recl::ebr_pmem_free(r, bytes(r->len));
+      pool.dealloc(r, bytes(r->len));
       return;
     }
     if constexpr (persistent) {
       pmem::pc_retire(r, bytes(r->len), "kv::Record::retire");
     }
-    recl::Ebr::instance().retire(r, [](void* p) {
+    recl::Ebr::instance().retire(r, [](void* p, void* to) {
       auto* rec = static_cast<Record*>(p);
-      recl::ebr_pmem_free(rec, bytes(rec->len));
-    });
+      static_cast<pmem::Pool*>(to)->dealloc(rec, bytes(rec->len));
+    }, &pool);
   }
 
   static constexpr std::size_t kMaxValueBytes = std::size_t{1} << 26;
@@ -144,14 +145,15 @@ class Shard {
   static constexpr bool kOrdered = Set::kOrdered;
   static constexpr bool kPersistent = Words::persistent;
 
-  /// Fresh shard. `capacity_hint` is the hash table's bucket count; a
-  /// skiplist needs no sizing.
-  explicit Shard(std::size_t capacity_hint)
-      : set_([capacity_hint] {
+  /// Fresh shard whose nodes and records live in `pool`. `capacity_hint`
+  /// is the hash table's bucket count; a skiplist needs no sizing.
+  explicit Shard(std::size_t capacity_hint,
+                 pmem::Pool& pool = pmem::Pool::instance())
+      : set_([capacity_hint, &pool] {
           if constexpr (kOrdered) {
-            return Set();
+            return Set(pool);
           } else {
-            return Set(capacity_hint);
+            return Set(capacity_hint, pool);
           }
         }()) {}
 
@@ -204,7 +206,7 @@ class Shard {
         // that flush observes the superseded value — the checker must
         // report kStaleRead.
         check::unsafe_apply_pending();
-        Record* rec = Record::create<kPersistent>(value);
+        Record* rec = Record::create<kPersistent>(value, set_.pool());
         const bool fresh = !set_.contains(k);
         check::unsafe_defer([this, k, rec] { apply_put(k, rec); });
         return fresh;
@@ -214,7 +216,7 @@ class Shard {
     // it, the set operations pin their own epochs, and pinning across a
     // large value's copy + per-line flush would stall reclamation
     // everywhere else.
-    return apply_put(k, Record::create<kPersistent>(value));
+    return apply_put(k, Record::create<kPersistent>(value, set_.pool()));
   }
 
   /// The record k maps to (nullptr if absent), without the completion
@@ -237,7 +239,7 @@ class Shard {
     if (reserved_key(k)) return false;
     if (std::optional<Record*> old = set_.remove_get(k)) {
       approx_size_.fetch_sub(1, std::memory_order_relaxed);
-      Record::retire<kPersistent>(*old);
+      Record::retire<kPersistent>(*old, set_.pool());
       return true;
     }
     return false;
@@ -282,14 +284,14 @@ class Shard {
 
   /// Close a run of publishes: one pfence covering every deferred publish
   /// pwb, THEN untag/clear the published words (Condition 3), and only
-  /// then retire the superseded records. Retiring before the fence could
-  /// let an old record's storage be recycled while a crash image still
-  /// holds the old link to it.
-  static void commit(ds::PublishBatch& batch,
+  /// then retire the superseded records back to `pool`. Retiring before
+  /// the fence could let an old record's storage be recycled while a
+  /// crash image still holds the old link to it.
+  static void commit(pmem::Pool& pool, ds::PublishBatch& batch,
                      std::vector<Record*>& superseded) {
     if constexpr (kPersistent) pmem::pfence();
     batch.complete_all();
-    for (Record* r : superseded) Record::retire<kPersistent>(r);
+    for (Record* r : superseded) Record::retire<kPersistent>(r, pool);
     superseded.clear();
   }
 
@@ -348,8 +350,10 @@ class Shard {
   /// way. A live record's pointer and length are checked against `b`
   /// before the mark trusts them. Throws std::length_error on anything
   /// outside `b`. Issues no p-instruction and touches only this shard's
-  /// nodes, so Store recovers its shards on concurrent threads.
-  static Shard recover(Roots* roots, ds::Bounds b, std::uintptr_t* mark) {
+  /// nodes, so Store recovers its shards on concurrent threads. The
+  /// handle allocates from `pool`, the pool over `b`.
+  static Shard recover(Roots* roots, ds::Bounds b, std::uintptr_t* mark,
+                       pmem::Pool& pool) {
     std::ptrdiff_t live_keys = 0;
     Shard s(Set::recover(roots, b, [&](const Node& n, bool live) {
       live_keys += live;
@@ -374,7 +378,7 @@ class Shard {
         throw std::length_error("kv: corrupt record length");
       }
       *mark = std::max(*mark, reinterpret_cast<std::uintptr_t>(end));
-    }));
+    }, pool));
     s.approx_size_.store(live_keys, std::memory_order_relaxed);
     if (mark != nullptr) *mark = std::max(*mark, s.set_.roots_extent());
     return s;
@@ -405,10 +409,10 @@ class Shard {
     } catch (...) {
       // upsert's node allocation can throw on a near-full pool; rec was
       // never published, so free it immediately rather than leak it.
-      pmem::Pool::instance().dealloc(rec, Record::bytes(rec->len));
+      set_.pool().dealloc(rec, Record::bytes(rec->len));
       throw;
     }
-    commit(one.batch, one.superseded);
+    commit(set_.pool(), one.batch, one.superseded);
     return fresh;
   }
 

@@ -18,21 +18,25 @@
 //                words_tag, layout_tag, node_bytes,
 //                key_lo, key_hi, shard_roots[] }
 //
-// allocated in the persistent pool and persisted before use. The
+// allocated in the store's pool and persisted before use. The
 // layout_tag (a hash of the layout's name) is what rejects a
 // cross-layout open: a file written by an ordered store cannot be
 // misread by a hashed one, and vice versa. The store runs in two
 // placements:
 //
 //   * pool-backed  — Store(nshards, buckets): superblock and all data live
-//     in the process-global Pool. Used by benchmarks and by the simulated-
-//     crash tests, which recover with Store::recover(superblock()).
-//   * file-backed  — Store::open(path, ...): the Pool adopts a FileRegion
-//     and the superblock is wired to the region's root slot 0, so a later
-//     open() of the same file transparently recovers every shard and the
-//     generation stamp survives process restarts. Allocator metadata is
-//     not crash-consistent (the libvmmalloc model), so after a dirty
-//     shutdown (no close()) open() rebuilds the pool's high-water mark in
+//     in the default Pool (Pool::instance()). Used by benchmarks and by
+//     the simulated-crash tests, which recover with
+//     Store::recover(superblock()).
+//   * file-backed  — Store::open(path, ...): the store maps a FileRegion,
+//     builds its own Pool over it, and wires the superblock to the
+//     region's root slot 0, so a later open() of the same file
+//     transparently recovers every shard and the generation stamp
+//     survives process restarts. Every block such a store allocates
+//     comes from, and goes back to, its own region, so one process can
+//     hold several file-backed stores. Allocator metadata is not
+//     crash-consistent (the libvmmalloc model), so after a dirty shutdown
+//     (no close()) open() rebuilds the pool's high-water mark in
 //     recovery's one walk per shard, which bounds every node and live
 //     record — recovered records cannot be handed back out by the
 //     allocator. The walk checks every node against the region before
@@ -61,9 +65,13 @@
 // not owned by it. Destroying a pool-backed store releases the handles and
 // leaves the bytes to Pool::reset/reinit (arena semantics, like the
 // paper's libvmmalloc model). close() on a file-backed store quiesces
-// reclamation, persists the allocator high-water mark, syncs and unmaps —
-// after which the global Pool still targets the unmapped region, so call
-// Pool::reinit (or exit) before allocating persistently again.
+// reclamation, persists the allocator high-water mark, syncs, unmaps the
+// region and destroys the region's pool. It leaves the default Pool alone,
+// so nothing needs a Pool::reinit after it. Every other thread that used
+// a file-backed store must have exited before its close() (or
+// destructor): close() frees the calling thread's and exited threads'
+// retired records back to the store's pool, and a live thread's would be
+// freed later, into a pool that no longer exists.
 #pragma once
 
 #include <sched.h>
@@ -219,43 +227,14 @@ class Store {
   }
 
   /// Pool-backed store: build `nshards` fresh shards and a persisted
-  /// superblock in the process-global Pool. `capacity_per_shard` is each
+  /// superblock in the default Pool. `capacity_per_shard` is each
   /// hashed shard's bucket count (ordered shards ignore it).
   /// `range` sets an ordered store's persisted partition bounds (see
   /// KeyRange); hashed stores ignore it.
   Store(std::uint32_t nshards, std::size_t capacity_per_shard,
-        KeyRange range = {}) {
-    if (nshards == 0) throw std::invalid_argument("kv::Store: 0 shards");
-    if (capacity_per_shard == 0) {
-      throw std::invalid_argument("kv::Store: 0 capacity per shard");
-    }
-    if (range.lo >= range.hi) {
-      throw std::invalid_argument("kv::Store: empty key range");
-    }
-    shards_.reserve(nshards);
-    for (std::uint32_t i = 0; i < nshards; ++i) {
-      shards_.emplace_back(capacity_per_shard);
-    }
-    sb_ = static_cast<Superblock*>(
-        pmem::Pool::instance().alloc(Superblock::bytes(nshards)));
-    sb_->magic = kMagic;
-    sb_->version = kVersion;
-    sb_->nshards = nshards;
-    sb_->generation = 1;
-    sb_->words_tag = words_tag();
-    sb_->layout_tag = layout_tag();
-    sb_->node_bytes = static_cast<std::uint32_t>(sizeof(typename Shard_::Node));
-    sb_->reserved = 0;
-    sb_->key_lo = range.lo;
-    sb_->key_hi = range.hi;
-    for (std::uint32_t i = 0; i < nshards; ++i) {
-      sb_->shard_roots[i] = shards_[i].roots();
-    }
-    if constexpr (Words::persistent) {
-      pmem::persist_range(sb_, Superblock::bytes(nshards));
-    }
-    init_routing();
-  }
+        KeyRange range = {})
+      : Store(std::make_unique<Durability>(), nshards, capacity_per_shard,
+              range) {}
 
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
@@ -264,10 +243,11 @@ class Store {
   /// handle, so it keeps running across the move. The moved-from handle
   /// is left closed (its destructor is a no-op).
   Store(Store&& o) noexcept
-      : shards_(std::move(o.shards_)),
+      : dur_(std::move(o.dur_)),
+        pool_(o.pool_),
+        shards_(std::move(o.shards_)),
         sb_(std::exchange(o.sb_, nullptr)),
-        range_chunk_(o.range_chunk_),
-        dur_(std::move(o.dur_)) {}
+        range_chunk_(o.range_chunk_) {}
 
   ~Store() {
     // close() can throw (msync failure on the backing file); a destructor
@@ -314,114 +294,95 @@ class Store {
   /// Rebuild a pool-backed store from its persisted superblock (the
   /// simulated-crash path). Bumps the generation stamp durably — the one
   /// pwb and pfence recovery issues. Each shard recovers in one walk that
-  /// checks every node against the Pool's bounds (see Shard::recover):
-  /// ordered shards rebuild their volatile skiplist index levels from the
-  /// durable bottom level (see SkipList::recover), and every shard
-  /// re-counts its keys for the O(1) size counter. The walks run on up to
-  /// min(shards, CPUs) threads (see recover_handles). A superblock, root
-  /// block or node outside the Pool throws std::length_error.
+  /// checks every node against the default Pool's bounds (see
+  /// Shard::recover): ordered shards rebuild their volatile skiplist index
+  /// levels from the durable bottom level (see SkipList::recover), and
+  /// every shard re-counts its keys for the O(1) size counter. The walks
+  /// run on up to min(shards, CPUs) threads (see recover_handles). A
+  /// superblock, root block or node outside the default Pool throws
+  /// std::length_error.
   static Store recover(Superblock* sb) {
-    Store s = recover_handles(sb, ds::Bounds::pool(), nullptr);
+    Store s = recover_handles(sb, nullptr, std::make_unique<Durability>());
     bump_generation(sb);
     return s;
   }
 
-  /// Open (or create) a file-backed store: the Pool adopts the region and
-  /// the store recovers from (or installs) the superblock in root slot 0.
-  /// An existing file's shard count and partition bounds win over the
-  /// `nshards`/`range` arguments. Throws IncompatibleStore when the file
-  /// exists but was written by a different store configuration, has a
-  /// corrupt header, or links a node or live record outside the region —
-  /// in that case (and on any other throw) the global Pool is left
-  /// usable.
+  /// Open (or create) a file-backed store: map the region, build the
+  /// store's own Pool over it, and recover from (or install) the
+  /// superblock in root slot 0. An existing file's shard count and
+  /// partition bounds win over the `nshards`/`range` arguments. Throws
+  /// IncompatibleStore when the file exists but was written by a
+  /// different store configuration, has a corrupt header, or links a node
+  /// or live record outside the region. Any throw unmaps the region and
+  /// destroys its pool; no other pool is touched.
   static Store open(const std::string& path, std::size_t capacity,
                     std::uint32_t nshards, std::size_t capacity_per_shard,
                     KeyRange range = {}) {
-    pmem::FileRegion region = pmem::FileRegion::open(path, capacity);
+    auto d = std::make_unique<Durability>();
+    pmem::FileRegion& region = d->region;
+    region = pmem::FileRegion::open(path, capacity);
     // The allocator mark is header data too: a bit-rotted value past the
-    // region would poison Pool::adopt's chunk round-up (possibly wrapping
-    // to 0 and overwriting committed records). Checked for *any* existing
-    // region — even one whose superblock root was never set takes the
-    // mark into adopt(). Too-small marks are repaired by the recovery
+    // region would poison the pool's chunk round-up (possibly wrapping to
+    // 0 and overwriting committed records). Checked for *any* existing
+    // region — even one whose superblock root was never set resumes its
+    // pool at the mark. Too-small marks are repaired by the recovery
     // walk; too-large ones are corruption.
     if (region.recovered() && region.bump() > region.usable_capacity()) {
       throw IncompatibleStore("kv::Store: corrupt allocator bump mark");
     }
+    // The pool allocates nothing until resume() sets its mark, once,
+    // below: a dirty shutdown's mark comes out of the recovery walk, and
+    // the handles that walk builds already hold the pool.
+    pmem::Pool& pool = *(d->pool = std::make_unique<pmem::Pool>(
+                             region.usable_base(), region.usable_capacity()));
     void* root = region.recovered() ? region.root(kSuperblockSlot) : nullptr;
-    const ds::Bounds bounds(region.usable_base(), region.usable_capacity());
-    // Once the Pool has adopted the region, an exception unwinding this
-    // frame would unmap the region under the adopted pool — every later
-    // allocation in the process would fault. Catch, restore a fresh
-    // anonymous pool at the pre-adopt capacity (its contents were already
-    // discarded by the adoption), rethrow. Before adoption (the recovery
-    // walk runs first — no allocation) the existing pool is healthy and
-    // must be left alone: a reject (foreign file, newer version, corrupt
-    // header) unwinds with the global allocator untouched.
-    const std::size_t prev_capacity = pmem::Pool::instance().capacity();
-    bool adopted = false;
-    try {
-      if (root != nullptr) {
-        // Recover the handles first: one walk per shard, no allocation
-        // and no p-instruction (ordered shards rebuild their volatile
-        // index levels in place), every node checked against the region
-        // before it is read. After a *dirty* shutdown the header's bump
-        // mark can sit below durably committed records (it is only
-        // written at checkpoint()/close(); allocator metadata is not
-        // crash-consistent, the libvmmalloc model) — resuming from it
-        // verbatim would hand their bytes right back out, so the same
-        // walk also bounds every node and live record (`hi`). A clean
-        // shutdown left the flag slot set, making the mark
-        // authoritative, so a clean open reads no record.
-        //
-        // A truncated, torn or bit-rotted image surfaces in the walk as
-        // std::length_error — a superblock, root block, link or record
-        // outside the region, an impossible tower — and must reject the
-        // open, not escape as a generic runtime error or, worse, yield a
-        // silently half-recovered store.
-        const bool dirty = region.root(kCleanShutdownSlot) == nullptr;
-        std::uintptr_t hi = 0;
-        Store s = [&] {
-          try {
-            return recover_handles(static_cast<Superblock*>(root), bounds,
-                                   dirty ? &hi : nullptr);
-          } catch (const std::length_error& e) {
-            throw IncompatibleStore(e.what());
-          }
-        }();
-        std::size_t resume = region.bump();
-        if (dirty) resume = std::max(resume, hi - bounds.base);
-        pmem::Pool::instance().adopt(region.usable_base(),
-                                     region.usable_capacity(), resume);
-        adopted = true;
-        pmem::FileRegion& r = s.dur_->region = std::move(region);
-        // Everything that could reject this open has passed; only now
-        // consume a recovery in the durable session stamp.
-        bump_generation(s.sb_);
-        r.set_root(kCleanShutdownSlot, nullptr);  // in use: dirty
-        r.set_bump(pmem::Pool::instance().bump_used());
-        r.sync();  // generation stamp + repaired bump, durable now
-        return s;
-      }
+    if (root == nullptr) {
       // Fresh file (or a region that died before its first superblock
       // sync — nothing was ever committed, so initializing from scratch
       // is safe).
-      pmem::Pool::instance().adopt(region.usable_base(),
-                                   region.usable_capacity(), region.bump());
-      adopted = true;
-      Store s(nshards, capacity_per_shard, range);
-      pmem::FileRegion& r = s.dur_->region = std::move(region);
-      r.set_root(kSuperblockSlot, s.sb_);
-      r.set_bump(pmem::Pool::instance().bump_used());
-      r.sync();
+      pool.resume(region.bump());
+      Store s(std::move(d), nshards, capacity_per_shard, range);
+      region.set_root(kSuperblockSlot, s.sb_);
+      region.set_bump(pool.bump_used());
+      region.sync();
       return s;
-    } catch (...) {
-      if (adopted) {
-        pmem::Pool::instance().reinit(prev_capacity != 0
-                                          ? prev_capacity
-                                          : pmem::Pool::kDefaultCapacity);
-      }
-      throw;
     }
+    // Recover the handles first: one walk per shard, no allocation and no
+    // p-instruction (ordered shards rebuild their volatile index levels
+    // in place), every node checked against the region before it is read.
+    // After a *dirty* shutdown the header's bump mark can sit below
+    // durably committed records (it is only written at
+    // checkpoint()/close(); allocator metadata is not crash-consistent,
+    // the libvmmalloc model) — resuming from it verbatim would hand their
+    // bytes right back out, so the same walk also bounds every node and
+    // live record (`hi`). A clean shutdown left the flag slot set, making
+    // the mark authoritative, so a clean open reads no record.
+    //
+    // A truncated, torn or bit-rotted image surfaces in the walk as
+    // std::length_error — a superblock, root block, link or record
+    // outside the region, an impossible tower — and must reject the open,
+    // not escape as a generic runtime error or, worse, yield a silently
+    // half-recovered store.
+    const bool dirty = region.root(kCleanShutdownSlot) == nullptr;
+    std::uintptr_t hi = 0;
+    Store s = [&] {
+      try {
+        return recover_handles(static_cast<Superblock*>(root),
+                               dirty ? &hi : nullptr, std::move(d));
+      } catch (const std::length_error& e) {
+        throw IncompatibleStore(e.what());
+      }
+    }();
+    std::size_t resume = region.bump();
+    if (dirty) resume = std::max(resume, hi - ds::Bounds(pool).base);
+    pool.resume(resume);
+    // Everything that could reject this open has passed; only now consume
+    // a recovery in the durable session stamp.
+    bump_generation(s.sb_);
+    region.set_root(kCleanShutdownSlot, nullptr);  // in use: dirty
+    region.set_bump(pool.bump_used());
+    region.sync();  // generation stamp + repaired bump, durable now
+    return s;
   }
 
   // --- the KV API ----------------------------------------------------------
@@ -589,13 +550,12 @@ class Store {
     std::size_t created = 0;
     try {
       for (; created < n; ++created) {
-        recs[created] =
-            Record::create<Words::persistent, /*fence=*/false>(
-                kvs[created].second);
+        recs[created] = Record::create<Words::persistent, /*fence=*/false>(
+            kvs[created].second, *pool_);
       }
     } catch (...) {
       for (std::size_t i = 0; i < created; ++i) {
-        pmem::Pool::instance().dealloc(recs[i], Record::bytes(recs[i]->len));
+        pool_->dealloc(recs[i], Record::bytes(recs[i]->len));
       }
       throw;
     }
@@ -624,16 +584,16 @@ class Store {
       // Publishes so far must still become durable and untagged; the
       // failing element's record (and any never-reached ones) were never
       // published and are freed in place.
-      Shard_::commit(batch, superseded);
+      Shard_::commit(*pool_, batch, superseded);
       for (std::size_t i = done; i < n; ++i) {
-        pmem::Pool::instance().dealloc(recs[i], Record::bytes(recs[i]->len));
+        pool_->dealloc(recs[i], Record::bytes(recs[i]->len));
       }
       throw;
     }
 
     // Phase 3: one fence covers every publish pwb, then untag/clear and
     // retire the superseded records.
-    Shard_::commit(batch, superseded);
+    Shard_::commit(*pool_, batch, superseded);
     if constexpr (core::kChecked) {
       // Recorded only on full success: an exception path leaves a prefix
       // applied but unrecorded, which the checker cannot distinguish from
@@ -877,10 +837,10 @@ class Store {
   }
 
   /// Quiesce and detach. File-backed: drain reclamation, persist the
-  /// allocator high-water mark, sync and unmap (see the lifetime contract
-  /// above). Pool-backed: just release the volatile handles. Stop-the-
-  /// world; the store is unusable afterwards. Idempotent, and a no-op on
-  /// a moved-from handle.
+  /// allocator high-water mark, sync, unmap and destroy the region's pool
+  /// (see the lifetime contract above). Pool-backed: just release the
+  /// volatile handles. Stop-the-world; the store is unusable afterwards.
+  /// Idempotent, and a no-op on a moved-from handle.
   void close() {
     if (sb_ == nullptr) return;
     stop_flusher();
@@ -888,7 +848,7 @@ class Store {
     shards_.clear();
     // Drain unconditionally: retired Records queued in EBR limbo hold
     // deleters that would otherwise run later — against pool memory a
-    // reset()/reinit() may have recycled by then.
+    // reset()/reinit() may have recycled, or a pool destroyed, by then.
     recl::Ebr::instance().drain_all();
     if (file_backed()) {
       // Two-phase: the bump mark must be durable *before* the clean flag
@@ -897,19 +857,17 @@ class Store {
       // records. (Both live in the header line; independent 8-byte
       // persists could otherwise land in either order.)
       pmem::FileRegion& r = dur_->region;
-      r.set_bump(pmem::Pool::instance().bump_used());
+      r.set_bump(pool_->bump_used());
       r.sync();
       r.set_root(kCleanShutdownSlot, sb_);  // quiesced: mark clean
       r.sync();
       r.close();
+      dur_->pool.reset();  // the region and its allocator die together
     }
     sb_ = nullptr;
   }
 
  private:
-  struct RecoverTag {};
-  explicit Store(RecoverTag) {}
-
   /// Everything a checkpoint touches, in one heap block shared by the
   /// Store handle, the checkpoint mutex and the kEverySec flusher. The
   /// flusher holds a pointer to the block, never to the Store, so the
@@ -918,6 +876,9 @@ class Store {
   /// and `stop`.
   struct Durability {
     pmem::FileRegion region;  ///< mapped iff the store is file-backed
+    /// The region's allocator, iff the store is file-backed. Declared
+    /// after the region, so it is destroyed first.
+    std::unique_ptr<pmem::Pool> pool;
     std::mutex mu;
     std::condition_variable cv;
     bool stop = false;
@@ -945,7 +906,7 @@ class Store {
         throw StoreReadOnly();
       }
       if (pre) pre();
-      region.set_bump(pmem::Pool::instance().bump_used());
+      region.set_bump(pool->bump_used());
       try {
         region.sync();
       } catch (const std::exception& e) {
@@ -960,6 +921,47 @@ class Store {
       if (post) post();
     }
   };
+
+  /// A store on d's pool (the default Pool when d maps no region), with
+  /// no shards yet.
+  explicit Store(std::unique_ptr<Durability> d)
+      : dur_(std::move(d)),
+        pool_(dur_->pool ? dur_->pool.get() : &pmem::Pool::instance()) {}
+
+  /// Fresh shards and a persisted superblock in d's pool.
+  Store(std::unique_ptr<Durability> d, std::uint32_t nshards,
+        std::size_t capacity_per_shard, KeyRange range)
+      : Store(std::move(d)) {
+    if (nshards == 0) throw std::invalid_argument("kv::Store: 0 shards");
+    if (capacity_per_shard == 0) {
+      throw std::invalid_argument("kv::Store: 0 capacity per shard");
+    }
+    if (range.lo >= range.hi) {
+      throw std::invalid_argument("kv::Store: empty key range");
+    }
+    shards_.reserve(nshards);
+    for (std::uint32_t i = 0; i < nshards; ++i) {
+      shards_.emplace_back(capacity_per_shard, *pool_);
+    }
+    sb_ = static_cast<Superblock*>(pool_->alloc(Superblock::bytes(nshards)));
+    sb_->magic = kMagic;
+    sb_->version = kVersion;
+    sb_->nshards = nshards;
+    sb_->generation = 1;
+    sb_->words_tag = words_tag();
+    sb_->layout_tag = layout_tag();
+    sb_->node_bytes = static_cast<std::uint32_t>(sizeof(typename Shard_::Node));
+    sb_->reserved = 0;
+    sb_->key_lo = range.lo;
+    sb_->key_hi = range.hi;
+    for (std::uint32_t i = 0; i < nshards; ++i) {
+      sb_->shard_roots[i] = shards_[i].roots();
+    }
+    if constexpr (Words::persistent) {
+      pmem::persist_range(sb_, Superblock::bytes(nshards));
+    }
+    init_routing();
+  }
 
   static void flusher_main(Durability* d) {
     std::unique_lock<std::mutex> lk(d->mu);
@@ -1010,14 +1012,15 @@ class Store {
     }
   }
 
-  /// Validation + volatile-handle reconstruction, every byte checked
-  /// against `b` before it is read: the superblock's fixed part, its
-  /// header fields (validate_superblock), its full extent, then one walk
-  /// per shard (see Shard::recover), which checks the shard's root block
-  /// and every node. No persistent allocation and no p-instruction
-  /// (ordered shards do rebuild their volatile skiplist index levels in
-  /// place; recovery otherwise only reads). A byte outside `b` throws
-  /// std::length_error, a foreign or corrupt header IncompatibleStore. A
+  /// Validation + volatile-handle reconstruction on d's pool, every byte
+  /// checked against the pool's region before it is read: the
+  /// superblock's fixed part, its header fields (validate_superblock), its
+  /// full extent, then one walk per shard (see Shard::recover), which
+  /// checks the shard's root block and every node. No persistent
+  /// allocation and no p-instruction (ordered shards do rebuild their
+  /// volatile skiplist index levels in place; recovery otherwise only
+  /// reads). A byte outside the region throws std::length_error, a
+  /// foreign or corrupt header IncompatibleStore. A
   /// non-null `mark` is raised to one past the highest byte reachable
   /// from the superblock: the allocator mark a dirty shutdown must resume
   /// above.
@@ -1029,8 +1032,10 @@ class Store {
   /// anything is rethrown (none may outlive a rejected mapping), and a
   /// failed walk rethrows the lowest-index shard's exception, so a
   /// hostile image is rejected with the same message every time.
-  static Store recover_handles(Superblock* sb, ds::Bounds b,
-                               std::uintptr_t* mark) {
+  static Store recover_handles(Superblock* sb, std::uintptr_t* mark,
+                               std::unique_ptr<Durability> d) {
+    Store s(std::move(d));
+    const ds::Bounds b(*s.pool_);
     if (!b.spans(sb, sizeof(Superblock))) {
       throw std::length_error("kv::Store: superblock outside the region");
     }
@@ -1049,7 +1054,8 @@ class Store {
            i = cursor.fetch_add(1)) {
         try {
           shards[i].emplace(Shard_::recover(
-              sb->shard_roots[i], b, mark != nullptr ? &marks[i] : nullptr));
+              sb->shard_roots[i], b, mark != nullptr ? &marks[i] : nullptr,
+              *s.pool_));
         } catch (...) {
           errors[i] = std::current_exception();
         }
@@ -1074,7 +1080,6 @@ class Store {
       if (e) std::rethrow_exception(e);
     }
 
-    Store s{RecoverTag{}};
     s.sb_ = sb;
     s.shards_.reserve(n);
     for (std::optional<Shard_>& shard : shards) {
@@ -1113,10 +1118,13 @@ class Store {
     return shards_[shard_index(k)];
   }
 
+  // The durability block owns a file-backed store's pool, so it is
+  // declared first and outlives the shards that allocate from it.
+  std::unique_ptr<Durability> dur_;
+  pmem::Pool* pool_;  ///< dur_'s pool, or the default Pool
   std::vector<Shard_> shards_;
   Superblock* sb_ = nullptr;
   std::uint64_t range_chunk_ = 1;  ///< ordered routing chunk width
-  std::unique_ptr<Durability> dur_ = std::make_unique<Durability>();
 };
 
 /// Range-partitioned ordered store over skiplist shards: everything Store

@@ -92,8 +92,8 @@ class FileRegion {
   void set_root(std::size_t slot, const void* p);
   void* root(std::size_t slot) const;
 
-  /// Allocator bump persistence (the pool calls these through the glue in
-  /// examples/tests; see Pool::adopt_region).
+  /// The persisted mark of the region's allocator (a Pool over
+  /// usable_base(); kv::Store writes it at checkpoint and close).
   void set_bump(std::size_t offset);
   std::size_t bump() const;
 

@@ -3,10 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstring>
-#include <mutex>
 
 #include "check/lincheck.hpp"
 #include "core/failpoint.hpp"
@@ -16,14 +13,6 @@
 
 namespace flit::pmem {
 
-namespace {
-
-std::atomic<std::uint64_t> g_pool_epoch{0};
-std::atomic<std::size_t> g_bump{0};
-std::mutex g_init_mu;
-
-}  // namespace
-
 Pool& Pool::instance() {
   static Pool p;
   return p;
@@ -31,11 +20,9 @@ Pool& Pool::instance() {
 
 Pool::~Pool() {
   if (base_ != nullptr && owns_mapping_) ::munmap(base_, capacity_);
-}
-
-Pool::ThreadArena& Pool::tls_arena() {
-  static thread_local ThreadArena a;
-  return a;
+  // The region's addresses may be mapped again (a reopened file maps at
+  // the same base); stale registry entries would alias fresh nodes.
+  check::lc_pool_reset();
 }
 
 void Pool::map_anonymous(std::size_t capacity) {
@@ -48,47 +35,49 @@ void Pool::map_anonymous(std::size_t capacity) {
   owns_mapping_ = true;
 }
 
+void Pool::clear() noexcept {
+  bump_.store(0, std::memory_order_relaxed);
+  for (Arena& a : arenas_) a = Arena{};
+  check::lc_pool_reset();  // every address is about to be recycled
+}
+
+void Pool::resume(std::size_t mark) noexcept {
+  const std::size_t up = (mark + kChunkSize - 1) & ~(kChunkSize - 1);
+  bump_.store(std::min(up, capacity_), std::memory_order_relaxed);
+}
+
 void Pool::reinit(std::size_t capacity) {
-  std::lock_guard<std::mutex> lk(g_init_mu);
-  if (base_ != nullptr) {
-    if (owns_mapping_) ::munmap(base_, capacity_);
-    base_ = nullptr;
-    capacity_ = 0;
-  }
+  std::lock_guard<std::mutex> lk(init_mu_);
+  if (base_ != nullptr && owns_mapping_) ::munmap(base_, capacity_);
+  base_ = nullptr;  // until the new mapping succeeds
+  capacity_ = 0;
   map_anonymous(capacity);
-  g_bump.store(0, std::memory_order_relaxed);
-  // Invalidate every thread's arena lazily.
-  g_pool_epoch.fetch_add(1, std::memory_order_acq_rel);
-  // The new mapping may land over addresses of the discarded pool's
-  // retired records; stale registry entries would alias fresh nodes.
-  check::lc_pool_reset();
+  clear();
 }
 
 void Pool::reset() {
-  std::lock_guard<std::mutex> lk(g_init_mu);
-  g_bump.store(0, std::memory_order_relaxed);
-  g_pool_epoch.fetch_add(1, std::memory_order_acq_rel);
-  check::lc_pool_reset();  // every address is about to be recycled
+  std::lock_guard<std::mutex> lk(init_mu_);
+  clear();
 }
 
 void Pool::ensure_init() {
   if (base_ != nullptr) return;
-  std::lock_guard<std::mutex> lk(g_init_mu);
+  std::lock_guard<std::mutex> lk(init_mu_);
   if (base_ == nullptr) map_anonymous(kDefaultCapacity);
 }
 
 std::byte* Pool::bump_chunk(std::size_t bytes) {
   // CAS loop rather than fetch_add: a failed carve must leave the mark
-  // untouched. A blind fetch_add would inflate g_bump past capacity_ on
+  // untouched. A blind fetch_add would inflate bump_ past capacity_ on
   // every refused allocation, and Store::close() persists bump_used() as
   // the region's allocator mark — an exhausted store would then record a
   // "corrupt" mark and refuse to reopen.
-  std::size_t off = g_bump.load(std::memory_order_relaxed);
+  std::size_t off = bump_.load(std::memory_order_relaxed);
   for (;;) {
     if (off + bytes > capacity_) throw std::bad_alloc();
-    if (g_bump.compare_exchange_weak(off, off + bytes,
-                                     std::memory_order_relaxed,
-                                     std::memory_order_relaxed)) {
+    if (bump_.compare_exchange_weak(off, off + bytes,
+                                    std::memory_order_relaxed,
+                                    std::memory_order_relaxed)) {
       break;
     }
   }
@@ -105,30 +94,25 @@ void* Pool::alloc(std::size_t size) {
   const std::size_t rounded =
       (size + kGranularity - 1) & ~(kGranularity - 1);
 
-  ThreadArena& a = tls_arena();
-  const std::uint64_t epoch = g_pool_epoch.load(std::memory_order_acquire);
-  if (a.epoch != epoch) {
-    a.cur = a.end = nullptr;
-    std::memset(a.free_lists, 0, sizeof(a.free_lists));
-    a.epoch = epoch;
-  }
-
   void* out;
   if (rounded > kNumSizeClasses * kGranularity) {
     // Large allocations bypass the arena.
     out = bump_chunk(round_up_to_line(rounded));
-  } else if (FreeNode* n = a.free_lists[size_class(rounded)]) {
-    // Fast path 1: per-thread size-class free list.
-    a.free_lists[size_class(rounded)] = n->next;
-    out = n;
   } else {
-    // Fast path 2: carve from the thread's chunk.
-    if (a.cur + rounded > a.end) {
-      a.cur = bump_chunk(kChunkSize);
-      a.end = a.cur + kChunkSize;
+    Arena& a = arenas_[recl::Ebr::thread_slot()];
+    if (FreeNode* n = a.free_lists[size_class(rounded)]) {
+      // Fast path 1: the slot's size-class free list.
+      a.free_lists[size_class(rounded)] = n->next;
+      out = n;
+    } else {
+      // Fast path 2: carve from the slot's chunk.
+      if (a.cur + rounded > a.end) {
+        a.cur = bump_chunk(kChunkSize);
+        a.end = a.cur + kChunkSize;
+      }
+      out = a.cur;
+      a.cur += rounded;
     }
-    out = a.cur;
-    a.cur += rounded;
   }
   // A fresh block starts un-persisted: constructor stores that follow
   // (placement-new, Record::create) dirty it before it can be published,
@@ -148,55 +132,18 @@ void Pool::dealloc(void* p, std::size_t size) noexcept {
   if (rounded > kNumSizeClasses * kGranularity) {
     return;  // large blocks are not recycled (bump-only), like an arena
   }
-  ThreadArena& a = tls_arena();
-  const std::uint64_t epoch = g_pool_epoch.load(std::memory_order_acquire);
-  if (a.epoch != epoch) {
-    // The arena's chunk and cached free lists belong to a discarded pool
-    // generation; reset them. The block itself is judged by address below,
-    // not dropped outright: after adopt() the prior generation's blocks
-    // ARE the current pool, and losing their frees would strand space — a
-    // store reopened at the brim relies on delete-then-reuse working on
-    // the very first free.
-    a.cur = a.end = nullptr;
-    std::memset(a.free_lists, 0, sizeof(a.free_lists));
-    a.epoch = epoch;
-  }
-  // Drop blocks outside the current pool: they came from a generation
-  // whose mapping is gone (reinit/adopt munmap'd it), so recycling the
-  // address would hand out unmapped — or worse, re-mapped — memory.
-  // (Frees racing a generation switch don't otherwise occur: fixtures and
-  // Store::close() drain the EBR limbo before the pool is swapped.)
+  // Drop blocks outside the region: a late free of a block whose mapping
+  // reinit() replaced must not hand out unmapped — or worse, re-mapped —
+  // memory. (Fixtures and Store::close() drain the EBR limbo first, so
+  // such frees do not otherwise occur.)
   const auto* blk = static_cast<const std::byte*>(p);
   const auto* lo = static_cast<const std::byte*>(base_);
   if (lo == nullptr || blk < lo || blk + rounded > lo + capacity_) return;
+  Arena& a = arenas_[recl::Ebr::thread_slot()];
   const std::size_t cls = size_class(rounded);
   auto* n = static_cast<FreeNode*>(p);
   n->next = a.free_lists[cls];
   a.free_lists[cls] = n;
-}
-
-void Pool::adopt(void* base, std::size_t capacity,
-                 std::size_t initial_bump) {
-  std::lock_guard<std::mutex> lk(g_init_mu);
-  if (base_ != nullptr && owns_mapping_) ::munmap(base_, capacity_);
-  base_ = base;
-  capacity_ = capacity;
-  owns_mapping_ = false;
-  // Round the recovered mark up to the chunk size so resumed allocation
-  // never overlaps blocks handed out by a previous session's arenas.
-  // Clamp to capacity: on a region closed at the brim the round-up can
-  // overshoot, and the overshoot must not be persisted back at close as
-  // an (apparently corrupt) out-of-range mark. Nothing lives past
-  // capacity, so the clamp cannot alias prior allocations.
-  const std::size_t resumed = std::min(
-      (initial_bump + kChunkSize - 1) & ~(kChunkSize - 1), capacity);
-  g_bump.store(resumed, std::memory_order_relaxed);
-  g_pool_epoch.fetch_add(1, std::memory_order_acq_rel);
-  check::lc_pool_reset();
-}
-
-std::size_t Pool::bump_used() const noexcept {
-  return g_bump.load(std::memory_order_relaxed);
 }
 
 void Pool::register_with_sim() {

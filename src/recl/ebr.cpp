@@ -6,13 +6,8 @@
 
 #include "check/lincheck.hpp"
 #include "core/checked.hpp"
-#include "pmem/pool.hpp"
 
 namespace flit::recl {
-
-void ebr_pmem_free(void* p, std::size_t size) {
-  pmem::Pool::instance().dealloc(p, size);
-}
 
 Ebr& Ebr::instance() {
   static Ebr e;
@@ -29,16 +24,16 @@ Ebr::ThreadState::~ThreadState() {
       if (!b.nodes.empty()) owner->orphans_.push_back(std::move(b));
     }
   }
-  if (slot >= 0) {
-    owner->slots_[slot].announce.store(kIdle, std::memory_order_release);
-    owner->slots_[slot].used.store(false, std::memory_order_release);
-  }
+  // Releasing the slot hands this thread's arena in every pool to the
+  // next thread that claims it (the release pairs with acquire_slot).
+  owner->slots_[t_slot_].announce.store(kIdle, std::memory_order_release);
+  owner->slots_[t_slot_].used.store(false, std::memory_order_release);
 }
 
 Ebr::ThreadState& Ebr::tls() {
   static thread_local ThreadState ts;
   if (ts.owner == nullptr) {
-    ts.slot = acquire_slot();  // throws first: a slotless thread stays unowned
+    t_slot_ = acquire_slot();  // throws first: a slotless thread stays unowned
     ts.owner = this;
   }
   return ts;
@@ -61,7 +56,7 @@ int Ebr::acquire_slot() {
 void Ebr::enter() {
   ThreadState& ts = tls();
   if (ts.guard_depth++ > 0) return;
-  Slot& s = slots_[ts.slot];
+  Slot& s = slots_[t_slot_];
   // Announce-then-verify so the announcement is never behind the epoch we
   // operate in.
   std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
@@ -77,17 +72,17 @@ void Ebr::leave() {
   ThreadState& ts = tls();
   assert(ts.guard_depth > 0);
   if (--ts.guard_depth == 0) {
-    slots_[ts.slot].announce.store(kIdle, std::memory_order_release);
+    slots_[t_slot_].announce.store(kIdle, std::memory_order_release);
   }
 }
 
 std::uint64_t Ebr::current_announce() noexcept {
   ThreadState& ts = tls();
   if (ts.guard_depth == 0) return kIdleEpoch;
-  return slots_[ts.slot].announce.load(std::memory_order_relaxed);
+  return slots_[t_slot_].announce.load(std::memory_order_relaxed);
 }
 
-void Ebr::retire(void* p, void (*deleter)(void*)) {
+void Ebr::retire(void* p, void (*deleter)(void*, void*), void* ctx) {
   if (!reclaim_.load(std::memory_order_relaxed)) return;  // crash-test leak
   ThreadState& ts = tls();
   const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
@@ -99,7 +94,7 @@ void Ebr::retire(void* p, void (*deleter)(void*)) {
     free_bucket(b);
     b.epoch = e;
   }
-  b.nodes.push_back({p, deleter});
+  b.nodes.push_back({p, deleter, ctx});
   limbo_count_.fetch_add(1, std::memory_order_relaxed);
   if (++ts.since_scan >= kScanThreshold) {
     ts.since_scan = 0;
@@ -129,7 +124,7 @@ void Ebr::free_bucket(Bucket& b, bool quiescent) {
     const std::uint64_t now = global_epoch_.load(std::memory_order_acquire);
     for (const Retired& r : b.nodes) check::lc_free(r.p, now, quiescent);
   }
-  for (const Retired& r : b.nodes) r.deleter(r.p);
+  for (const Retired& r : b.nodes) r.deleter(r.p, r.ctx);
   b.nodes.clear();
 }
 

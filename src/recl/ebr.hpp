@@ -28,10 +28,6 @@
 
 namespace flit::recl {
 
-/// Returns a block of `size` bytes to the persistent pool (defined in
-/// ebr.cpp; kept out of line so this header needn't include pool.hpp).
-void ebr_pmem_free(void* p, std::size_t size);
-
 class Ebr {
  public:
   static constexpr std::size_t kMaxThreads = 256;
@@ -58,12 +54,11 @@ class Ebr {
     Guard& operator=(const Guard&) = delete;
   };
 
-  /// Retire a node for deferred deletion via `deleter(p)`.
-  void retire(void* p, void (*deleter)(void*));
-
-  /// Typed convenience over pmem::pdelete.
-  template <class T>
-  void retire_pmem(T* p);
+  /// Retire a node for deferred deletion via `deleter(p, ctx)`; `ctx`
+  /// names what the node goes back to, e.g. the pmem::Pool it came from
+  /// (see Pool::retire).
+  void retire(void* p, void (*deleter)(void* p, void* ctx),
+              void* ctx = nullptr);
 
   /// Globally enable/disable reclamation. When disabled, retire() leaks —
   /// used by crash tests. Switch only while quiescent.
@@ -75,8 +70,19 @@ class Ebr {
   }
 
   /// Free every limbo node unconditionally. Caller must guarantee no
-  /// concurrent operations (test/bench teardown between phases).
+  /// concurrent operations (test/bench teardown between phases). Only the
+  /// calling thread's buckets and those of exited threads are freed: a
+  /// live thread's buckets wait for its next scan or its exit.
   void drain_all();
+
+  /// The calling thread's slot in [0, kMaxThreads), claimed by its first
+  /// guard, retire or call here and held until the thread exits (see
+  /// Guard). Pools index their thread arenas by it, so a thread that takes
+  /// a slot over carries on with the arena its last holder left.
+  static std::size_t thread_slot() {
+    if (t_slot_ < 0) instance().tls();
+    return static_cast<std::size_t>(t_slot_);
+  }
 
   std::uint64_t epoch() const noexcept {
     return global_epoch_.load(std::memory_order_acquire);
@@ -102,7 +108,8 @@ class Ebr {
 
   struct Retired {
     void* p;
-    void (*deleter)(void*);
+    void (*deleter)(void*, void*);
+    void* ctx;
   };
 
   struct Bucket {
@@ -111,13 +118,15 @@ class Ebr {
   };
 
   struct ThreadState {
-    int slot = -1;
     int guard_depth = 0;
     std::size_t since_scan = 0;
     Bucket buckets[3];
     Ebr* owner = nullptr;
     ~ThreadState();  // hands buckets to the orphan list, frees the slot
   };
+
+  /// The calling thread's slot index; -1 until tls() claims one.
+  static constinit inline thread_local int t_slot_ = -1;
 
   ThreadState& tls();
   int acquire_slot();
@@ -135,13 +144,5 @@ class Ebr {
   std::mutex orphan_mu_;
   std::vector<Bucket> orphans_;
 };
-
-template <class T>
-void Ebr::retire_pmem(T* p) {
-  retire(p, [](void* q) {
-    static_cast<T*>(q)->~T();
-    ebr_pmem_free(q, sizeof(T));
-  });
-}
 
 }  // namespace flit::recl

@@ -19,7 +19,7 @@ using flit::test::PmemTest;
 
 std::atomic<int> g_freed{0};
 
-void counting_deleter(void* p) {
+void counting_deleter(void* p, void*) {
   g_freed.fetch_add(1);
   ::operator delete(p);
 }
@@ -157,7 +157,7 @@ TEST_F(EbrTest, RetirePmemReturnsMemoryToPool) {
     std::uint64_t x;
   };
   Obj* o = pmem::pnew<Obj>(Obj{7});
-  Ebr::instance().retire_pmem(o);
+  pmem::Pool::instance().retire(o);
   Ebr::instance().drain_all();
   // The block goes back to this thread's free list; the next same-size
   // pool allocation reuses it.

@@ -89,19 +89,23 @@ TEST_F(FileRegionTest, TooSmallCapacityRejected) {
   FileRegion::destroy(path);
 }
 
-TEST_F(FileRegionTest, PoolAdoptAllocatesInsideTheRegion) {
-  const std::string path = temp_path("adopt");
+TEST_F(FileRegionTest, PoolOverTheRegionAllocatesInsideIt) {
+  const std::string path = temp_path("pool");
   FileRegion::destroy(path);
   FileRegion r = FileRegion::open(path, 8 << 20);
-  Pool::instance().adopt(r.usable_base(), r.usable_capacity(), 0);
-
-  void* a = Pool::instance().alloc(64);
-  void* b = Pool::instance().alloc(1024);
-  EXPECT_TRUE(r.contains(a));
-  EXPECT_TRUE(r.contains(b));
-
-  // Restore the normal pool before other tests run.
-  Pool::instance().reinit(PmemTest::kPoolBytes);
+  {
+    Pool pool(r.usable_base(), r.usable_capacity());
+    void* a = pool.alloc(64);
+    void* b = pool.alloc(1024);
+    EXPECT_TRUE(r.contains(a));
+    EXPECT_TRUE(r.contains(b));
+    EXPECT_FALSE(Pool::instance().contains(a));
+    r.set_bump(pool.bump_used());
+  }
+  // The pool is gone; the region it served stays mapped and usable.
+  std::memset(r.usable_base(), 0x22, 4096);
+  r.sync();
+  EXPECT_GE(r.bump(), Pool::kChunkSize);
   r.close();
   FileRegion::destroy(path);
 }
@@ -113,34 +117,36 @@ TEST_F(FileRegionTest, DataStructureSurvivesRemapCycle) {
   FileRegion::destroy(path);
 
   // Session 1: build a list inside the file region and record its roots.
-  // The list handle is intentionally leaked: its destructor would return
-  // nodes to the allocator, scribbling free-list links over live persisted
-  // bytes. A real application closes the region while the structure is
-  // still live — exactly what leaking the (tiny, volatile) handle models.
+  // The list handle disowns its nodes before it dies: its destructor would
+  // return them to the allocator, scribbling free-list links over live
+  // persisted bytes. A real application closes the region while the
+  // structure is still live — exactly what release() models.
   {
     FileRegion r = FileRegion::open(path, 16 << 20);
-    Pool::instance().adopt(r.usable_base(), r.usable_capacity(), r.bump());
-    auto* l = new List();
-    for (std::int64_t k = 0; k < 500; ++k) l->insert(k, 2 * k);
-    for (std::int64_t k = 0; k < 500; k += 5) l->remove(k);
-    r.set_root(0, l->head());
-    r.set_root(1, l->tail());
+    Pool pool(r.usable_base(), r.usable_capacity());
+    pool.resume(r.bump());
+    List l(pool);
+    for (std::int64_t k = 0; k < 500; ++k) l.insert(k, 2 * k);
+    for (std::int64_t k = 0; k < 500; k += 5) l.remove(k);
+    r.set_root(0, l.head());
+    r.set_root(1, l.tail());
+    l.release();
     // Reclaim retired (unreachable) nodes while the region is still
     // mapped — their bytes are dead, so the scribble is harmless.
     recl::Ebr::instance().drain_all();
-    r.set_bump(Pool::instance().bump_used());
+    r.set_bump(pool.bump_used());
     r.sync();
   }
-  Pool::instance().reinit(PmemTest::kPoolBytes);
 
-  // Session 2: re-open, re-adopt, recover, verify, and mutate further.
+  // Session 2: re-open, build a pool over the region, recover, verify,
+  // and mutate further.
   {
     FileRegion r = FileRegion::open(path, 16 << 20);
     ASSERT_TRUE(r.recovered());
-    Pool::instance().adopt(r.usable_base(), r.usable_capacity(), r.bump());
-    List view = List::recover(
-        static_cast<List::Node*>(r.root(0)),
-        static_cast<List::Node*>(r.root(1)));
+    Pool pool(r.usable_base(), r.usable_capacity());
+    pool.resume(r.bump());
+    List view = List::recover(static_cast<List::Node*>(r.root(0)),
+                              static_cast<List::Node*>(r.root(1)), pool);
     for (std::int64_t k = 0; k < 500; ++k) {
       const bool expected = (k % 5) != 0;
       ASSERT_EQ(view.contains(k), expected) << k;
@@ -148,12 +154,13 @@ TEST_F(FileRegionTest, DataStructureSurvivesRemapCycle) {
         ASSERT_EQ(view.find(k).value(), 2 * k);
       }
     }
-    // The recovered structure stays fully operational.
+    // The recovered structure stays fully operational, and allocates
+    // inside the region.
     EXPECT_TRUE(view.insert(1'000, 1));
     EXPECT_TRUE(view.contains(1'000));
+    EXPECT_EQ(Pool::instance().bump_used(), 0u);
     recl::Ebr::instance().drain_all();
   }
-  Pool::instance().reinit(PmemTest::kPoolBytes);
   FileRegion::destroy(path);
 }
 

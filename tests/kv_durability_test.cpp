@@ -63,7 +63,6 @@ TEST_F(KvDurabilityTest, DefaultIsNeverAndHookIsFree) {
   kv.checkpoint();
   EXPECT_EQ(kv.checkpoints(), 1u) << "explicit checkpoint still works";
   kv.close();
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 }
 
 TEST_F(KvDurabilityTest, AlwaysCheckpointsPerAcknowledgedBatch) {
@@ -80,7 +79,6 @@ TEST_F(KvDurabilityTest, AlwaysCheckpointsPerAcknowledgedBatch) {
   }
   EXPECT_EQ(kv.checkpoints(), before + 5);
   kv.close();
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 
   // Everything acknowledged under kAlways is there after reopen.
   KvStore kv2 = open_file_store();
@@ -92,7 +90,6 @@ TEST_F(KvDurabilityTest, AlwaysCheckpointsPerAcknowledgedBatch) {
     EXPECT_EQ(*v, want);
   }
   kv2.close();
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 }
 
 TEST_F(KvDurabilityTest, EverySecFlusherRunsAndStops) {
@@ -128,7 +125,6 @@ TEST_F(KvDurabilityTest, EverySecFlusherRunsAndStops) {
   std::this_thread::sleep_for(milliseconds(40));
   EXPECT_EQ(kv.checkpoints(), frozen);
   kv.close();
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 }
 
 TEST_F(KvDurabilityTest, CloseStopsTheFlusher) {
@@ -138,12 +134,10 @@ TEST_F(KvDurabilityTest, CloseStopsTheFlusher) {
   kv.put(7, "x");
   kv.close();  // must join the flusher; no use-after-close flushes
   std::this_thread::sleep_for(milliseconds(25));
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 
   KvStore kv2 = open_file_store();
   EXPECT_EQ(kv2.get(7), "x");
   kv2.close();
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 }
 
 TEST_F(KvDurabilityTest, PoolBackedModesAreNoOps) {
@@ -178,7 +172,6 @@ TEST_F(KvDurabilityTest, ModeSurvivesAMove) {
   }
   EXPECT_GE(moved.checkpoints(), 2u);
   moved.close();
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 // catch (kv::IncompatibleStore / std::runtime_error), with the same
 // message on every attempt, never a SIGSEGV from walking zeroed or
 // unmapped node memory and never a silently half-recovered store. The
-// rejecting open must also leave the global Pool untouched — validation
-// precedes adoption.
+// rejecting open must also leave the default Pool serving — it touches
+// no pool but its own region's.
 //
 // Recovery learns where nodes are only from persisted links, so its one
 // walk per shard checks every node against the region's bounds before
@@ -268,13 +268,12 @@ class KvHostileImageTest : public PmemTest {
                     std::string(40 + static_cast<std::size_t>(k % 97), 'p'));
     }
     kv.close();
-    pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   }
 
   /// The rejection contract: open() throws something catchable with the
   /// same message on every attempt (no crash, no state consumed by an
   /// earlier attempt, no dependence on which recovery thread reached a
-  /// bad node first) and the global Pool still serves allocations
+  /// bad node first) and the default Pool still serves allocations
   /// afterwards.
   /// Returns the message.
   template <class StoreT, class Exception>

@@ -632,7 +632,6 @@ TEST_F(KvOrderedFileTest, ReopenRecoversScansAndPartitionBounds) {
     }
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 
   {
     // The file's shard count and partition bounds win over the arguments.
@@ -652,7 +651,6 @@ TEST_F(KvOrderedFileTest, ReopenRecoversScansAndPartitionBounds) {
     }
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   pmem::FileRegion::destroy(path);
 }
 
@@ -670,12 +668,11 @@ TEST_F(KvOrderedFileTest, CrossLayoutOpenIsRejectedBothWays) {
     kv.put(1, "layout canary");
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 
   EXPECT_THROW((void)Hashed::open(path, kCapacity, 2, 32),
                IncompatibleStore);
-  // The rejecting open must leave the global Pool untouched (validation
-  // precedes adoption): allocation still lands in the test pool.
+  // The rejecting open touches no pool but its own region's: allocation
+  // still lands in the test pool.
   void* p = pmem::Pool::instance().alloc(64);
   EXPECT_TRUE(pmem::Pool::instance().contains(p));
 
@@ -686,7 +683,6 @@ TEST_F(KvOrderedFileTest, CrossLayoutOpenIsRejectedBothWays) {
     EXPECT_EQ(kv.get(1), "layout canary");
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 
   // And the reverse direction: a hashed file refused by the ordered store.
   pmem::FileRegion::destroy(path);
@@ -695,10 +691,8 @@ TEST_F(KvOrderedFileTest, CrossLayoutOpenIsRejectedBothWays) {
     kv.put(1, "x");
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   EXPECT_THROW((void)Ordered::open(path, kCapacity, 2, 32, KeyRange{0, 100}),
                IncompatibleStore);
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   pmem::FileRegion::destroy(path);
 }
 
@@ -723,7 +717,6 @@ TEST_F(KvOrderedFileTest, DirtyShutdownSweepCoversSkiplistTowers) {
     oracle[0] = "seed";
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   {
     pmem::FileRegion r = pmem::FileRegion::open(path, kCapacity);
     clean_bump = r.bump();
@@ -740,7 +733,6 @@ TEST_F(KvOrderedFileTest, DirtyShutdownSweepCoversSkiplistTowers) {
     oracle[kRange / 2] = large;
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   {
     pmem::FileRegion r = pmem::FileRegion::open(path, kCapacity);
     ASSERT_GT(r.bump(), clean_bump);
@@ -760,7 +752,6 @@ TEST_F(KvOrderedFileTest, DirtyShutdownSweepCoversSkiplistTowers) {
     }
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   pmem::FileRegion::destroy(path);
 }
 

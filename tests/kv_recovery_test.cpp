@@ -528,7 +528,6 @@ TEST_F(KvFileRecoveryTest, ReopenRecoversAllShardsAndGenerationStamp) {
     }
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 
   // Session 2: reopen (shard-count argument must lose to the file's),
   // verify every committed record, write a second generation of keys.
@@ -550,7 +549,6 @@ TEST_F(KvFileRecoveryTest, ReopenRecoversAllShardsAndGenerationStamp) {
     }
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 
   // Session 3: both generations of data and a twice-bumped stamp.
   {
@@ -564,7 +562,6 @@ TEST_F(KvFileRecoveryTest, ReopenRecoversAllShardsAndGenerationStamp) {
     EXPECT_EQ(kv.size(), oracle.size());
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   pmem::FileRegion::destroy(path);
 }
 
@@ -585,12 +582,11 @@ TEST_F(KvFileRecoveryTest, RejectsAFileFromADifferentWordsConfiguration) {
     kv.put(1, "layout canary");
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 
   EXPECT_THROW((void)WrongWords::open(path, kCapacity, 2, 32),
                std::runtime_error);
-  // The rejecting open must leave the global Pool untouched (validation
-  // precedes adoption): allocation still lands in the test pool.
+  // The rejecting open touches no pool but its own region's: allocation
+  // still lands in the test pool.
   void* p = pmem::Pool::instance().alloc(64);
   EXPECT_TRUE(pmem::Pool::instance().contains(p));
 
@@ -601,7 +597,6 @@ TEST_F(KvFileRecoveryTest, RejectsAFileFromADifferentWordsConfiguration) {
     EXPECT_EQ(kv.get(1), "layout canary");
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   pmem::FileRegion::destroy(path);
 }
 
@@ -617,7 +612,6 @@ TEST_F(KvFileRecoveryTest, CorruptRootOffsetThrowsInsteadOfCrashing) {
     kv.put(1, "x");
     kv.close();
   }
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 
   // Scribble an out-of-region offset into the header's roots[0].
   {
@@ -632,16 +626,15 @@ TEST_F(KvFileRecoveryTest, CorruptRootOffsetThrowsInsteadOfCrashing) {
   }
   EXPECT_THROW((void)KvStore::open(path, kCapacity, 2, 32),
                std::runtime_error);
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
   pmem::FileRegion::destroy(path);
 }
 
 TEST_F(KvFileRecoveryTest, FailedFreshOpenLeavesTheAllocatorUsable) {
   // Building 16 shards x 65536 buckets (8 MiB of bucket head words)
   // cannot fit in a 1 MiB region; the resulting bad_alloc unwinds open()
-  // after the Pool adopted the region. open() must restore a usable
-  // (anonymous) pool before rethrowing — otherwise every later
-  // allocation faults on the unmapped region.
+  // after the region's pool carved chunks for the buckets. The unwind
+  // frees them into that pool before the pool and region die together,
+  // and the default pool keeps serving.
   using KvStore = Store<HashedWords, Automatic>;
   const std::string path = temp_path();
   pmem::FileRegion::destroy(path);
@@ -650,7 +643,97 @@ TEST_F(KvFileRecoveryTest, FailedFreshOpenLeavesTheAllocatorUsable) {
   void* p = pmem::Pool::instance().alloc(64);
   ASSERT_NE(p, nullptr);
   EXPECT_TRUE(pmem::Pool::instance().contains(p));
-  pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
+  pmem::FileRegion::destroy(path);
+}
+
+TEST_F(KvFileRecoveryTest, TwoFileBackedStoresInOneProcessKeepTheirOwnRecords) {
+  // Each file-backed store allocates from its own region's pool, so two
+  // of them can be open in one process: a record written to one never
+  // lands in the other's file. Both layouts, interleaved puts, overwrites
+  // and removes, then both reopened in the opposite order.
+  using Hashed = Store<HashedWords, Automatic>;
+  using Ordered = OrderedStore<HashedWords, Automatic>;
+  const std::string hpath = temp_path() + ".hashed";
+  const std::string opath = temp_path() + ".ordered";
+  pmem::FileRegion::destroy(hpath);
+  pmem::FileRegion::destroy(opath);
+  constexpr std::size_t kCapacity = 16 << 20;
+  constexpr K kKeys = 200;
+  std::map<K, std::string> horacle, ooracle;
+  {
+    Hashed h = Hashed::open(hpath, kCapacity, 4, 64);
+    Ordered o = Ordered::open(opath, kCapacity, 4, 64, KeyRange{0, kKeys});
+    for (K k = 0; k < kKeys; ++k) {
+      h.put(k, value_for(k, 1));
+      horacle[k] = value_for(k, 1);
+      o.put(k, value_for(k, 2));
+      ooracle[k] = value_for(k, 2);
+      if (k % 3 == 0) {  // overwrites, on both
+        o.put(k / 2, value_for(k, 3));
+        ooracle[k / 2] = value_for(k, 3);
+        h.put(k / 2, value_for(k, 4));
+        horacle[k / 2] = value_for(k, 4);
+      }
+      if (k % 5 == 4) {  // removes, on both
+        EXPECT_TRUE(h.remove(k - 2));
+        horacle.erase(k - 2);
+        EXPECT_TRUE(o.remove(k - 1));
+        ooracle.erase(k - 1);
+      }
+    }
+    h.close();
+    o.close();
+  }
+  {
+    Ordered o = Ordered::open(opath, kCapacity, 4, 64, KeyRange{0, kKeys});
+    Hashed h = Hashed::open(hpath, kCapacity, 4, 64);
+    EXPECT_EQ(o.generation(), 2u);
+    EXPECT_EQ(h.generation(), 2u);
+    EXPECT_EQ(o.size(), ooracle.size());
+    EXPECT_EQ(h.size(), horacle.size());
+    for (K k = 0; k < kKeys; ++k) {
+      const auto hit = horacle.find(k);
+      const auto oit = ooracle.find(k);
+      EXPECT_EQ(h.get(k), hit == horacle.end()
+                              ? std::nullopt
+                              : std::optional<std::string>(hit->second))
+          << "hashed key " << k;
+      EXPECT_EQ(o.get(k), oit == ooracle.end()
+                              ? std::nullopt
+                              : std::optional<std::string>(oit->second))
+          << "ordered key " << k;
+    }
+    const std::vector<std::pair<K, std::string>> want(ooracle.begin(),
+                                                       ooracle.end());
+    EXPECT_EQ(o.scan(0, static_cast<std::size_t>(kKeys)), want);
+    o.close();
+    h.close();
+  }
+  pmem::FileRegion::destroy(hpath);
+  pmem::FileRegion::destroy(opath);
+}
+
+TEST_F(KvFileRecoveryTest, PoolBackedStoreNeedsNoReinitAfterAFileBackedClose) {
+  // close() destroys the file-backed store's own pool and leaves the
+  // default pool alone, so a pool-backed store built afterwards, with no
+  // Pool::reinit in between, allocates from live memory.
+  using KvStore = Store<HashedWords, Automatic>;
+  const std::string path = temp_path();
+  pmem::FileRegion::destroy(path);
+  {
+    KvStore kv = KvStore::open(path, 8 << 20, 2, 32);
+    kv.put(1, value_for(1, 1));
+    kv.close();
+  }
+  KvStore kv(2, 32);
+  EXPECT_TRUE(pmem::Pool::instance().contains(kv.superblock()));
+  for (K k = 0; k < 100; ++k) kv.put(k, value_for(k, 5));
+  kv.put(7, "overwritten");
+  EXPECT_TRUE(kv.remove(8));
+  EXPECT_EQ(kv.get(7), "overwritten");
+  EXPECT_EQ(kv.get(8), std::nullopt);
+  EXPECT_EQ(kv.get(9), value_for(9, 5));
+  EXPECT_EQ(kv.size(), 99u);
   pmem::FileRegion::destroy(path);
 }
 
@@ -692,7 +775,6 @@ TEST_F(KvFileRecoveryTest, DirtyShutdownDoesNotClobberCommittedRecords) {
       }
       kv.close();
     }
-    pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
     std::size_t clean_bump = 0;
     {
       pmem::FileRegion r = pmem::FileRegion::open(path, kCapacity);
@@ -713,7 +795,6 @@ TEST_F(KvFileRecoveryTest, DirtyShutdownDoesNotClobberCommittedRecords) {
       }
       kv.close();
     }
-    pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
     {
       pmem::FileRegion r = pmem::FileRegion::open(path, kCapacity);
       ASSERT_GT(r.bump(), clean_bump) << "session 2 must have allocated";
@@ -759,7 +840,6 @@ TEST_F(KvFileRecoveryTest, DirtyShutdownDoesNotClobberCommittedRecords) {
       }
       kv.close();
     }
-    pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
 
     // Session 4 (checked build): no helper can be started, so the opening
     // thread walks every shard.
@@ -775,7 +855,6 @@ TEST_F(KvFileRecoveryTest, DirtyShutdownDoesNotClobberCommittedRecords) {
         ASSERT_EQ(kv.get(k), v) << "key " << k;
       }
       kv.close();
-      pmem::Pool::instance().reinit(PmemTest::kPoolBytes);
     }
   }
   pmem::FileRegion::destroy(path);

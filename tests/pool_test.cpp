@@ -137,36 +137,121 @@ TEST_F(PoolTest, ConcurrentAllocationsAreDisjoint) {
   }
 }
 
-TEST_F(PoolTest, AdoptThenResetServesFromTheAdoptedRegion) {
-  // A file-backed store adopts the region, and benches reset() between
-  // phases; the two must compose: reset() rewinds the bump pointer but
-  // keeps serving from the adopted memory, never the old mapping.
+TEST_F(PoolTest, RegionPoolResumesAtTheChunkRoundedMarkAndResetsInside) {
+  // A file-backed store builds a pool over its region and resumes it at
+  // the recovered mark; reset() must rewind inside that region, never
+  // into another mapping, and the pool must leave the caller's mapping
+  // alone when it dies.
   constexpr std::size_t kCap = 4 << 20;
   void* region = ::mmap(nullptr, kCap, PROT_READ | PROT_WRITE,
                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   ASSERT_NE(region, MAP_FAILED);
-  Pool& p = Pool::instance();
+  {
+    Pool p(region, kCap);
+    EXPECT_EQ(p.base(), region);
+    EXPECT_EQ(p.capacity(), kCap);
+    EXPECT_EQ(p.bump_used(), 0u) << "a fresh region pool allocates nothing";
 
-  p.adopt(region, kCap, /*initial_bump=*/Pool::kChunkSize);
-  EXPECT_EQ(p.base(), region);
-  EXPECT_EQ(p.capacity(), kCap);
-  // Resumed allocation starts at (or after) the recovered high-water mark.
-  auto* a = static_cast<std::byte*>(p.alloc(64));
-  EXPECT_GE(a, static_cast<std::byte*>(region) + Pool::kChunkSize);
-  EXPECT_TRUE(p.contains(a));
-  std::memset(a, 0x5A, 64);
+    // The resumed mark rounds up to a chunk, so no block a previous
+    // session's arenas handed out is served again.
+    p.resume(Pool::kChunkSize - 100);
+    EXPECT_EQ(p.bump_used(), Pool::kChunkSize);
+    auto* a = static_cast<std::byte*>(p.alloc(64));
+    EXPECT_GE(a, static_cast<std::byte*>(region) + Pool::kChunkSize);
+    EXPECT_TRUE(p.contains(a));
+    std::memset(a, 0x5A, 64);
 
-  p.reset();
-  EXPECT_EQ(p.bump_used(), 0u);
-  auto* b = static_cast<std::byte*>(p.alloc(64));
-  EXPECT_TRUE(p.contains(b)) << "reset must keep serving the adopted region";
-  EXPECT_LT(b, static_cast<std::byte*>(region) + Pool::kChunkSize)
-      << "reset rewinds to the start of the adopted region";
-
-  // adopt() must not have unmapped what it does not own on replacement.
-  p.reinit(kPoolBytes);
+    p.reset();
+    EXPECT_EQ(p.bump_used(), 0u);
+    auto* b = static_cast<std::byte*>(p.alloc(64));
+    EXPECT_TRUE(p.contains(b)) << "reset must keep serving the region";
+    EXPECT_LT(b, static_cast<std::byte*>(region) + Pool::kChunkSize)
+        << "reset rewinds to the start of the region";
+  }
+  {
+    // At the brim the round-up would overshoot the region; the mark is
+    // clamped, and a clamped pool refuses allocation instead of carving
+    // past the end.
+    Pool p(region, kCap);
+    p.resume(kCap - 10);
+    EXPECT_EQ(p.bump_used(), kCap);
+    EXPECT_THROW((void)p.alloc(64), std::bad_alloc);
+    EXPECT_EQ(p.bump_used(), kCap) << "a refused carve moves no mark";
+  }
+  // Destroying the pools did not unmap what they do not own.
   std::memset(region, 0x11, kCap);  // still mapped and writable
   ::munmap(region, kCap);
+}
+
+TEST_F(PoolTest, TwoLivePoolsServeDisjointRegionsAndTakeBackTheirOwn) {
+  // Two file-backed stores in one process each allocate from their own
+  // region, and a block freed (directly or through EBR) goes back to the
+  // pool it came from.
+  constexpr std::size_t kCap = 4 << 20;
+  void* ra = ::mmap(nullptr, kCap, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  void* rb = ::mmap(nullptr, kCap, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(ra, MAP_FAILED);
+  ASSERT_NE(rb, MAP_FAILED);
+  {
+    Pool a(ra, kCap);
+    Pool b(rb, kCap);
+    void* pa = a.alloc(48);
+    void* pb = b.alloc(48);
+    EXPECT_TRUE(a.contains(pa) && !b.contains(pa));
+    EXPECT_TRUE(b.contains(pb) && !a.contains(pb));
+
+    a.dealloc(pa, 48);
+    b.dealloc(pb, 48);
+    EXPECT_EQ(a.alloc(48), pa) << "a's free list recycles a's block";
+    EXPECT_EQ(b.alloc(48), pb) << "b's free list recycles b's block";
+
+    // A pool drops a block outside its region instead of serving it.
+    b.dealloc(pa, 48);
+    EXPECT_NE(b.alloc(48), pa);
+
+    // EBR retirements carry their pool to the deleter.
+    struct Obj {
+      std::uint64_t x;
+    };
+    Obj* oa = a.make<Obj>(Obj{1});
+    Obj* ob = b.make<Obj>(Obj{2});
+    a.retire(oa);
+    b.retire(ob);
+    recl::Ebr::instance().drain_all();
+    EXPECT_EQ(a.make<Obj>(Obj{3}), oa);
+    EXPECT_EQ(b.make<Obj>(Obj{4}), ob);
+    EXPECT_EQ(Pool::instance().bump_used(), 0u)
+        << "the default pool served none of it";
+  }
+  ::munmap(ra, kCap);
+  ::munmap(rb, kCap);
+}
+
+TEST_F(PoolTest, ANewThreadCarriesOnWithItsSlotsArena) {
+  // Arenas live in the pool, one per EBR thread slot: a block freed by a
+  // thread that then exits is handed out again by the next thread to take
+  // its slot, which also carves on from the chunk the first thread left.
+  Pool& p = Pool::instance();
+  std::size_t slot1 = 0, slot2 = 0;
+  void* freed = nullptr;
+  std::thread([&] {
+    slot1 = recl::Ebr::thread_slot();
+    freed = p.alloc(48);
+    (void)p.alloc(48);
+    p.dealloc(freed, 48);
+  }).join();
+  const std::size_t used = p.bump_used();
+  void* again = nullptr;
+  std::thread([&] {
+    slot2 = recl::Ebr::thread_slot();
+    again = p.alloc(48);
+    (void)p.alloc(256);
+  }).join();
+  ASSERT_EQ(slot1, slot2) << "the second thread takes the freed slot";
+  EXPECT_EQ(again, freed);
+  EXPECT_EQ(p.bump_used(), used) << "no fresh chunk for the second thread";
 }
 
 TEST_F(PoolTest, LargeBlocksRoundTripAcrossTheSizeClassBoundary) {
