@@ -278,13 +278,17 @@ class HarrisList {
     return out;
   }
 
-  /// Prefetch the head word's line and the first linked node. Purely a
-  /// memory hint — it dereferences nothing beyond one relaxed pointer
-  /// load, so it is safe with or without an EBR guard (a stale prefetch
-  /// address is harmless). Batched operations call this for key i+1
-  /// while key i's cache misses are outstanding.
-  static void prepare(const Link& head) noexcept {
+  /// The two prefetch stages of a batch of searches from many heads (see
+  /// kv::Store's probe pipeline): prefetch_head prefetches the head word's
+  /// line by address and loads nothing; prefetch_first, run once every
+  /// head of the batch has been requested, reads the head word and
+  /// prefetches the node it links. Memory hints only — one relaxed load,
+  /// no p-instruction — so they are safe with or without an EBR guard (a
+  /// stale prefetch address is harmless).
+  static void prefetch_head(const Link& head) noexcept {
     __builtin_prefetch(&head);
+  }
+  static void prefetch_first(const Link& head) noexcept {
     __builtin_prefetch(without_mark(head.load_private()));
   }
 

@@ -111,9 +111,10 @@ class HashTable {
 
   // --- KV store hooks (see HarrisList) ------------------------------------
 
-  /// Prefetch k's head word and first node ahead of a later operation on
-  /// k.
-  void prepare(K k) const noexcept { List::prepare(head(k)); }
+  /// Batched-probe stages 1 and 2 for k (see HarrisList::prefetch_head):
+  /// prefetch k's head word, then read it and prefetch its first node.
+  void prefetch_head(K k) const noexcept { List::prefetch_head(head(k)); }
+  void prefetch_first(K k) const noexcept { List::prefetch_first(head(k)); }
   /// Lookup without the per-op completion fence; the caller fences once
   /// per batch (one lookup for a scalar get).
   std::optional<V> find_batched(K k) const {

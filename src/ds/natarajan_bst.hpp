@@ -166,12 +166,7 @@ class NatarajanBst {
 
   bool contains(K k) const {
     recl::Ebr::Guard g;
-    Node* n = without_bits(
-        s_->left.load(Method::traversal_load), kFlagBit | kTagBit);
-    while (!is_leaf_traverse(n)) {
-      n = without_bits(child_of_const(n, k).load(Method::traversal_load),
-                       kFlagBit | kTagBit);
-    }
+    const Node* n = search_leaf(k);
     const bool found = n->key.load(Method::transition_load) == k;
     Words::operation_completion();
     return found;
@@ -179,12 +174,7 @@ class NatarajanBst {
 
   std::optional<V> find(K k) const {
     recl::Ebr::Guard g;
-    Node* n = without_bits(
-        s_->left.load(Method::traversal_load), kFlagBit | kTagBit);
-    while (!is_leaf_traverse(n)) {
-      n = without_bits(child_of_const(n, k).load(Method::traversal_load),
-                       kFlagBit | kTagBit);
-    }
+    const Node* n = search_leaf(k);
     std::optional<V> out;
     if (n->key.load(Method::transition_load) == k) {
       out = n->value.load(Method::transition_load);
@@ -223,6 +213,25 @@ class NatarajanBst {
   bool is_leaf_traverse(Node* n) const noexcept {
     return without_bits(n->left.load(Method::traversal_load),
                         kFlagBit | kTagBit) == nullptr;
+  }
+
+  /// Read-only descent (no seek record, no helping) to the leaf a lookup
+  /// of k ends at. NVtraverse/manual transition: the parent's edge into
+  /// that leaf is flushed if tagged, as seek() does. It may hold an insert
+  /// whose fence is still pending, and a completed lookup must not return
+  /// a key a crash can take back.
+  const Node* search_leaf(K k) const {
+    const W<Node*>* edge = &s_->left;
+    Node* n = without_bits(edge->load(Method::traversal_load),
+                           kFlagBit | kTagBit);
+    while (!is_leaf_traverse(n)) {
+      edge = &child_of_const(n, k);
+      n = without_bits(edge->load(Method::traversal_load), kFlagBit | kTagBit);
+    }
+    if (Method::traversal_load != Method::transition_load) {
+      edge->load(Method::transition_load);
+    }
+    return n;
   }
 
   /// Natarajan–Mittal seek: tracks the deepest *untagged* edge (ancestor →

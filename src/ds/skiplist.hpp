@@ -213,21 +213,32 @@ class SkipList {
     recl::Ebr::Guard g;
     Node* pred = head_;
     Node* curr = nullptr;
+    const W<Node*>* link = nullptr;  // the word curr was read from
     for (int level = kMaxLevel - 1; level >= 0; --level) {
-      curr = without_mark(pred->next[level].load(Method::traversal_load));
+      link = &pred->next[level];
+      curr = without_mark(link->load(Method::traversal_load));
       for (;;) {
         Node* succ = curr->next[level].load(Method::traversal_load);
         while (is_marked(succ)) {  // skip logically deleted (wait-free read)
+          link = &curr->next[level];
           curr = without_mark(succ);
           succ = curr->next[level].load(Method::traversal_load);
         }
         if (curr->key.load(Method::traversal_load) < k) {
           pred = curr;
+          link = &curr->next[level];
           curr = without_mark(succ);
         } else {
           break;
         }
       }
+    }
+    // NVtraverse/manual transition: flush-if-tagged the bottom-level link
+    // that led to curr, as find() does. It may be a publish whose fence is
+    // still pending (every KV put defers it to its batch commit), and a
+    // completed read must not return a key a crash can take back.
+    if (Method::traversal_load != Method::transition_load) {
+      link->load(Method::transition_load);
     }
     bool found = curr->key.load(Method::transition_load) == k &&
                  !is_marked(curr->next[0].load(Method::transition_load));
@@ -306,10 +317,12 @@ class SkipList {
         }
       }
     }
-    // Walk the bottom level, yielding unmarked nodes. The mark check and
-    // the value read use transition loads (flush-if-tagged) so every
-    // emitted pair is durably readable before the operation completes.
-    Node* curr = without_mark(pred->next[0].load(Method::traversal_load));
+    // Walk the bottom level, yielding unmarked nodes. Every link the walk
+    // follows, the mark check and the value read use transition loads
+    // (flush-if-tagged), so every emitted pair is durably readable before
+    // the operation completes — even one whose publishing CAS still waits
+    // for its fence (every KV put defers it to its batch commit).
+    Node* curr = without_mark(pred->next[0].load(Method::transition_load));
     while (curr != tail_) {
       check::lc_deref(curr, "ds::SkipList::for_each_range");
       Node* succ = curr->next[0].load(Method::transition_load);

@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -47,6 +48,7 @@
 #include "ds/batch.hpp"
 #include "ds/tagged_ptr.hpp"
 #include "kv/errors.hpp"
+#include "pmem/cacheline.hpp"
 #include "pmem/persist_check.hpp"
 #include "pmem/pool.hpp"
 #include "recl/ebr.hpp"
@@ -63,6 +65,18 @@ struct Record {
     return reinterpret_cast<const char*>(this + 1);
   }
   std::string_view view() const noexcept { return {data(), len}; }
+
+  /// Prefetch the cache lines holding the record's first 128 bytes (its
+  /// header and the start of its payload: all of a value up to 124 bytes)
+  /// without reading them, since the length is not known until the header
+  /// arrives (see Store::multi_get).
+  void prefetch() const noexcept {
+    const auto a = reinterpret_cast<std::uintptr_t>(this);
+    constexpr std::uintptr_t kLine = pmem::kCacheLineSize;
+    for (const std::uintptr_t b : {a, a + kLine, a + 2 * kLine - 1}) {
+      __builtin_prefetch(reinterpret_cast<const void*>(b));
+    }
+  }
 
   static std::size_t bytes(std::size_t payload) noexcept {
     return sizeof(Record) + payload;
@@ -128,7 +142,8 @@ struct Record {
 /// value-record slab. Both structures show the same face: upsert,
 /// remove_get, find_batched, contains, release, and the recovery members
 /// Roots, roots(), roots_extent(), node_bytes() and recover(); the
-/// skiplist adds for_each_range. Thread-safe for
+/// skiplist adds for_each_range, the hash table the probe pipeline's
+/// prefetch_head and prefetch_first. Thread-safe for
 /// put/find/remove/contains/scan; the recovery members run at
 /// open/recover time, before the shard is shared (Store recovers
 /// different shards on concurrent threads).
@@ -249,14 +264,15 @@ class Shard {
     return !reserved_key(k) && set_.contains(k);
   }
 
-  /// Prefetch the hash table's probe entry for an upcoming operation on
-  /// k — called for key i+1 while key i's cache misses are outstanding.
-  /// No prefetch on a skiplist: every probe starts at the head tower,
+  /// Stages 1 and 2 of Store's batched probe pipeline for k: prefetch the
+  /// hash table's head word for k, then read it and prefetch the node it
+  /// links. Nothing on a skiplist: every probe starts at the head tower,
   /// whichever the key, and every operation keeps those lines cached.
-  void prepare(Key k) const noexcept {
-    if constexpr (!kOrdered) {
-      if (!reserved_key(k)) set_.prepare(k);
-    }
+  void prefetch_head(Key k) const noexcept {
+    if constexpr (!kOrdered) set_.prefetch_head(k);
+  }
+  void prefetch_first(Key k) const noexcept {
+    if constexpr (!kOrdered) set_.prefetch_first(k);
   }
 
   // --- the publish path: put is a batch of one, Store::multi_put a batch --

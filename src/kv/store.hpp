@@ -77,6 +77,7 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -445,15 +446,27 @@ class Store {
   // --- batched multi-operations --------------------------------------------
   // Real serving traffic arrives in batches (RPC multi-get, pipelined
   // writes). The multi-ops run the batch in the caller's order and exploit
-  // it two ways: (1) lookups are pipelined — while key i's cache miss is
-  // outstanding, key i+1's probe entry is software-prefetched; (2) writes
-  // coalesce their persistence: all of a batch's records are flushed and
-  // fenced ONCE before any is published, the publish CASes defer their
-  // trailing fences to one shared pfence, and only then are the published
-  // words untagged. Per-element durability-before-publication is preserved
-  // — see ARCHITECTURE.md ("Batched multi-op path") for the full argument.
-  // A scalar get or put is the batch of one: the same shard lookup or
-  // publish step, and the same closing fence.
+  // it two ways: (1) probes overlap their cache misses in a staged
+  // pipeline over chunks of kProbeChunk keys (group prefetching, Chen et
+  // al., ICDE 2004):
+  //   1. prefetch every key's bucket head word (the address only);
+  //   2. read the heads and prefetch each one's first node;
+  //   3. run the lookups in order (multi_get also prefetches the first
+  //      lines of each record it finds);
+  //   4. multi_get calls fn(i, v) in order.
+  // multi_put runs stages 1-2 for its keys before creating its records,
+  // so the probe misses land while the records are written and flushed;
+  // multi_remove runs stages 1-2 per chunk. A prefetch issues no
+  // p-instruction, so every lookup and publish keeps its p-instruction
+  // sequence. An ordered store's shards have no hook (see
+  // Shard::prefetch_head). (2) Writes coalesce their persistence: all of
+  // a batch's records are flushed and fenced ONCE before any is
+  // published, the publish CASes defer their trailing fences to one
+  // shared pfence, and only then are the published words untagged.
+  // Per-element durability-before-publication is preserved — see
+  // ARCHITECTURE.md ("Batched multi-op path") for the full argument. A
+  // scalar get or put is the batch of one: the same shard lookup or
+  // publish step, unstaged, and the same closing fence.
   //
   // Reads hand each record to a visitor instead of copying it: fn sees
   // the value in place, under the op's EBR guard and before its
@@ -473,12 +486,29 @@ class Store {
     check::ReadLog log(check::lc_begin());
     {
       recl::Ebr::Guard g;  // spans every lookup and every fn call
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i + 1 < n) shard_for(keys[i + 1]).prepare(keys[i + 1]);
+      const auto visit = [&](std::size_t i, const Record* r) {
         std::optional<std::string_view> v;
-        if (const Record* r = shard_for(keys[i]).find(keys[i])) v = r->view();
+        if (r != nullptr) v = r->view();
         log.add(keys[i], v);
         fn(i, v);
+      };
+      if (n == 1) {
+        visit(0, shard_for(keys[0]).find(keys[0]));  // no miss to overlap
+      } else {
+        const Record* found[kProbeChunk] = {};
+        for (std::size_t b = 0; b < n; b += kProbeChunk) {
+          const std::span<const Key> chunk =
+              keys.subspan(b, std::min(kProbeChunk, n - b));
+          const ProbeShards at = prefetch_probes(
+              chunk.size(), [chunk](std::size_t j) { return chunk[j]; });
+          for (std::size_t j = 0; j < chunk.size(); ++j) {  // stage 3
+            found[j] = shards_[at[j]].find(chunk[j]);
+            if (found[j] != nullptr) found[j]->prefetch();
+          }
+          for (std::size_t j = 0; j < chunk.size(); ++j) {  // stage 4
+            visit(b + j, found[j]);
+          }
+        }
       }
     }
     Words::operation_completion();  // one fence for the whole batch
@@ -543,6 +573,12 @@ class Store {
       (void)v;
     }
     const std::uint64_t lc_inv = check::lc_begin();
+    // Probe stages 1-2 for every key first: their misses land while
+    // Phase 1 writes and flushes the records.
+    for (std::size_t b = 0; b < n; b += kProbeChunk) {
+      prefetch_probes(std::min(kProbeChunk, n - b),
+                      [&](std::size_t j) { return kvs[b + j].first; });
+    }
 
     // Phase 1: create + flush every record, then ONE fence. Nothing is
     // published yet, so any throw here just frees the private records.
@@ -561,11 +597,11 @@ class Store {
     }
     if constexpr (Words::persistent) pmem::pfence();
 
-    // Phase 2: publish in batch order with deferred fences, prefetching
-    // the next element's probe entry while the current one is in flight.
-    // Superseded records are collected, NOT retired yet: until the final
-    // fence lands, a crash image can still hold the old link, and retired
-    // storage could be recycled under it.
+    // Phase 2: publish in batch order with deferred fences, into the
+    // probe lines the stages above prefetched. Superseded records are
+    // collected, NOT retired yet: until the final fence lands, a crash
+    // image can still hold the old link, and retired storage could be
+    // recycled under it.
     ds::PublishBatch batch;
     batch.reserve(n);  // enlist must be nofail: it runs post-publish
     std::vector<Record*> superseded;
@@ -574,9 +610,6 @@ class Store {
     try {
       recl::Ebr::Guard g;
       for (; done < n; ++done) {
-        if (done + 1 < n) {
-          shard_for(kvs[done + 1].first).prepare(kvs[done + 1].first);
-        }
         const Key k = kvs[done].first;
         fresh[done] = shard_for(k).publish(k, recs[done], batch, superseded);
       }
@@ -610,19 +643,24 @@ class Store {
  public:
   /// Batched remove: out[i] is remove()'s return for keys[i] (reserved
   /// sentinel keys report false). Elements are applied in batch order;
-  /// prefetching overlaps the probes, but each removal keeps its own
-  /// durable mark CAS — fence coalescing targets the put path, where
-  /// records dominate the persistence bill. Throws kv::StoreReadOnly when
-  /// latched degraded.
+  /// each chunk's probes are prefetched (stages 1-2) before its removals
+  /// run, but each removal keeps its own durable mark CAS — fence
+  /// coalescing targets the put path, where records dominate the
+  /// persistence bill. Throws kv::StoreReadOnly when latched degraded.
   std::vector<bool> multi_remove(std::span<const Key> keys) {
     ensure_writable();
     const std::size_t n = keys.size();
     std::vector<bool> out(n, false);
     if (n == 0) return out;
     const std::uint64_t lc_inv = check::lc_begin();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 < n) shard_for(keys[i + 1]).prepare(keys[i + 1]);
-      out[i] = shard_for(keys[i]).remove(keys[i]);
+    for (std::size_t b = 0; b < n; b += kProbeChunk) {
+      const std::span<const Key> chunk =
+          keys.subspan(b, std::min(kProbeChunk, n - b));
+      const ProbeShards at = prefetch_probes(
+          chunk.size(), [chunk](std::size_t j) { return chunk[j]; });
+      for (std::size_t j = 0; j < chunk.size(); ++j) {
+        out[b + j] = shards_[at[j]].remove(chunk[j]);
+      }
     }
     if constexpr (core::kChecked) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -1116,6 +1154,30 @@ class Store {
   Shard_& shard_for(Key k) noexcept { return shards_[shard_index(k)]; }
   const Shard_& shard_for(Key k) const noexcept {
     return shards_[shard_index(k)];
+  }
+
+  /// Keys per chunk of the probe pipeline: enough misses in flight to
+  /// hide a memory latency, few enough that the prefetched lines are
+  /// still cached when their lookups run.
+  static constexpr std::size_t kProbeChunk = 16;
+
+  using ProbeShards = std::array<std::size_t, kProbeChunk>;
+
+  /// Stages 1 and 2 of the probe pipeline for a chunk of m <= kProbeChunk
+  /// keys, key(j) the j-th: prefetch every key's bucket head word, then
+  /// read each head and prefetch the node it links, so the chunk's misses
+  /// overlap instead of queueing one behind another. Returns each key's
+  /// shard index, for the later stages. Memory hints only: nothing is
+  /// written and no p-instruction is issued.
+  template <class KeyAt>
+  ProbeShards prefetch_probes(std::size_t m, KeyAt key) const noexcept {
+    ProbeShards at{};
+    for (std::size_t j = 0; j < m; ++j) {
+      at[j] = shard_index(key(j));
+      shards_[at[j]].prefetch_head(key(j));
+    }
+    for (std::size_t j = 0; j < m; ++j) shards_[at[j]].prefetch_first(key(j));
+    return at;
   }
 
   // The durability block owns a file-backed store's pool, so it is

@@ -54,6 +54,7 @@
 #include <mutex>
 #include <optional>
 #include <poll.h>
+#include <pthread.h>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -141,7 +142,7 @@ class Server {
   /// Accept loop; blocks the calling thread until shutdown() (or a
   /// SHUTDOWN command) stops the server, then joins the workers.
   void run() {
-    for (auto& w : workers_) w->start();
+    for (std::size_t i = 0; i < workers_.size(); ++i) workers_[i]->start(i);
     std::size_t next = 0;
     int backoff_ms = 0;  // nonzero while recovering from fd pressure
     while (!stop_.load(std::memory_order_acquire)) {
@@ -270,8 +271,15 @@ class Server {
       }
     }
 
-    void start() {
-      th = std::thread([this] { server.worker_loop(*this); });
+    /// Start worker `id`'s thread, named "flit-worker-<id>" (what top -H,
+    /// gdb and /proc/<pid>/task/*/comm show).
+    void start(std::size_t id) {
+      th = std::thread([this, id] {
+        char name[16];  // the kernel's limit, NUL included
+        std::snprintf(name, sizeof(name), "flit-worker-%zu", id);
+        ::pthread_setname_np(::pthread_self(), name);
+        server.worker_loop(*this);
+      });
     }
 
     /// Listener-side: hand over an accepted connection.

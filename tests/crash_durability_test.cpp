@@ -214,6 +214,87 @@ TYPED_TEST(CrashDurabilityTest, ConcurrentOpsThenCrash) {
          "the pre-crash state exactly";
 }
 
+// --- reads that observe a pending publish ------------------------------------
+//
+// A KV put publishes with a deferred-fence CAS and fences at its batch
+// commit, so another thread can read the published link while its pwb is
+// still unfenced. A read that returns the key must flush that link itself
+// before it completes (its completion fence then persists it); otherwise
+// a crash right after the read loses a key a completed read returned.
+
+template <class M>
+class PendingPublishReadTest : public CrashDurabilityTest<M> {
+ protected:
+  using Set = SkipList<K, int*, HashedWords, M>;
+
+  /// Have another thread publish one key into `s` through a batch it never
+  /// commits, and return the key. A taller tower's index CAS fences the
+  /// bottom-level pwb, so the thread retries with the next key until the
+  /// node it links has height 1 and its publish is left unfenced. The
+  /// caller completes `batch` when done.
+  K publish_unfenced(Set& s, PublishBatch& batch) {
+    K key = -1;
+    std::thread writer([&] {
+      for (K k = 1; k < 200; ++k) {
+        batch.reserve(1);
+        s.upsert(k, &payload_, batch);
+        if (height_of(s, k) == 1) {
+          key = k;
+          return;  // exits with the link's pwb unfenced
+        }
+        pmem::pfence();
+        batch.complete_all();
+      }
+    });
+    writer.join();
+    return key;
+  }
+
+  static int height_of(const Set& s, K k) {
+    for (auto* n = s.roots()->head; n != nullptr;
+         n = without_mark(n->next[0].load_private())) {
+      if (n->key.load_private() == k) return n->height;
+    }
+    return 0;
+  }
+
+  int payload_ = 0;
+};
+
+using PendingPublishMethods = ::testing::Types<NVTraverse, Manual, Automatic>;
+TYPED_TEST_SUITE(PendingPublishReadTest, PendingPublishMethods);
+
+TYPED_TEST(PendingPublishReadTest, ContainsPersistsTheLinkItReturns) {
+  typename TestFixture::Set s;
+  PublishBatch batch;
+  const K k = this->publish_unfenced(s, batch);
+  ASSERT_GT(k, 0) << "no height-1 tower in 199 tries";
+  ASSERT_TRUE(s.contains(k));
+  pmem::SimMemory::instance().crash();
+  auto recovered = TestFixture::Set::recover(s.roots());
+  EXPECT_TRUE(recovered.contains(k))
+      << "contains returned a key the crash then lost";
+  batch.complete_all();
+}
+
+TYPED_TEST(PendingPublishReadTest, ScanPersistsTheLinkItReturns) {
+  typename TestFixture::Set s;
+  PublishBatch batch;
+  const K k = this->publish_unfenced(s, batch);
+  ASSERT_GT(k, 0) << "no height-1 tower in 199 tries";
+  K first = -1;
+  s.for_each_range(k, [&](K key, int*) {
+    first = key;
+    return false;
+  });
+  ASSERT_EQ(first, k);
+  pmem::SimMemory::instance().crash();
+  auto recovered = TestFixture::Set::recover(s.roots());
+  EXPECT_TRUE(recovered.contains(k))
+      << "a scan returned a key the crash then lost";
+  batch.complete_all();
+}
+
 // --- negative control -------------------------------------------------------
 
 class CrashNegativeTest : public CrashDurabilityTest<int> {};

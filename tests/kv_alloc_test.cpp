@@ -89,14 +89,15 @@ std::size_t allocs_of(F&& f) {
 
 struct Allocs {
   std::size_t put = 0, multi_put = 0, multi_get = 0, visit_multi_get = 0,
-              scan = 0, multi_remove = 0;
+              visit_multi_get_40 = 0, scan = 0, multi_remove = 0;
 };
 
 /// Rounds of put, multi_put, multi_get (both forms), scan (ordered
 /// stores) and multi_remove over one batch of 16 keys with 100 B values,
-/// on 8 shards. Each round re-inserts the batch the previous round
-/// removed, so every element of every multi-op hits, and every round's
-/// scan sees the same 50 keys.
+/// on 8 shards, plus a visitor multi_get of 40 keys (the batch and 24
+/// more: three probe-pipeline chunks). Each round re-inserts the batch
+/// the previous round removed, so every element of every multi-op hits,
+/// and every round's scan sees the same 50 keys.
 template <class KV>
 Allocs allocs_per_round(std::size_t rounds) {
   constexpr std::size_t kBatch = 16;
@@ -110,6 +111,8 @@ Allocs allocs_per_round(std::size_t rounds) {
   }
   // Past the batch and key 1000, so scan(0, 50) crosses every shard.
   for (std::int64_t k = 2000; k < 2064; ++k) kv.put(k, value);
+  std::vector<std::int64_t> keys40 = keys;
+  for (std::int64_t k = 2000; k < 2024; ++k) keys40.push_back(k);
   std::vector<std::pair<std::int64_t, std::string>> out;
   if constexpr (KV::kOrdered) kv.scan(0, 50, out);  // 50 pairs to reuse
   std::size_t seen = 0;
@@ -123,12 +126,18 @@ Allocs allocs_per_round(std::size_t rounds) {
         seen += v.has_value();
       });
     });
+    total.visit_multi_get_40 += allocs_of([&] {
+      kv.multi_get(keys40,
+                   [&](std::size_t, std::optional<std::string_view> v) {
+                     seen += v.has_value();
+                   });
+    });
     if constexpr (KV::kOrdered) {
       total.scan += allocs_of([&] { seen += kv.scan(0, 50, out); });
     }
     total.multi_remove += allocs_of([&] { (void)kv.multi_remove(keys); });
   }
-  EXPECT_EQ(seen, rounds * (kBatch + (KV::kOrdered ? 50 : 0)));
+  EXPECT_EQ(seen, rounds * (kBatch + 40 + (KV::kOrdered ? 50 : 0)));
   return total;
 }
 
@@ -146,6 +155,7 @@ void expect_steady_state_allocs(const char* layout) {
   // the result vector and one 100 B copy per hit
   EXPECT_EQ(a.multi_get, 17 * kRounds) << "multi_get of 16";
   EXPECT_EQ(a.visit_multi_get, 0u) << "visitor multi_get of 16";
+  EXPECT_EQ(a.visit_multi_get_40, 0u) << "visitor multi_get of 40";
   // a warm `out`: its pairs are overwritten in place
   EXPECT_EQ(a.scan, 0u) << "scan of 50 into a reused out";
   // the result vector

@@ -7,8 +7,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -271,6 +274,23 @@ TEST_F(KvStoreTest, SizeIsExactUnderPureOverwriteChurn) {
 
 // --- batched multi-op path ---------------------------------------------------
 
+/// Batch lengths around the multi-ops' probe-pipeline chunk of 16 keys: a
+/// batch of one, one chunk short, exact and one over, and three chunks.
+constexpr std::size_t kBatchLens[] = {1, 15, 16, 17, 40};
+
+/// A batch of `len` keys over a store holding the even keys below 100:
+/// hits and misses alternate, every fourth key repeats an earlier one,
+/// and (when len > 1) the middle one is a reserved sentinel.
+std::vector<std::int64_t> mixed_batch(std::size_t len) {
+  std::vector<std::int64_t> keys;
+  for (std::size_t i = 0; i < len; ++i) {
+    keys.push_back(i % 4 == 3 ? keys[i / 2]
+                              : static_cast<std::int64_t>(i * 37 % 100));
+  }
+  if (len > 1) keys[len / 2] = std::numeric_limits<std::int64_t>::max();
+  return keys;
+}
+
 TEST_F(KvStoreTest, MultiGetMatchesScalarLoop) {
   KvStore kv(4, 64);
   for (std::int64_t k = 0; k < 100; k += 2) {
@@ -285,6 +305,35 @@ TEST_F(KvStoreTest, MultiGetMatchesScalarLoop) {
   ASSERT_EQ(got.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(got[i], kv.get(keys[i])) << "key " << keys[i];
+  }
+  for (const std::size_t len : kBatchLens) {
+    const std::vector<std::int64_t> batch = mixed_batch(len);
+    const auto out = kv.multi_get(batch);
+    ASSERT_EQ(out.size(), len);
+    for (std::size_t i = 0; i < len; ++i) {
+      EXPECT_EQ(out[i], kv.get(batch[i])) << "len " << len << " i " << i;
+    }
+  }
+}
+
+TEST_F(KvStoreTest, MultiGetVisitsEachIndexOnceInOrder) {
+  // The visitor contract: fn(i, v) exactly once per key, i ascending,
+  // each v the key's value — across every chunk boundary.
+  KvStore kv(4, 64);
+  for (std::int64_t k = 0; k < 100; k += 2) kv.put(k, churn_value(k, 3));
+  for (const std::size_t len : kBatchLens) {
+    const std::vector<std::int64_t> batch = mixed_batch(len);
+    std::vector<std::size_t> order;
+    std::vector<std::optional<std::string>> seen;
+    kv.multi_get(batch, [&](std::size_t i, std::optional<std::string_view> v) {
+      order.push_back(i);
+      seen.emplace_back(v);
+    });
+    ASSERT_EQ(order.size(), len);
+    for (std::size_t i = 0; i < len; ++i) {
+      EXPECT_EQ(order[i], i) << "len " << len;
+      EXPECT_EQ(seen[i], kv.get(batch[i])) << "len " << len << " i " << i;
+    }
   }
 }
 
@@ -315,6 +364,41 @@ TEST_F(KvStoreTest, MultiPutMatchesScalarSemantics) {
   for (std::int64_t k = 0; k < 64; ++k) {
     EXPECT_EQ(batched.get(k), scalar.get(k)) << "key " << k;
   }
+
+  // The mixed batches: with their reserved key the whole batch is
+  // rejected before any element applies; without it (hits overwrite,
+  // misses insert, duplicates overwrite again) it matches a scalar loop.
+  for (const std::size_t len : kBatchLens) {
+    KvStore b(4, 64);
+    KvStore s(4, 64);
+    for (std::int64_t k = 0; k < 100; k += 2) {
+      b.put(k, churn_value(k, 0));
+      s.put(k, churn_value(k, 0));
+    }
+    const std::vector<std::int64_t> keys = mixed_batch(len);
+    std::vector<std::string> vals;
+    for (std::size_t i = 0; i < len; ++i) {
+      vals.push_back(churn_value(keys[i], i + 1));
+    }
+    std::vector<std::pair<std::int64_t, std::string_view>> batch;
+    for (std::size_t i = 0; i < len; ++i) batch.emplace_back(keys[i], vals[i]);
+    if (len > 1) {
+      EXPECT_THROW((void)b.multi_put(batch), std::invalid_argument);
+      EXPECT_EQ(b.size(), 50u) << "len " << len;
+      batch.erase(batch.begin() + static_cast<std::ptrdiff_t>(len / 2));
+    }
+    const auto flags = b.multi_put(batch);
+    ASSERT_EQ(flags.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(static_cast<bool>(flags[i]),
+                s.put(batch[i].first, batch[i].second))
+          << "len " << len << " i " << i;
+    }
+    EXPECT_EQ(b.size(), s.size()) << "len " << len;
+    for (std::int64_t k = 0; k < 100; ++k) {
+      EXPECT_EQ(b.get(k), s.get(k)) << "len " << len << " key " << k;
+    }
+  }
 }
 
 TEST_F(KvStoreTest, MultiRemoveMatchesScalarLoop) {
@@ -334,6 +418,26 @@ TEST_F(KvStoreTest, MultiRemoveMatchesScalarLoop) {
   EXPECT_EQ(kv.get(3), std::nullopt);
   EXPECT_EQ(kv.get(7), std::nullopt);
   EXPECT_EQ(kv.size(), 38u);
+
+  for (const std::size_t len : kBatchLens) {
+    KvStore b(4, 64);
+    KvStore s(4, 64);
+    for (std::int64_t k = 0; k < 100; k += 2) {
+      b.put(k, "v");
+      s.put(k, "v");
+    }
+    const std::vector<std::int64_t> batch = mixed_batch(len);
+    const auto removed = b.multi_remove(batch);
+    ASSERT_EQ(removed.size(), len);
+    for (std::size_t i = 0; i < len; ++i) {
+      EXPECT_EQ(static_cast<bool>(removed[i]), s.remove(batch[i]))
+          << "len " << len << " i " << i;
+    }
+    EXPECT_EQ(b.size(), s.size()) << "len " << len;
+    for (std::int64_t k = 0; k < 100; ++k) {
+      EXPECT_EQ(b.contains(k), s.contains(k)) << "len " << len << " key " << k;
+    }
+  }
 }
 
 TEST_F(KvStoreTest, MultiPutDuplicateKeysApplyInOrderLastWins) {

@@ -160,6 +160,43 @@ TEST_F(BstTest, ConcurrentSameKeyContention) {
   EXPECT_TRUE(t.contains(2));
 }
 
+/// A lookup of 20 under method M, with the parent's edge into 20's leaf
+/// tagged as an insert's unfenced publish leaves it, must flush that edge
+/// (one pwb) before it completes.
+template <class M>
+void expect_lookup_flushes_tagged_last_link(const char* method) {
+  SCOPED_TRACE(method);
+  using T = NatarajanBst<std::int64_t, std::int64_t, HashedWords, M>;
+  T t;
+  for (std::int64_t k : {10, 20, 30}) ASSERT_TRUE(t.insert(k, k));
+  auto* edge = &t.sentinel()->left;
+  auto* n = without_bits(edge->load_private(), kFlagBit | kTagBit);
+  while (!n->is_leaf()) {
+    edge = 20 < n->key.load_private() ? &n->left : &n->right;
+    n = without_bits(edge->load_private(), kFlagBit | kTagBit);
+  }
+  ASSERT_EQ(n->key.load_private(), 20);
+  auto* leaf = edge->load_private();
+  ASSERT_TRUE(edge->cas_deferred(leaf, leaf));  // tagged, pwb unfenced
+  pmem::pfence();  // fence this thread's pwb; the word stays tagged
+  const auto pwbs_of = [](auto&& op) {
+    const pmem::StatsSnapshot before = pmem::stats_snapshot();
+    op();
+    return (pmem::stats_snapshot() - before).pwbs;
+  };
+  EXPECT_EQ(pwbs_of([&] { EXPECT_TRUE(t.contains(20)); }), 1u) << "contains";
+  EXPECT_EQ(pwbs_of([&] { EXPECT_EQ(t.find(20), 20); }), 1u) << "find";
+  edge->complete_deferred(leaf);
+  EXPECT_EQ(pwbs_of([&] { EXPECT_TRUE(t.contains(20)); }), 0u)
+      << "untagged again";
+}
+
+TEST_F(BstTest, LookupFlushesItsTaggedLastLink) {
+  pmem::BackendScope scope(pmem::Backend::kNoOp);
+  expect_lookup_flushes_tagged_last_link<NVTraverse>("NVTraverse");
+  expect_lookup_flushes_tagged_last_link<Manual>("Manual");
+}
+
 TEST_F(BstTest, RecoverHandleSeesSameContent) {
   Bst t;
   for (std::int64_t k = 0; k < 64; ++k) t.insert(k, k * 7);
