@@ -708,7 +708,9 @@ class Store {
     return got;
   }
 
-  /// The pairs scan(start, n, fn) sees, copied out.
+  /// The pairs scan(start, n, fn) sees, copied out. Its strings come from
+  /// the thread's spare list first (see scan(start, n, out) below), and
+  /// it never adds to that list.
   std::vector<std::pair<Key, std::string>> scan(Key start, std::size_t n)
       const
     requires(kOrdered)
@@ -718,25 +720,37 @@ class Store {
     return out;
   }
 
-  /// Allocation-friendly overload: `out` ends up holding exactly the
-  /// pairs seen; returns how many. The pairs `out` already holds are
-  /// overwritten in place (their strings keep their capacity), pairs
-  /// past them are appended, and any surplus is trimmed, so an `out`
-  /// reused across scans of similar length allocates nothing.
+  /// Allocation-free overload: `out` ends up holding exactly the pairs
+  /// seen; returns how many. The pairs `out` already holds are
+  /// overwritten in place (their strings keep their capacity). A pair
+  /// appended past them takes its string from the calling thread's spare
+  /// list and allocates only when that list is empty; trimming a surplus
+  /// moves the dropped pairs' strings onto the list instead of freeing
+  /// them. So a reused `out` allocates nothing per scan at any length.
+  /// The list holds only strings a trim dropped and no later scan took
+  /// back: a thread that reuses one `out` keeps at most its longest
+  /// scan's strings, split between `out` and the list.
   std::size_t scan(Key start, std::size_t n,
                    std::vector<std::pair<Key, std::string>>& out) const
     requires(kOrdered)
   {
+    thread_local std::vector<std::string> spare;
     std::size_t got = 0;
     scan(start, n, [&](Key k, std::string_view v) {
-      if (got < out.size()) {
-        out[got].first = k;
-        out[got].second.assign(v);
-      } else {
-        out.emplace_back(k, v);
+      if (got == out.size()) {
+        out.emplace_back();
+        if (!spare.empty()) {
+          out.back().second = std::move(spare.back());
+          spare.pop_back();
+        }
       }
+      out[got].first = k;
+      out[got].second.assign(v);
       ++got;
     });
+    for (std::size_t i = got; i < out.size(); ++i) {
+      spare.push_back(std::move(out[i].second));
+    }
     out.resize(got);
     return got;
   }

@@ -7,7 +7,7 @@
 // touchpoint is the eventfd-signaled adoption queue new connections
 // arrive through).
 //
-// Per readiness event a worker drains the socket into the connection's
+// Per readiness event a worker reads the socket into the connection's
 // incremental RequestParser, then executes *every* fully parsed request
 // before writing anything back. This is where the network layer becomes
 // the batch former for the store's multi-op path: consecutive runs of
@@ -439,8 +439,8 @@ class Server {
     return ::epoll_ctl(w.epfd.get(), EPOLL_CTL_MOD, c.fd.get(), &ev) == 0;
   }
 
-  /// Drain the socket, execute every complete request, flush replies.
-  /// Returns false when the connection should be closed.
+  /// Read what the socket holds, execute every complete request, flush
+  /// replies. Returns false when the connection should be closed.
   bool handle_readable(Worker& w, Conn& c) {
     char buf[64 << 10];
     bool saw_eof = false;
@@ -450,6 +450,10 @@ class Server {
       if (r > 0) {
         c.last_active = std::chrono::steady_clock::now();
         c.parser.feed(std::string_view(buf, static_cast<std::size_t>(r)));
+        // A short read emptied the socket. Reading again would only see
+        // EAGAIN; bytes that arrive later, or an EOF, make the
+        // level-triggered EPOLLIN report it again at the next wait.
+        if (static_cast<std::size_t>(r) < sizeof(buf)) break;
         continue;
       }
       if (would_block) break;

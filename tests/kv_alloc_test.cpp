@@ -89,15 +89,18 @@ std::size_t allocs_of(F&& f) {
 
 struct Allocs {
   std::size_t put = 0, multi_put = 0, multi_get = 0, visit_multi_get = 0,
-              visit_multi_get_40 = 0, scan = 0, multi_remove = 0;
+              visit_multi_get_40 = 0, scan = 0, scan_7_after_50 = 0,
+              scan_50_after_7 = 0, multi_remove = 0;
 };
 
-/// Rounds of put, multi_put, multi_get (both forms), scan (ordered
+/// Rounds of put, multi_put, multi_get (both forms), scans (ordered
 /// stores) and multi_remove over one batch of 16 keys with 100 B values,
 /// on 8 shards, plus a visitor multi_get of 40 keys (the batch and 24
 /// more: three probe-pipeline chunks). Each round re-inserts the batch
-/// the previous round removed, so every element of every multi-op hits,
-/// and every round's scan sees the same 50 keys.
+/// the previous round removed, so every element of every multi-op hits.
+/// Every round scans 50 keys into an `out` that holds 50 pairs, then 7
+/// into it and 50 again, so the last scan re-grows what the one before
+/// trimmed.
 template <class KV>
 Allocs allocs_per_round(std::size_t rounds) {
   constexpr std::size_t kBatch = 16;
@@ -134,10 +137,12 @@ Allocs allocs_per_round(std::size_t rounds) {
     });
     if constexpr (KV::kOrdered) {
       total.scan += allocs_of([&] { seen += kv.scan(0, 50, out); });
+      total.scan_7_after_50 += allocs_of([&] { seen += kv.scan(0, 7, out); });
+      total.scan_50_after_7 += allocs_of([&] { seen += kv.scan(0, 50, out); });
     }
     total.multi_remove += allocs_of([&] { (void)kv.multi_remove(keys); });
   }
-  EXPECT_EQ(seen, rounds * (kBatch + 40 + (KV::kOrdered ? 50 : 0)));
+  EXPECT_EQ(seen, rounds * (kBatch + 40 + (KV::kOrdered ? 107 : 0)));
   return total;
 }
 
@@ -158,6 +163,10 @@ void expect_steady_state_allocs(const char* layout) {
   EXPECT_EQ(a.visit_multi_get_40, 0u) << "visitor multi_get of 40";
   // a warm `out`: its pairs are overwritten in place
   EXPECT_EQ(a.scan, 0u) << "scan of 50 into a reused out";
+  // a trim keeps the dropped strings on the thread's spare list, and the
+  // longer scan after it takes them back
+  EXPECT_EQ(a.scan_7_after_50, 0u) << "scan of 7 after one of 50";
+  EXPECT_EQ(a.scan_50_after_7, 0u) << "scan of 50 after one of 7";
   // the result vector
   EXPECT_EQ(a.multi_remove, 1 * kRounds) << "multi_remove of 16";
 }
@@ -185,13 +194,15 @@ std::size_t others_allocs_of(F&& f) {
 }
 
 struct ServerAllocs {
-  std::size_t set_run = 0, get_run = 0, mget = 0, scan = 0;
+  std::size_t set_run = 0, get_run = 0, mget = 0, scan = 0,
+              scan_7_after_50 = 0, scan_50_after_7 = 0;
 };
 
 /// Pipelined rounds over one connection, each one burst that the worker
 /// reads in one readiness event: a run of 16 SETs (100 B overwrites), a
 /// run of 18 GETs (16 hits, one bad key mid-run, one miss), an MGET of
-/// the 16 keys and, on the ordered layout, a SCAN of 50 pairs.
+/// the 16 keys and, on the ordered layout, a SCAN of 50 pairs, one of 7
+/// and one of 50 again.
 template <class KV>
 ServerAllocs server_allocs_per_round(net::Client& c, std::size_t rounds) {
   const std::string value(100, 'v');
@@ -229,11 +240,16 @@ ServerAllocs server_allocs_per_round(net::Client& c, std::size_t rounds) {
       EXPECT_EQ(c.read_reply().elems.size(), keys.size());
     });
     if constexpr (KV::kOrdered) {
-      total.scan += others_allocs_of([&] {
-        c.enqueue({"SCAN", "0", "50"});
-        c.flush();
-        EXPECT_EQ(c.read_reply().elems.size(), 100u);
-      });
+      const auto scan = [&c](std::string_view n, std::size_t pairs) {
+        return others_allocs_of([&] {
+          c.enqueue({"SCAN", "0", n});
+          c.flush();
+          EXPECT_EQ(c.read_reply().elems.size(), 2 * pairs);
+        });
+      };
+      total.scan += scan("50", 50);
+      total.scan_7_after_50 += scan("7", 7);
+      total.scan_50_after_7 += scan("50", 50);
     }
   }
   return total;
@@ -259,6 +275,8 @@ void expect_server_steady_state_allocs(const char* layout) {
     EXPECT_EQ(a.get_run, 0u) << "GET run of 18";
     EXPECT_EQ(a.mget, 0u) << "MGET of 16";
     EXPECT_EQ(a.scan, 0u) << "SCAN of 50";
+    EXPECT_EQ(a.scan_7_after_50, 0u) << "SCAN of 7 after one of 50";
+    EXPECT_EQ(a.scan_50_after_7, 0u) << "SCAN of 50 after one of 7";
     // multi_put's own: fresh flags, records, publish batch, superseded
     EXPECT_EQ(a.set_run, 4 * kRounds) << "SET run of 16";
   }

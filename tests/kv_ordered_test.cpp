@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <limits>
@@ -132,6 +133,85 @@ TEST_F(KvOrderedTest, ReusedScanBufferMatchesAFreshScan) {
                 kv.shard_index(out.back().first));
     }
   }
+}
+
+/// 1 B to 300 B, varying by key and version.
+std::string recycled_value(K k, std::uint64_t version = 0) {
+  const std::size_t len =
+      1 + static_cast<std::size_t>(
+              (static_cast<std::uint64_t>(k) * 37 + version * 101) % 300);
+  return std::string(len, static_cast<char>('A' + (k + version) % 26));
+}
+
+TEST_F(KvOrderedTest, RecycledScanStringsHoldExactlyTheNewValue) {
+  // A scan that trims `out` keeps the dropped strings on the thread's
+  // spare list, and a later scan that grows `out` (or fills a fresh
+  // vector) takes them back. A recycled string that held a longer value
+  // must hold exactly the new one.
+  Ordered kv(4, 64, KeyRange{0, 400});
+  for (K k = 0; k < 400; ++k) kv.put(k, recycled_value(k));
+  std::vector<std::pair<K, std::string>> out;
+  const std::pair<K, std::size_t> scans[] = {
+      {10, 50}, {0, 0}, {333, 7}, {120, 100}, {5, 3}, {200, 100}};
+  for (const auto& [start, n] : scans) {
+    SCOPED_TRACE(testing::Message() << "scan(" << start << ", " << n << ")");
+    ASSERT_EQ(kv.scan(start, n, out), n);
+    const auto fresh = kv.scan(start, n);
+    ASSERT_EQ(out.size(), fresh.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      const K k = start + static_cast<K>(i);
+      EXPECT_EQ(out[i].first, k);
+      EXPECT_EQ(out[i].second, recycled_value(k)) << k;
+      EXPECT_EQ(fresh[i], out[i]) << k;
+    }
+  }
+}
+
+TEST_F(KvOrderedTest, RecycledScanStringsStayThreadPrivate) {
+  // Two threads scan into their own reused `out` at varying lengths, so
+  // each trims and re-grows through its own spare list, while a third
+  // overwrites the scanned keys with values of other lengths. Every pair
+  // must be one version of its key's value, whole.
+  constexpr K kKeys = 256;
+  constexpr std::uint64_t kVersions = 4;
+  Ordered kv(4, 64, KeyRange{0, kKeys});
+  for (K k = 0; k < kKeys; ++k) kv.put(k, recycled_value(k));
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (std::uint64_t v = 1; !stop.load(std::memory_order_relaxed); ++v) {
+      for (K k = 0; k < kKeys; ++k) kv.put(k, recycled_value(k, v % kVersions));
+    }
+  });
+  std::atomic<std::uint64_t> violations{0};
+  std::vector<std::thread> scanners;
+  for (int t = 0; t < 2; ++t) {
+    scanners.emplace_back([&, t] {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(t) * 977 + 3);
+      std::vector<std::pair<K, std::string>> out;
+      for (int i = 0; i < 500; ++i) {
+        const K start = static_cast<K>(rng() % kKeys);
+        const std::size_t want = rng() % 101;
+        kv.scan(start, want, out);
+        if (out.size() != std::min<std::size_t>(
+                              want, static_cast<std::size_t>(kKeys - start))) {
+          ++violations;
+        }
+        for (std::size_t j = 0; j < out.size(); ++j) {
+          const K k = out[j].first;
+          const bool whole = k == start + static_cast<K>(j);
+          bool known = false;
+          for (std::uint64_t v = 0; v < kVersions && !known; ++v) {
+            known = out[j].second == recycled_value(k, v);
+          }
+          if (!whole || !known) ++violations;
+        }
+      }
+    });
+  }
+  for (auto& th : scanners) th.join();
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(violations.load(), 0u);
 }
 
 TEST_F(KvOrderedTest, OutOfRangeKeysClampButStaySorted) {

@@ -456,6 +456,50 @@ TEST_F(NetServerTest, HalfClosedPeerDoesNotSpinItsWorker) {
   EXPECT_THROW((void)c.read_reply(), std::runtime_error);
 }
 
+/// read()-family system calls the thread `tid` of this process has made
+/// (the `syscr` line of its io file), or -1 when the kernel keeps no
+/// per-task I/O accounting.
+long long thread_read_calls(long tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/io");
+  std::string field;
+  long long value = 0;
+  while (in >> field >> value) {
+    if (field == "syscr:") return value;
+  }
+  return -1;
+}
+
+TEST_F(NetServerTest, OneReadPerReadinessEvent) {
+  // EPOLLIN is level-triggered, so a read shorter than the buffer has
+  // emptied the socket and a second read would only see EAGAIN. Rounds of
+  // 16 pipelined GETs, one write each, must cost the worker about one
+  // read() per round, not two.
+  ServerConfig cfg;
+  cfg.workers = 1;
+  Harness<HashedKv> h(hashed(), cfg);
+  Client c = h.connect();
+  std::vector<std::string> keys;
+  for (int i = 0; i < 16; ++i) {
+    keys.push_back(std::to_string(i));
+    ASSERT_TRUE(c.command({"SET", keys.back(), "v"}).ok());
+  }
+  const long worker = thread_named("flit-worker-0");
+  ASSERT_GT(worker, 0) << "no thread named flit-worker-0";
+  const long long before = thread_read_calls(worker);
+  if (before < 0) GTEST_SKIP() << "no per-task I/O accounting";
+  constexpr int kRounds = 200;
+  for (int r = 0; r < kRounds; ++r) {
+    for (const std::string& k : keys) c.enqueue({"GET", k});
+    c.flush();
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(c.read_reply().str, "v") << "round " << r;
+    }
+  }
+  const long long reads = thread_read_calls(worker) - before;
+  EXPECT_LT(static_cast<double>(reads) / kRounds, 1.25)
+      << reads << " reads in " << kRounds << " rounds";
+}
+
 TEST_F(NetServerTest, StatsAndDurabilityCounters) {
   Harness<HashedKv> h(hashed());
   Client c = h.connect();
